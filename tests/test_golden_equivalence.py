@@ -128,6 +128,33 @@ def test_serving_matches_seed_goldens(golden, rate, policy):
 
 
 @pytest.fixture(scope="module")
+def fleet_runs():
+    from tools.capture_goldens import fleet_runs
+
+    return fleet_runs()
+
+
+@pytest.mark.parametrize(
+    "key", ("fleet3/fcfs", "fleet3/sjf", "fleet3/hermes-union", "trio/fcfs")
+)
+def test_shared_queue_fleets_match_goldens(golden, fleet_runs, key):
+    """Multi-machine shared-queue fleets are pinned to every token.
+
+    Machines admitting from one queue tie on exact boundary times, so
+    which machine steals which request depends on the calendar's
+    same-instant ordering; per-request machines and token timestamps,
+    per-machine busy time and the batch/queue samples pin it absolutely.
+    """
+    from tools.capture_goldens import fleet_outputs
+
+    simulator, workload = fleet_runs[key]
+    report = simulator.run(list(workload))
+    # round-trip through JSON so float repr conventions match the file
+    assert json.loads(json.dumps(fleet_outputs(report))) == \
+        golden["serving"][key]
+
+
+@pytest.fixture(scope="module")
 def baseline_golden():
     return json.loads(BASELINE_GOLDEN_PATH.read_text())
 

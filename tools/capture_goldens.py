@@ -13,6 +13,11 @@ paper's comparative figures (fig09/fig17) and the steppable serving
 backends, so refactors of their cost kernels are guarded the same way
 the Hermes engine is.
 
+The serving section also pins multi-machine shared-queue fleets (three
+identical machines per policy, and a hermes/dense/dejavu trio) down to
+every request's machine and token timestamps, so a change to the event
+calendar's same-instant ordering shows up as drift.
+
 ``--verify`` instead *recomputes* every golden and diffs it against the
 committed files without writing anything — the CI golden-drift gate.  It
 covers the same ground as the equivalence test but from a clean process
@@ -43,6 +48,7 @@ from repro.hardware import Machine
 from repro.models import get_model
 from repro.serving import (
     LengthDistribution,
+    MachineGroup,
     ServingConfig,
     ServingSimulator,
     WorkloadConfig,
@@ -74,6 +80,18 @@ BATCHES = (1, 4)
 SERVING_RATES = (50.0, 2000.0)
 SERVING_POLICIES = ("fcfs", "hermes-union")
 SERVING_SEED = 3
+
+#: multi-machine shared-queue fleets: identical machines tie on exact
+#: token boundaries constantly, so these pin the event calendar's
+#: same-instant ordering (which machine steals which request) absolutely
+FLEET_TRACE_CONFIG = dict(prompt_len=16, decode_len=24, granularity=8)
+FLEET_MACHINES = 3
+FLEET_POLICIES = ("fcfs", "sjf", "hermes-union")
+FLEET_SEED = 9
+#: one machine of each backend behind one queue — step latencies differ
+#: wildly, so the machines' token boundaries interleave irregularly
+TRIO_BACKENDS = ("hermes", "dense", "dejavu")
+TRIO_SEED = 13
 
 
 def engine_goldens() -> dict:
@@ -108,6 +126,69 @@ def engine_goldens() -> dict:
     return runs
 
 
+def _report_metrics(report) -> dict:
+    return {
+        "completed": len(report.completed),
+        "tokens_per_second": report.tokens_per_second,
+        "ttft_p50": report.ttft_percentile(50),
+        "ttft_p99": report.ttft_percentile(99),
+        "e2e_p50": report.e2e_percentile(50),
+        "e2e_p99": report.e2e_percentile(99),
+        "mean_batch": report.mean_batch_size,
+        "dimm_utilization": report.dimm_utilization,
+        "makespan": report.makespan,
+    }
+
+
+def fleet_outputs(report) -> dict:
+    """A multi-machine report down to every per-token timestamp."""
+    return {
+        **_report_metrics(report),
+        "machine_gpu_busy": report.machine_gpu_busy,
+        "machine_dimm_busy": report.machine_dimm_busy,
+        "batch_samples": [list(s) for s in report.batch_samples],
+        "queue_samples": [list(s) for s in report.queue_samples],
+        "records": {
+            str(r.request.req_id): {
+                "machine": r.machine,
+                "prefill_start": r.prefill_start,
+                "token_times": list(r.token_times),
+            }
+            for r in report.records
+        },
+    }
+
+
+def fleet_runs() -> dict:
+    """The shared-queue fleets as ``key -> (simulator, workload)``."""
+    model = get_model("tiny-test")
+    trace = generate_trace(model, TraceConfig(**FLEET_TRACE_CONFIG),
+                           seed=TRACE_SEED)
+    lengths = dict(prompt_lens=LengthDistribution(mean=24),
+                   output_lens=LengthDistribution(kind="uniform", mean=12,
+                                                  low=4, high=20))
+    fleet_workload = generate_workload(
+        WorkloadConfig(rate=2000.0, num_requests=36, **lengths),
+        seed=FLEET_SEED)
+    runs = {
+        f"fleet{FLEET_MACHINES}/{policy}": (
+            ServingSimulator(
+                "tiny-test", policy,
+                ServingConfig(max_batch=6, num_machines=FLEET_MACHINES),
+                trace=trace),
+            fleet_workload)
+        for policy in FLEET_POLICIES
+    }
+    runs["trio/fcfs"] = (
+        ServingSimulator(
+            "tiny-test", "fcfs", ServingConfig(max_batch=6), trace=trace,
+            fleet=[MachineGroup(count=1, backend=b) for b in TRIO_BACKENDS]),
+        generate_workload(
+            WorkloadConfig(rate=2000.0, num_requests=30, **lengths),
+            seed=TRIO_SEED))
+    return runs
+
+
 def serving_goldens() -> dict:
     model = get_model("tiny-test")
     trace = default_serving_trace(model, granularity=4)
@@ -125,17 +206,9 @@ def serving_goldens() -> dict:
                 "tiny-test", policy, ServingConfig(max_batch=16), trace=trace
             )
             report = simulator.run(workload)
-            runs[f"rate{rate:g}/{policy}"] = {
-                "completed": len(report.completed),
-                "tokens_per_second": report.tokens_per_second,
-                "ttft_p50": report.ttft_percentile(50),
-                "ttft_p99": report.ttft_percentile(99),
-                "e2e_p50": report.e2e_percentile(50),
-                "e2e_p99": report.e2e_percentile(99),
-                "mean_batch": report.mean_batch_size,
-                "dimm_utilization": report.dimm_utilization,
-                "makespan": report.makespan,
-            }
+            runs[f"rate{rate:g}/{policy}"] = _report_metrics(report)
+    for key, (simulator, workload) in fleet_runs().items():
+        runs[key] = fleet_outputs(simulator.run(list(workload)))
     return runs
 
 
