@@ -31,7 +31,6 @@ the scale path the same way.
 
 from __future__ import annotations
 
-import dataclasses
 import time
 
 from repro.experiments.cluster_eval import resolve_scenario
@@ -63,12 +62,6 @@ def bench_scenario(
     simulation, report) re-runs whole until ``min_seconds`` of wall time
     accumulate; the simulated metrics of the final run are included for
     the drift gate — they are identical across runs by construction.
-
-    The default path is the macro-stepped (fused multi-token) serving
-    loop; a shorter measurement of the same scenario with
-    ``macro_step=False`` — the per-token reference loop, which produces
-    bit-identical simulated metrics — is reported under ``fused_loop``
-    so the committed record tracks what the fusion buys end to end.
     """
     path = resolve_scenario(spec)
     scenario = load_scenario(path)
@@ -83,22 +76,6 @@ def bench_scenario(
         elapsed = time.perf_counter() - start
         if elapsed >= min_seconds:
             break
-    fused_rps = runs / elapsed
-
-    # stepped reference: same scenario, macro-stepping off
-    stepped = dataclasses.replace(
-        scenario,
-        config=dataclasses.replace(scenario.config, macro_step=False))
-    stepped.run(trace)  # warmup, untimed
-    stepped_runs = 0
-    stepped_start = time.perf_counter()
-    while True:
-        stepped.run(trace)
-        stepped_runs += 1
-        stepped_elapsed = time.perf_counter() - stepped_start
-        if stepped_elapsed >= min_seconds / 2:
-            break
-    stepped_rps = stepped_runs / stepped_elapsed
 
     attainment = {
         name: report.slo_attainment(name)["joint"]
@@ -109,12 +86,7 @@ def bench_scenario(
         "scenario": scenario.name,
         "runs": runs,
         "seconds": elapsed,
-        "runs_per_sec": fused_rps,
-        "fused_loop": {
-            "stepped_runs": stepped_runs,
-            "stepped_runs_per_sec": stepped_rps,
-            "speedup": fused_rps / stepped_rps,
-        },
+        "runs_per_sec": runs / elapsed,
         "simulated": {
             "completed": len(report.completed),
             "tokens_per_second": report.tokens_per_second,
@@ -136,10 +108,7 @@ def bench_megafleet(spec: str = BENCH_MEGAFLEET_SCENARIO) -> dict:
     then measure exactly the same thing (one cold run including the
     one-time trace/partition work), keeping the wall ratio honest.
     The ``simulated`` half is unaffected either way: sharded runs are
-    pinned bit-identical run-to-run by the tier-1 suite.  There is no
-    stepped reference (``fused_loop``) here: the macro-step comparison
-    is already pinned on the tiny scenarios, and doubling a 10 s bench
-    to re-measure it at scale buys nothing.
+    pinned bit-identical run-to-run by the tier-1 suite.
     """
     path = resolve_scenario(spec)
     scenario = load_scenario(path)

@@ -10,8 +10,7 @@ loads.  The coordinator exploits exactly that:
 
 * the fleet is partitioned into ``config.shards`` contiguous machine
   ranges, each advanced by its own :class:`repro.sim.Simulator`
-  calendar (inline, or in a spawned worker process with
-  ``config.shard_processes``);
+  calendar, inline in the coordinator;
 * the router runs *once*, in the coordinator, replaying the unsharded
   routing-call order (arrivals in sorted order, crash refugees at their
   crash instants) — shards receive pre-routed work;
@@ -26,11 +25,11 @@ loads.  The coordinator exploits exactly that:
 produces the same records (token times, preemptions, migrations), the
 same per-machine busy accounting, the same makespan, and the same
 derived metrics as the single-calendar reference, for *any* shard count
-and for inline and process workers alike — pinned by
-``tests/test_sharded.py``.  The shard-local event interleavings differ,
-but machines never share calendar-ordered resources across shards:
-within a window each machine's trajectory is fully determined by its
-own queue, whose contents the coordinator replays exactly.
+— pinned by ``tests/test_sharded.py``.  The shard-local event
+interleavings differ, but machines never share calendar-ordered
+resources across shards: within a window each machine's trajectory is
+fully determined by its own queue, whose contents the coordinator
+replays exactly.
 
 Known, deliberate exclusions (validated with clear errors):
 
@@ -75,13 +74,12 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import traceback
 import types
 import typing
 
 from ..serving.metrics import RequestRecord
 from ..serving.simulator import _RunState
-from ..sim import Resource, Simulator
+from ..sim import Simulator
 from ..telemetry.events import RequestMigrated, RequestRouted, RunEnded
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -170,9 +168,7 @@ class _ShardRunner:
     ``[lo, hi)`` with sharding disabled; its unmodified machine
     processes are registered on a private calendar against a
     :class:`_ShardState`, and the coordinator drives that calendar
-    through the engine's resumable ``run(until=...)`` contract.  The
-    same class runs inline in the coordinator or inside a spawned
-    worker (:func:`_shard_worker_main`) — identical results either way.
+    through the engine's resumable ``run(until=...)`` contract.
     """
 
     def __init__(
@@ -199,7 +195,7 @@ class _ShardRunner:
         from .simulator import ClusterSimulator
 
         child_config = dataclasses.replace(
-            config, num_machines=hi - lo, shards=0, shard_processes=False
+            config, num_machines=hi - lo, shards=0
         )
         child = ClusterSimulator(
             model,
@@ -226,14 +222,10 @@ class _ShardRunner:
             self.state.tracer = self.tracer
         for local_m, executor in enumerate(child.executors):
             m = lo + local_m
-            resource = Resource(f"machine-{m}")
             self.sim.process(
-                child._machine_proc(
-                    self.sim, self.state, m, executor, resource
-                ),
+                child._machine_proc(self.sim, self.state, m, executor),
                 name=f"machine-{m}",
             )
-        self._pending: list[tuple["Request", int, _Snapshot]] | None = None
 
     # -- coordinator protocol ------------------------------------------
     def advance(
@@ -248,13 +240,6 @@ class _ShardRunner:
         outbox = self.state.outbox
         self.state.outbox = []
         return outbox
-
-    def start_advance(self, until: float | None) -> None:
-        self._pending = self.advance(until)
-
-    def join_advance(self) -> list[tuple["Request", int, _Snapshot]]:
-        out, self._pending = self._pending, None
-        return out
 
     def deliver(
         self, transfers: list[tuple["Request", _Snapshot, int]]
@@ -314,83 +299,6 @@ class _ShardRunner:
                 else None
             ),
         }
-
-
-def _shard_worker_main(conn, payload: dict) -> None:
-    """Worker-process entry: serve the coordinator's shard protocol."""
-    try:
-        runner = _ShardRunner(**payload)
-        while True:
-            msg = conn.recv()
-            op = msg[0]
-            if op == "advance":
-                conn.send(runner.advance(msg[1]))
-            elif op == "deliver":
-                runner.deliver(msg[1])
-                conn.send(None)
-            elif op == "extend":
-                runner.extend(msg[1])
-                conn.send(None)
-            elif op == "final":
-                runner.mark_final()
-                conn.send(None)
-            elif op == "finish":
-                conn.send(runner.finish())
-                conn.close()
-                return
-            else:  # pragma: no cover - protocol guard
-                raise RuntimeError(f"unknown shard op {op!r}")
-    except BaseException:  # pragma: no cover - surfaced coordinator-side
-        try:
-            conn.send(("__shard_error__", traceback.format_exc()))
-        except Exception:
-            pass
-        raise
-
-
-class _ProcessShard:
-    """Coordinator-side handle to a spawned shard worker."""
-
-    def __init__(self, ctx, payload: dict) -> None:
-        parent, child = ctx.Pipe()
-        self.conn = parent
-        self.proc = ctx.Process(
-            target=_shard_worker_main, args=(child, payload)
-        )
-        self.proc.start()
-        child.close()
-
-    def _call(self, *msg):
-        self.conn.send(msg)
-        return self._recv()
-
-    def _recv(self):
-        out = self.conn.recv()
-        if (isinstance(out, tuple) and out
-                and out[0] == "__shard_error__"):
-            self.proc.join()
-            raise RuntimeError(f"shard worker failed:\n{out[1]}")
-        return out
-
-    def start_advance(self, until: float | None) -> None:
-        self.conn.send(("advance", until))
-
-    def join_advance(self):
-        return self._recv()
-
-    def deliver(self, transfers) -> None:
-        self._call("deliver", transfers)
-
-    def extend(self, batch) -> None:
-        self._call("extend", batch)
-
-    def mark_final(self) -> None:
-        self._call("final")
-
-    def finish(self) -> dict:
-        out = self._call("finish")
-        self.proc.join()
-        return out
 
 
 def _merge_samples(
@@ -515,8 +423,8 @@ def run_sharded(
             per_machine[target].append(request.arrival)
         return per_machine
 
-    payloads = [
-        dict(
+    handles = [
+        _ShardRunner(
             model=cluster_sim.model,
             policy=cluster_sim.policy,
             slo=cluster_sim.slo,
@@ -537,18 +445,9 @@ def run_sharded(
         )
         for s_idx, (lo, hi) in enumerate(bounds)
     ]
-    if cfg.shard_processes:
-        import multiprocessing
-
-        ctx = multiprocessing.get_context("spawn")
-        handles: list = [_ProcessShard(ctx, p) for p in payloads]
-    else:
-        handles = [_ShardRunner(**p) for p in payloads]
 
     def advance_all(until: float | None) -> list[list]:
-        for handle in handles:
-            handle.start_advance(until)
-        return [handle.join_advance() for handle in handles]
+        return [handle.advance(until) for handle in handles]
 
     coordinator_events: list = []
     for i, barrier in enumerate(barriers):

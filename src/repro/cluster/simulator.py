@@ -202,8 +202,8 @@ class ClusterSimulator(ServingSimulator):
             # machine, so the preemptor must know when that machine is
             # straggling/degraded/dying — resolved by executor identity
             # (the victim call passes the executor, not the index).
-            # ``_machine_offset`` maps a shard worker's local executor
-            # list onto fleet-global machine ids for the fault queries.
+            # ``_machine_offset`` maps a shard's local executor list
+            # onto fleet-global machine ids for the fault queries.
             index = {
                 id(ex): m + self._machine_offset
                 for m, ex in enumerate(self.executors)

@@ -145,8 +145,9 @@ class DeadlinePreemptor:
     evicting one on a machine that is straggling, degraded, or about to
     die trades a healthy resident's progress for a prefill that machine
     can no longer serve on time — when the machine is anything but
-    ``"ok"`` no victim is returned.  Pure schedule lookup, so the fused
-    and stepped loops agree bit-exactly.
+    ``"ok"`` no victim is returned.  A pure schedule lookup: the verdict
+    depends only on the fault timeline, never on how the loop reached
+    ``now``.
     """
 
     def __init__(
@@ -201,14 +202,14 @@ class DeadlinePreemptor:
         """Earliest time :meth:`victim` could stop returning ``None``.
 
         Valid while ``queue`` and ``active`` are unchanged — exactly the
-        span a macro-stepped machine holds its batch fixed for.  ``None``
-        means *never* under the current state (queue head has no TTFT
-        SLO, or no lower-class resident exists).  The returned time is a
-        conservative lower bound: :meth:`victim`'s slack test subtracts
-        ``now`` *inside* the comparison while this solves for it
-        algebraically, so a tiny guard band absorbs the float re-rounding
-        — boundaries inside the band simply fall back to the exact
-        per-boundary check, which remains the source of truth.
+        span a ``fidelity: fast`` machine holds its batch fixed for.
+        ``None`` means *never* under the current state (queue head has
+        no TTFT SLO, or no lower-class resident exists).  The returned
+        time is a conservative lower bound: :meth:`victim`'s slack test
+        subtracts ``now`` *inside* the comparison while this solves for
+        it algebraically, so a tiny guard band absorbs the float
+        re-rounding — boundaries inside the band simply fall back to
+        the exact per-boundary check, which remains the source of truth.
         """
         head = queue[self.policy.select(queue)]
         cls = self.slo.class_of(head)

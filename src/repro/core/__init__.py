@@ -22,7 +22,6 @@ from .engine import (
     HermesConfig,
     HermesSession,
     HermesSystem,
-    SpanCost,
     StepCost,
     batch_union_factor,
 )
@@ -47,7 +46,6 @@ __all__ = [
     "HermesConfig",
     "HermesSession",
     "HermesSystem",
-    "SpanCost",
     "StepCost",
     "batch_union_factor",
 ]

@@ -23,7 +23,6 @@ Workflow per transformer layer (paper Fig. 6a):
 from __future__ import annotations
 
 import dataclasses
-import typing
 
 import numpy as np
 
@@ -103,49 +102,6 @@ class StepCost:
     dimm_busy: float
     swap_bytes: int = 0
     resident_bytes: int = 0
-
-
-@dataclasses.dataclass(frozen=True)
-class SpanCost:
-    """Per-step costs of one fused run of consecutive decode steps.
-
-    Array element ``i`` is exactly what the ``i``-th sequential
-    :meth:`HermesSession.decode_step` call of the span would have
-    returned.  ``end_times`` holds the absolute completion time of each
-    step: the span's ``start_time`` plus the *sequentially* accumulated
-    step seconds — the same float arithmetic an event calendar produces
-    stepping one token at a time, so macro-stepped simulators can
-    back-fill per-token timestamps bit-for-bit.
-    """
-
-    seconds: np.ndarray
-    gpu_busy: np.ndarray
-    dimm_busy: np.ndarray
-    end_times: np.ndarray
-    #: per-step telemetry counters mirroring :class:`StepCost`'s
-    #: ``swap_bytes`` / ``resident_bytes``; ``None`` when the producing
-    #: backend has no online residency control plane
-    swap_bytes: np.ndarray | None = None
-    resident_bytes: np.ndarray | None = None
-
-    def __len__(self) -> int:
-        return len(self.seconds)
-
-    def step(self, i: int) -> StepCost:
-        """The ``i``-th step's cost in scalar :class:`StepCost` form."""
-        return StepCost(
-            seconds=float(self.seconds[i]),
-            gpu_busy=float(self.gpu_busy[i]),
-            dimm_busy=float(self.dimm_busy[i]),
-            swap_bytes=(
-                int(self.swap_bytes[i]) if self.swap_bytes is not None else 0
-            ),
-            resident_bytes=(
-                int(self.resident_bytes[i])
-                if self.resident_bytes is not None
-                else 0
-            ),
-        )
 
 
 class HermesSystem:
@@ -419,10 +375,6 @@ class HermesSession:
         #: ``mapper.version``)
         self._resident_caps: tuple[np.ndarray, np.ndarray] | None = None
         self._resident_caps_version = -1
-        #: latency of the most recent decode step — macro-stepping uses
-        #: it to size time-budgeted chunks (an estimate only; never
-        #: affects simulated results)
-        self._last_step_seconds = 0.0
         #: session-invariant hot-loop bindings, packed so the per-call
         #: prologue of :meth:`_single_step` is one tuple unpack instead
         #: of dozens of attribute chains
@@ -449,15 +401,6 @@ class HermesSession:
     def union_factor(self, layer: int, batch: int) -> float:
         """Batch-union inflation for one layer, cached per batch size."""
         return float(self._union_column(batch)[layer])
-
-    @property
-    def last_step_seconds(self) -> float:
-        """Latency of the session's most recent decode step (0 if none).
-
-        A sizing hint for macro-stepped callers bounding a span by
-        simulation time; simulated outputs never depend on it.
-        """
-        return self._last_step_seconds
 
     def union_factors(self, batch: int) -> np.ndarray:
         """Per-layer batch-union factors at ``batch`` (cached, read-only).
@@ -649,11 +592,11 @@ class HermesSession:
     ) -> tuple[float, float, float]:
         """One decode token through the per-token control-plane path.
 
-        The validated single-token core shared by :meth:`decode_step`
-        and one-step macro spans: per-token predictor entry points
-        (``predict_all`` / ``observe_all``), scalar attention, and the
-        session's cached work views.  Returns ``(seconds, gpu_busy,
-        dimm_busy)``; the caller handles validation and packaging.
+        The core of :meth:`decode_step`: per-token predictor entry
+        points (``predict_all`` / ``observe_all``), scalar attention,
+        and the session's cached work views.  Returns ``(seconds,
+        gpu_busy, dimm_busy)``; the caller handles validation and
+        packaging.
         """
         (gpu, dimm, n_dimms, group_bytes, two_sync, pcie_bandwidth,
          oracle, online, window_scheduling, hot_threshold, num_layers,
@@ -686,7 +629,12 @@ class HermesSession:
             kv_bytes / n_dimms, context, heads_per_dimm, batch
         )
         # ---- vectorized control plane: all layers of the token at once
-        # (see decode_steps for the dependence argument)
+        # Layer l's prediction depends only on pre-token predictor state
+        # and the *ground-truth* activations of layer l-1 (known from the
+        # trace), and the per-layer residency/dimm maps are only mutated
+        # *after* the layer's FC work — so the whole token's masks and
+        # byte loads fold into a few matrix ops with bit-identical
+        # results.  Shapes: (num_layers, groups) and (num_layers, dimms).
         actuals = trace.active_matrix(t)
         if oracle:
             predicted_all = actuals
@@ -801,517 +749,7 @@ class HermesSession:
             scheduler.reset_window()
         self.steps_done += 1
         self.decode_time += token_time
-        self._last_step_seconds = token_time
         return token_time, gpu_busy, dimm_busy
-
-    def decode_steps(
-        self,
-        batch: int | None = None,
-        contexts: typing.Sequence[int] | None = None,
-        *,
-        max_steps: int | None = None,
-        start_time: float = 0.0,
-        until: float | None = None,
-    ) -> SpanCost:
-        """Run up to K consecutive decode iterations in one fused call.
-
-        The macro-stepped serving loop's engine entry point: a span of
-        steps with a *fixed batch* and per-step ``contexts`` (one entry
-        per step; ``None`` falls back to the session's own trace cursor,
-        with ``max_steps`` sizing the span).  The per-step costs, the
-        control-plane evolution (predictor states, hot/cold residency,
-        window remaps), and every :class:`RunResult` accumulator are
-        bit-for-bit identical to K sequential :meth:`decode_step` calls.
-
-        What makes the span cheaper than K calls:
-
-        * the trace rows, correlation-table gathers, state-table
-          snapshots, predicted masks and the attention ramp are computed
-          for a whole chunk of steps in a few matrix ops — all of them
-          depend only on immutable data plus the ground-truth activation
-          stream, never on residency;
-        * when no time budget can cut the span short, the hardware time
-          math runs once over the whole chunk's byte loads (a second
-          pass) instead of once per step — valid because the projection
-          window that budgets hot/cold swaps depends only on the
-          constant per-layer projection time, not on the FC times;
-        * work views (union columns, FC bin keys, residency caps) are
-          cached against explicit version counters and reused until the
-          underlying state actually changes.
-
-        ``until`` truncates the span on simulation time: starting from
-        ``start_time``, steps run until the first one whose completion
-        time reaches ``until`` (that step still completes — exactly
-        where a step-at-a-time scheduler would next re-check its queue).
-        The first step always runs, and each step's cost must be known
-        before the next may start, so this mode times steps inline and
-        sizes its chunks from the session's recent step time.  Returns a
-        :class:`SpanCost` with per-step costs and absolute completion
-        times of the steps actually executed.
-        """
-        batch = self.batch if batch is None else batch
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
-        if contexts is not None:
-            k = len(contexts)
-        else:
-            k = 1 if max_steps is None else max_steps
-        if k < 1:
-            raise ValueError("a span needs at least one step")
-        trace = self.trace
-        n_decode = trace.n_decode_tokens
-        if n_decode == 0:
-            raise RuntimeError(
-                "trace has no decode region " "(generated with decode_len=0)"
-            )
-        if not self.wrap and self.steps_done + k > n_decode:
-            raise RuntimeError("trace decode tokens exhausted "
-                               "(open the session with wrap=True)")
-        if k == 1:
-            # one-step span (the macro scheduler's horizon was a single
-            # token): skip straight to the per-token path — no stacked
-            # setup, no chunk loop
-            if contexts is not None:
-                context = contexts[0]
-            else:
-                context = trace.prompt_len + self.steps_done + 1
-            swap_before = self._swap_bytes_total
-            seconds, gpu_busy, dimm_busy = self._single_step(batch, context)
-            return SpanCost(
-                seconds=np.array([seconds]),
-                gpu_busy=np.array([gpu_busy]),
-                dimm_busy=np.array([dimm_busy]),
-                end_times=np.array([start_time + seconds]),
-                swap_bytes=np.array(
-                    [self._swap_bytes_total - swap_before], dtype=np.int64
-                ),
-                resident_bytes=np.array(
-                    [self.mapper.resident_bytes], dtype=np.int64
-                ),
-            )
-        system = self.system
-        cfg = system.config
-        machine = system.machine
-        model = system.model
-        gpu = machine.gpu
-        dimm = machine.dimm
-        n_dimms = machine.num_dimms
-        layout = self.layout
-        result = self.result
-        predictor = self.predictor
-        mapper = self.mapper
-        partition = self.partition
-
-        # session-invariant pieces of the per-layer work, hoisted
-        group_bytes = layout.group_bytes
-        two_sync = self._two_sync
-        pcie_bandwidth = machine.pcie.effective_bandwidth
-        union_col, union_col2d, union_twice = self._union_views(batch)
-        oracle = cfg.oracle
-        online = cfg.online_adjustment and not oracle
-        window_scheduling = cfg.window_scheduling
-        hot_threshold = cfg.hot_threshold
-        num_layers = model.num_layers
-        kv_token = self._kv_token_bytes
-        heads_per_dimm = self._attn_heads_per_dimm
-        gemv_bandwidth = self._gemv_bandwidth
-        block_matrix = self._gpu_block_matrix
-        fc_bins = self._fc_bins
-        scheduler = self.scheduler
-
-        # constant per-layer costs for this effective batch size
-        t_proj = self._proj_time_cache.get(batch)
-        if t_proj is None:
-            t_proj = gpu.matmul_time(model.dense_bytes_per_layer, batch)
-            self._proj_time_cache[batch] = t_proj
-        t_merge = self._merge_time_cache.get(batch)
-        if t_merge is None:
-            t_merge = dimm.core.merge_time(model.hidden_size, batch)
-            self._merge_time_cache[batch] = t_merge
-        t_pred = self._pred_overhead
-
-        # breakdown categories accumulate per layer, in the unvectorized
-        # engine's order; direct dict writes skip result.add's per-call
-        # validation (keys are literals, values engine-computed)
-        breakdown = result.breakdown
-        bd_fc = breakdown.get("fc", 0.0)
-        bd_attn = breakdown.get("attention", 0.0)
-        bd_proj = breakdown.get("projection", 0.0)
-        bd_others = breakdown.get("others", 0.0)
-        bd_pred = breakdown.get("predictor", 0.0)
-
-        seconds_out: list[float] = []
-        gpu_busy_out: list[float] = []
-        dimm_busy_out: list[float] = []
-        end_times: list[float] = []
-        swap_out: list[int] = []
-        resident_out: list[int] = []
-        running = start_time
-        prompt_len = trace.prompt_len
-        inline_times = until is not None
-
-        pos = 0
-        stopped = False
-        while pos < k and not stopped:
-            # ---- chunk sizing ----
-            # Without a time budget the whole remaining span is one
-            # chunk.  With one, the span usually ends after a handful of
-            # steps, so the chunk is sized from the session's recent
-            # step time (any under-estimate just yields another chunk —
-            # the scheduling outcome is length-independent).
-            if until is None:
-                span_len = k - pos
-            else:
-                est = self._last_step_seconds
-                if est > 0.0:
-                    need = int((until - running) / est) + 1
-                    span_len = max(1, min(k - pos, need))
-                else:
-                    span_len = min(4, k - pos)
-
-            if span_len == 1:
-                # one-step span: the per-token path beats assembling
-                # one-element stacks (identical outputs by construction)
-                if contexts is not None:
-                    context = contexts[pos]
-                else:
-                    context = prompt_len + self.steps_done + 1
-                # _single_step accumulates through the breakdown dict, so
-                # flush the local accumulators around the call
-                breakdown["fc"] = bd_fc
-                breakdown["attention"] = bd_attn
-                breakdown["projection"] = bd_proj
-                breakdown["others"] = bd_others
-                breakdown["predictor"] = bd_pred
-                swap_before = self._swap_bytes_total
-                token_time, gpu_busy, dimm_busy = self._single_step(
-                    batch, context
-                )
-                swap_out.append(self._swap_bytes_total - swap_before)
-                resident_out.append(mapper.resident_bytes)
-                bd_fc = breakdown["fc"]
-                bd_attn = breakdown["attention"]
-                bd_proj = breakdown["projection"]
-                bd_others = breakdown["others"]
-                bd_pred = breakdown["predictor"]
-                running += token_time
-                seconds_out.append(token_time)
-                gpu_busy_out.append(gpu_busy)
-                dimm_busy_out.append(dimm_busy)
-                end_times.append(running)
-                pos += 1
-                if until is not None and running >= until:
-                    stopped = True
-                continue
-
-            # ---- bulk precomputation for the chunk -------------------
-            # Everything here depends only on the immutable trace (and
-            # the deterministic state-table evolution it drives), so it
-            # vectorizes across the chunk's steps exactly.
-            base = self.steps_done
-            first = base % n_decode
-            if first + span_len <= n_decode:
-                rows: "typing.Any" = slice(
-                    prompt_len + first, prompt_len + first + span_len
-                )
-            else:  # wrap crossing: gather the cyclic row list
-                rows = [
-                    prompt_len + (base + j) % n_decode for j in range(span_len)
-                ]
-            if contexts is not None:
-                ctx_list = list(contexts[pos:pos + span_len])
-            else:
-                ctx_list = [prompt_len + base + j + 1 for j in range(span_len)]
-            actuals_span = np.ascontiguousarray(trace.active_span(rows))
-            deltas_span = predictor.span_deltas(actuals_span)
-            states_span = predictor.span_states(deltas_span)
-            if oracle:
-                pred_span = actuals_span
-            else:
-                scores_span = predictor.span_scores(actuals_span)
-                pred_span = predictor.span_predictions(
-                    scores_span, states_span
-                )
-            # predicted-or-activated union: every group some device must
-            # compute this step (on_dimm = this minus the GPU's share)
-            pa_span = pred_span | actuals_span
-            if online:
-                hot_span = states_span[:-1] > hot_threshold
-            ctx_arr = np.asarray(ctx_list, dtype=np.int64)
-            attn_list = dimm.attention_time_span(
-                (kv_token * batch) * ctx_arr / n_dimms, ctx_arr,
-                heads_per_dimm, batch).tolist()
-            if not inline_times:
-                gpu_bytes_span = np.empty((span_len, num_layers, 2))
-                dimm_bytes_span = np.empty((span_len, 2 * num_layers, n_dimms))
-                overflows: list[float] = [0.0] * span_len
-
-            n_done = 0
-            for i in range(span_len):
-                # ---- control plane: all layers of the token at once --
-                # Layer l's prediction depends only on pre-token
-                # predictor state and the *ground-truth* activations of
-                # layer l-1 (known from the trace), and the per-layer
-                # residency/dimm maps are only mutated *after* the
-                # layer's FC work — so the whole token's masks and byte
-                # loads fold into a few matrix ops with bit-identical
-                # results.  Shapes: (num_layers, groups) and
-                # (num_layers, dimms).
-                swap_before = self._swap_bytes_total
-                actuals = actuals_span[i]
-                predicted_all = pred_span[i]
-                resident_all = mapper.resident_matrix
-                on_gpu_all = predicted_all & resident_all
-                # pa & ~on_gpu, as elementwise bool ">" (on_gpu is a
-                # subset of pa) — one op for the NDP-side mask
-                on_dimm_all = np.greater(pa_span[i], on_gpu_all)
-                if self._resident_caps_version != mapper.version:
-                    caps = resident_all @ group_bytes
-                    self._resident_caps = (caps, caps[:, None])
-                    self._resident_caps_version = mapper.version
-                resident_caps2d = self._resident_caps[1]
-
-                # ---- sparse FC blocks: QKV then MLP ----
-                # The GPU computes the predicted resident groups; the
-                # DIMMs compute the predicted cold groups plus every
-                # *mispredicted but activated* group — false negatives
-                # are discovered mid-layer and must run where the
-                # weights live, so a low-recall predictor pays for its
-                # misses in NDP time.  Both blocks of every layer are
-                # costed in one shot: a single (groups, 2) matmul for
-                # the GPU-side bytes and a single flat segmented
-                # bincount keyed by (block, layer, dimm) for the
-                # NDP-side loads (zero-weight entries leave the exact
-                # per-bin sums unchanged).
-                gpu_sums = on_gpu_all @ block_matrix
-                gpu_bytes = np.minimum(gpu_sums * union_col2d, resident_caps2d)
-                weights = on_dimm_all * group_bytes
-                dimm_bytes = np.bincount(
-                    self._fc_keys(), weights=weights.ravel(),
-                    minlength=fc_bins,
-                ).reshape(2 * num_layers, n_dimms) * union_twice
-
-                if inline_times:
-                    t_gpu = gpu.matmul_time_batch(
-                        gpu_bytes, batch, scattered=True, check=False
-                    )
-                    t_dimm = dimm.core.gemv_time_batch(
-                        dimm_bytes, gemv_bandwidth, batch,
-                        check=False).max(axis=1)
-                    tg_q, tg_m = t_gpu[:, 0], t_gpu[:, 1]
-                    td_q = t_dimm[:num_layers]
-                    td_m = t_dimm[num_layers:]
-                    fc_times = (np.maximum(tg_q + two_sync, td_q)
-                                + np.maximum(tg_m + two_sync,
-                                             td_m)).tolist()
-                    tg_qkv, tg_mlp = tg_q.tolist(), tg_m.tolist()
-                    td_qkv, td_mlp = td_q.tolist(), td_m.tolist()
-                    t_attn = attn_list[i]
-                else:
-                    gpu_bytes_span[i] = gpu_bytes
-                    dimm_bytes_span[i] = dimm_bytes
-
-                # per-layer ingredients of the online adjustment, in
-                # matrix form: each layer's adjust only reads its own
-                # pre-token row, so the candidate test and the
-                # coldest-resident state fold into two reductions for
-                # the whole token.  The reductions only feed adjust
-                # calls, so a token with no candidate rows skips them.
-                states_i = states_span[i]
-                if online:
-                    wanted_matrix = hot_span[i] & ~resident_all
-                    adjust_rows = wanted_matrix.any(axis=1).tolist()
-                    if True in adjust_rows:
-                        coldest = np.where(
-                            resident_all, states_i,
-                            STATE_MAX + 1).min(axis=1).tolist()
-                        hottest_wanted = np.where(
-                            wanted_matrix, states_i,
-                            -1).max(axis=1).tolist()
-                        min_wanted_bytes = np.where(
-                            wanted_matrix, group_bytes,
-                            _INT64_MAX).min(axis=1).tolist()
-
-                # ---- per-layer walk: busy accounting (inline mode)
-                # and the online hot/cold adjustment inside the
-                # projection window.  The window budget accumulates the
-                # *constant* per-layer projection time, so the batched
-                # mode can run it without knowing the FC times.
-                proj_window_pcie = 0.0
-                if inline_times:
-                    token_time = 0.0
-                    gpu_busy = 0.0
-                    dimm_busy = 0.0
-                    for l in range(num_layers):
-                        fc_time = fc_times[l]
-                        bd_fc += fc_time
-                        # term-by-term in the unvectorized order
-                        gpu_busy += tg_qkv[l]
-                        gpu_busy += tg_mlp[l]
-                        dimm_busy += td_qkv[l]
-                        dimm_busy += td_mlp[l]
-                        bd_attn += t_attn
-                        dimm_busy += t_attn
-                        bd_proj += t_proj
-                        proj_window_pcie += t_proj
-                        gpu_busy += t_proj
-                        bd_others += t_merge
-                        bd_pred += t_pred
-                        dimm_busy += t_merge
-                        token_time += (
-                            fc_time + t_attn + t_proj + t_merge + t_pred
-                        )
-                        if online and adjust_rows[l]:
-                            bytes_in = self._maybe_adjust(
-                                l,
-                                states_i[l],
-                                int(proj_window_pcie * pcie_bandwidth),
-                                wanted_matrix,
-                                coldest[l],
-                                hottest_wanted[l],
-                                min_wanted_bytes[l],
-                            )
-                            if bytes_in:
-                                proj_window_pcie = max(
-                                    0.0, proj_window_pcie
-                                    - bytes_in / pcie_bandwidth)
-                else:
-                    for l in range(num_layers):
-                        proj_window_pcie += t_proj
-                        if online and adjust_rows[l]:
-                            bytes_in = self._maybe_adjust(
-                                l,
-                                states_i[l],
-                                int(proj_window_pcie * pcie_bandwidth),
-                                wanted_matrix,
-                                coldest[l],
-                                hottest_wanted[l],
-                                min_wanted_bytes[l],
-                            )
-                            if bytes_in:
-                                proj_window_pcie = max(
-                                    0.0, proj_window_pcie
-                                    - bytes_in / pcie_bandwidth)
-
-                # ---- window-based cold remapping over the DIMM-links
-                # (the token's state update itself was precomputed in
-                # ``states_span`` and is committed at chunk end)
-                scheduler.observe_token(actuals)
-                overflow = 0.0
-                if window_scheduling and scheduler.window_full:
-                    remap = scheduler.rebalance_all(
-                        partition.dimm_of_matrix,
-                        exclude=mapper.resident_matrix,
-                        keys=self._rebalance_keys(),
-                    )
-                    link_time = dimm.migration_time(remap.max_link_bytes)
-                    # migrations overlap the token's projection windows
-                    overflow = max(0.0, link_time - proj_window_pcie)
-                    result.add("communication", overflow)
-                    self._remap_bytes_total += remap.moved_bytes
-                    self._remap_groups_total += remap.moved_groups
-                    self._remap_link_time += link_time
-                    if remap.moved_groups:
-                        partition.remap_version += 1
-                elif scheduler.window_full:
-                    scheduler.reset_window()
-
-                self.steps_done += 1
-                n_done = i + 1
-                swap_out.append(self._swap_bytes_total - swap_before)
-                resident_out.append(mapper.resident_bytes)
-                if inline_times:
-                    token_time += overflow
-                    self.decode_time += token_time
-                    self._last_step_seconds = token_time
-                    running += token_time
-                    seconds_out.append(token_time)
-                    gpu_busy_out.append(gpu_busy)
-                    dimm_busy_out.append(dimm_busy)
-                    end_times.append(running)
-                    if running >= until:
-                        stopped = True
-                        break
-                else:
-                    overflows[i] = overflow
-
-            # ---- commit the chunk's control-plane evolution ----
-            pos += n_done
-            predictor.sync_states(states_span[n_done])
-            predictor.record_span(pred_span[:n_done], actuals_span[:n_done])
-
-            if inline_times:
-                continue
-
-            # ---- batched time math: whole chunk in one pass ----------
-            # Valid because nothing above needed a step's latency; the
-            # scalar walk below replays the per-step accumulation in
-            # exactly the unvectorized order.
-            t_gpu_all = gpu.matmul_time_batch(gpu_bytes_span, batch,
-                                              scattered=True, check=False)
-            t_dimm_all = dimm.core.gemv_time_batch(
-                dimm_bytes_span, gemv_bandwidth, batch,
-                check=False).max(axis=2)
-            tg_q_all = t_gpu_all[:, :, 0]
-            tg_m_all = t_gpu_all[:, :, 1]
-            td_q_all = t_dimm_all[:, :num_layers]
-            td_m_all = t_dimm_all[:, num_layers:]
-            fc_all = (np.maximum(tg_q_all + two_sync, td_q_all)
-                      + np.maximum(tg_m_all + two_sync,
-                                   td_m_all)).tolist()
-            tgq_all = tg_q_all.tolist()
-            tgm_all = tg_m_all.tolist()
-            tdq_all = td_q_all.tolist()
-            tdm_all = td_m_all.tolist()
-            for i in range(n_done):
-                fc_times = fc_all[i]
-                tg_qkv = tgq_all[i]
-                tg_mlp = tgm_all[i]
-                td_qkv = tdq_all[i]
-                td_mlp = tdm_all[i]
-                t_attn = attn_list[i]
-                token_time = 0.0
-                gpu_busy = 0.0
-                dimm_busy = 0.0
-                for l in range(num_layers):
-                    fc_time = fc_times[l]
-                    bd_fc += fc_time
-                    gpu_busy += tg_qkv[l]
-                    gpu_busy += tg_mlp[l]
-                    dimm_busy += td_qkv[l]
-                    dimm_busy += td_mlp[l]
-                    bd_attn += t_attn
-                    dimm_busy += t_attn
-                    bd_proj += t_proj
-                    gpu_busy += t_proj
-                    bd_others += t_merge
-                    bd_pred += t_pred
-                    dimm_busy += t_merge
-                    token_time += (
-                        fc_time + t_attn + t_proj + t_merge + t_pred
-                    )
-                token_time += overflows[i]
-                self.decode_time += token_time
-                self._last_step_seconds = token_time
-                running += token_time
-                seconds_out.append(token_time)
-                gpu_busy_out.append(gpu_busy)
-                dimm_busy_out.append(dimm_busy)
-                end_times.append(running)
-
-        breakdown["fc"] = bd_fc
-        breakdown["attention"] = bd_attn
-        breakdown["projection"] = bd_proj
-        breakdown["others"] = bd_others
-        breakdown["predictor"] = bd_pred
-        return SpanCost(
-            seconds=np.asarray(seconds_out),
-            gpu_busy=np.asarray(gpu_busy_out),
-            dimm_busy=np.asarray(dimm_busy_out),
-            end_times=np.asarray(end_times),
-            swap_bytes=np.asarray(swap_out, dtype=np.int64),
-            resident_bytes=np.asarray(resident_out, dtype=np.int64),
-        )
 
     # ------------------------------------------------------------------
     def finish(self) -> RunResult:

@@ -296,97 +296,6 @@ class ActivationPredictor:
         score += self.state_matrix
         return score >= cfg.threshold
 
-    # ---- fused-span API (macro-stepped decode) -----------------------
-    def span_scores(self, actuals_span: np.ndarray) -> np.ndarray:
-        """Layer-wise score term of every step in a fused span.
-
-        ``actuals_span`` stacks the span's ground-truth activations as
-        ``(steps, num_layers, groups)``.  The returned float64 array of
-        the same shape holds ``lam * s2`` per step (raw ``s2`` in
-        layer-only mode, whose threshold does not mix in the state
-        table).  The correlation-table gather — the expensive part of
-        :meth:`predict_all` — runs once for the whole span; combined
-        with :meth:`predict_span_step` the per-step masks are
-        bit-identical to per-token ``predict_all`` calls, because the
-        layer term depends only on the immutable trace, never on the
-        evolving state table.
-        """
-        if actuals_span.shape[1:] != self.state_matrix.shape:
-            raise ValueError("actuals span has wrong shape")
-        cfg = self.config
-        s2 = np.zeros(actuals_span.shape)
-        if cfg.use_layer_prediction and self.correlation is not None:
-            idx, rows, parents, contiguous = self._stacked_parents()
-            if idx.size:
-                prev = (actuals_span[:, :-1] if contiguous
-                        else actuals_span[:, idx - 1])
-                s2[:, idx] = prev[:, rows, parents].sum(axis=3)
-        if cfg.use_token_prediction:
-            s2 *= cfg.lam
-        return s2
-
-    def span_deltas(self, actuals_span: np.ndarray) -> np.ndarray:
-        """Pre-clip state-table deltas of every step, in one ``where``."""
-        return np.where(
-            actuals_span,
-            np.int16(self.config.s_up),
-            np.int16(-self.config.s_down),
-        )
-
-    def span_states(self, deltas_span: np.ndarray) -> np.ndarray:
-        """State-table snapshots across a span: ``(K + 1, L, G)``.
-
-        Entry 0 is the live table as it stands; entry ``i`` the table
-        after the span's first ``i`` saturating updates (deltas from
-        :meth:`span_deltas`).  The state evolution depends only on the
-        trace's ground-truth activations — never on predictions or
-        residency — which is what lets a fused span precompute every
-        step's pre-token table up front.  Each update is the
-        max-then-min spelling of :meth:`observe_all`'s clip: identical
-        integers.  The caller commits the realized prefix back with
-        :meth:`sync_states`.
-        """
-        k = deltas_span.shape[0]
-        out = np.empty((k + 1,) + self.state_matrix.shape, dtype=np.int16)
-        out[0] = self.state_matrix
-        for i in range(k):
-            nxt = out[i + 1]
-            np.add(out[i], deltas_span[i], out=nxt)
-            np.maximum(nxt, 0, out=nxt)
-            np.minimum(nxt, STATE_MAX, out=nxt)
-        return out
-
-    def span_predictions(
-        self, scores_span: np.ndarray, states_span: np.ndarray
-    ) -> np.ndarray:
-        """Predicted masks for every step of a span, in two matrix ops.
-
-        ``scores_span`` from :meth:`span_scores`, ``states_span`` from
-        :meth:`span_states` — row ``i`` is bit-identical to a
-        ``predict_all`` call on token ``i`` interleaved with the span's
-        state updates, because every term is a small exact integer in
-        float64.
-        """
-        cfg = self.config
-        if not cfg.use_token_prediction:
-            # layer-only mode: both sampled parents must fire
-            return scores_span >= 2.0
-        return scores_span + states_span[:-1] >= cfg.threshold
-
-    def sync_states(self, states: np.ndarray) -> None:
-        """Commit a span's realized final state snapshot to the table."""
-        self.state_matrix[:] = states
-
-    def record_span(
-        self, predicted_span: np.ndarray, actuals_span: np.ndarray
-    ) -> None:
-        """Fold a whole span's outcomes into the accuracy counters.
-
-        The counters are order-free integer sums, so one update over the
-        stacked masks equals the per-step folds exactly.
-        """
-        self.stats.update(predicted_span, actuals_span)
-
     # ------------------------------------------------------------------
     def observe(self, layer: int, actual: np.ndarray,
                 predicted: np.ndarray | None = None) -> None:

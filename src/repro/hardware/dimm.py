@@ -102,14 +102,6 @@ class NDPDIMM:
             kv_bytes, self.internal_bandwidth, context_len, num_heads, batch
         )
 
-    def attention_time_span(
-        self, kv_bytes, context_len, num_heads: int, batch: int = 1
-    ):
-        """Vectorized :meth:`attention_time` over a span of decode steps."""
-        return self.core.attention_time_span(
-            kv_bytes, self.internal_bandwidth, context_len, num_heads, batch
-        )
-
     def migration_time(self, num_bytes: float) -> float:
         """Cold-neuron remap to a neighbouring DIMM over the DIMM-link."""
         return self.link.transfer_time(num_bytes)

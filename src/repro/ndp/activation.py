@@ -13,8 +13,6 @@ from __future__ import annotations
 import dataclasses
 import math
 
-import numpy as np
-
 
 @dataclasses.dataclass(frozen=True)
 class ActivationUnit:
@@ -55,23 +53,3 @@ class ActivationUnit:
         if context_len < 0 or num_heads <= 0 or batch < 1:
             raise ValueError("invalid attention softmax arguments")
         return self.softmax_time(context_len) * num_heads * batch
-
-    def attention_softmax_time_span(
-        self, context_len, num_heads: int, batch: int = 1
-    ):
-        """Vectorized :meth:`attention_softmax_time` over context lengths.
-
-        Element-for-element identical to the scalar path (the ceil and
-        tree terms are exact small integers in float64).
-        """
-        if num_heads <= 0 or batch < 1:
-            raise ValueError("invalid attention softmax arguments")
-        context_len = np.asarray(context_len, dtype=np.float64)
-        stream_cycles = (
-            np.ceil(context_len / self.lanes) * self.softmax_passes
-        )
-        tree_cycles = 2 * max(1, math.ceil(math.log2(max(2, self.lanes))))
-        times = (stream_cycles + tree_cycles) / self.frequency
-        # exactly-zero contexts cost exactly 0.0, as in the scalar path
-        times *= context_len != 0
-        return times * num_heads * batch

@@ -104,34 +104,6 @@ class NDPCore:
         )
         return t_stream + 0.1 * t_softmax
 
-    def attention_time_span(
-        self,
-        kv_bytes,
-        stream_bandwidth: float,
-        context_len,
-        num_heads: int,
-        batch: int = 1,
-    ):
-        """Vectorized :meth:`attention_time` over per-step KV loads.
-
-        The macro-stepped decode span knows every step's context up
-        front, so one call costs the whole span's attention;
-        element-for-element identical to the scalar path.
-        """
-        if stream_bandwidth <= 0:
-            raise ValueError("stream_bandwidth must be positive")
-        kv_bytes = np.asarray(kv_bytes, dtype=np.float64)
-        if (kv_bytes < 0).any():
-            raise ValueError("kv_bytes must be non-negative")
-        t_stream = self.gemv_time_batch(kv_bytes, stream_bandwidth, batch)
-        t_softmax = self.activation.attention_softmax_time_span(
-            context_len, num_heads, batch
-        )
-        times = t_stream + 0.1 * t_softmax
-        # exactly-zero KV loads cost exactly 0.0, as in the scalar path
-        times *= kv_bytes != 0
-        return times
-
     def merge_time(self, n_values: int, batch: int = 1) -> float:
         """Merge kernel gathering GPU and DIMM partial results (§IV-A2)."""
         if n_values < 0:

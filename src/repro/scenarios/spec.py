@@ -374,10 +374,8 @@ def _parse_cluster(data: dict | None) -> tuple[ClusterConfig, str, dict]:
         (
             "num_machines",
             "max_batch",
-            "macro_step",
             "fidelity",
             "shards",
-            "shard_processes",
             "router",
             "router_seed",
             "health_aware",

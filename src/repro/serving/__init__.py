@@ -18,7 +18,6 @@ from .backends import (
     SteppableBackend,
     make_backend,
     probe_tokens_per_second,
-    sequential_span,
 )
 from .executor import MachineExecutor, default_serving_trace
 from .faults import (
@@ -86,7 +85,6 @@ __all__ = [
     "MachineGroup",
     "make_backend",
     "probe_tokens_per_second",
-    "sequential_span",
     "FaultSchedule",
     "CrashSpec",
     "StragglerSpec",

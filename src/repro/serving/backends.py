@@ -24,16 +24,15 @@ Steppable contract (what the simulators actually consume):
 
 ``prefill_cost(prompt_len, batch)`` -> (GPU compute, PCIe transfer)
 seconds for one joining request; ``decode_step(batch, context)`` -> one
-continuous-batching iteration's :class:`~repro.core.StepCost`;
-``decode_span(batch, contexts, start_time=, until=)`` -> a fused run of
-consecutive iterations as a :class:`~repro.core.SpanCost` —
-**bit-for-bit equal** to the same sequential ``decode_step`` calls
-(the macro-stepped serving loop relies on this; backends without a
-natively fused engine get it from :func:`sequential_span`);
+continuous-batching iteration's :class:`~repro.core.StepCost` (the
+exact serving loop calls it once per token);
+``span_estimate(batch, start_context, steps)`` -> closed-form totals of
+a whole decode span (``fidelity: fast`` only);
 ``mean_union``/``max_union_batch`` -> batch-union batching caps;
-``last_step_seconds`` -> a sizing hint for span horizons (never affects
-simulated outcomes); ``estimated_tokens_per_second()`` -> a pure,
-deterministic throughput estimate for load-normalizing routers.
+``estimated_tokens_per_second()`` -> a pure, deterministic throughput
+estimate for load-normalizing routers; ``reset``/``degrade``/
+``kv_capacity_tokens`` -> the fault model's restart, renegotiation and
+eviction hooks.
 
 Capability flags (``supports_preemption``, ``supports_union_batching``)
 are documented per backend in the README's capability matrix.
@@ -56,7 +55,7 @@ from ..baselines.base import (
     zigzag_prefill_time,
 )
 from ..baselines.dejavu import DejaVu
-from ..core import HermesConfig, SpanCost, StepCost
+from ..core import HermesConfig, StepCost
 from ..hardware import Machine
 from ..models import ModelSpec
 from ..sparsity import ActivationTrace
@@ -93,17 +92,6 @@ class ServingBackend(typing.Protocol):
         """One continuous-batching decode iteration over ``batch`` seqs."""
         ...  # pragma: no cover - protocol
 
-    def decode_span(
-        self,
-        batch: int,
-        contexts: typing.Sequence[int],
-        *,
-        start_time: float = 0.0,
-        until: float | None = None,
-    ) -> SpanCost:
-        """A fused run of consecutive iterations (== sequential steps)."""
-        ...  # pragma: no cover - protocol
-
     def span_estimate(
         self, batch: int, start_context: float, steps: int
     ) -> tuple[float, float, float]:
@@ -124,11 +112,6 @@ class ServingBackend(typing.Protocol):
 
     def max_union_batch(self, union_cap: float, limit: int) -> int:
         """Largest batch whose mean union stays under ``union_cap``."""
-        ...  # pragma: no cover - protocol
-
-    @property
-    def last_step_seconds(self) -> float:
-        """Most recent decode-iteration latency (sizing hint only)."""
         ...  # pragma: no cover - protocol
 
     def estimated_tokens_per_second(self) -> float:
@@ -152,58 +135,12 @@ class ServingBackend(typing.Protocol):
         ...  # pragma: no cover - protocol
 
 
-def sequential_span(
-    backend: "ServingBackend",
-    batch: int,
-    contexts: typing.Sequence[int],
-    *,
-    start_time: float = 0.0,
-    until: float | None = None,
-) -> SpanCost:
-    """A :class:`SpanCost` built from sequential ``decode_step`` calls.
-
-    The generic ``decode_span`` for backends without a natively fused
-    engine — bit-for-bit equal to stepping one token at a time by
-    construction, with exactly :meth:`HermesSession.decode_steps`'s
-    ``until`` semantics: the first step always runs, and the span ends
-    after the first step whose completion time reaches ``until``.
-    """
-    if not contexts:
-        raise ValueError("a span needs at least one step")
-    seconds: list[float] = []
-    gpu_busy: list[float] = []
-    dimm_busy: list[float] = []
-    end_times: list[float] = []
-    swap_bytes: list[int] = []
-    resident_bytes: list[int] = []
-    running = start_time
-    for context in contexts:
-        cost = backend.decode_step(batch, context)
-        running += cost.seconds
-        seconds.append(cost.seconds)
-        gpu_busy.append(cost.gpu_busy)
-        dimm_busy.append(cost.dimm_busy)
-        end_times.append(running)
-        swap_bytes.append(cost.swap_bytes)
-        resident_bytes.append(cost.resident_bytes)
-        if until is not None and running >= until:
-            break
-    return SpanCost(
-        seconds=np.array(seconds),
-        gpu_busy=np.array(gpu_busy),
-        dimm_busy=np.array(dimm_busy),
-        end_times=np.array(end_times),
-        swap_bytes=np.array(swap_bytes, dtype=np.int64),
-        resident_bytes=np.array(resident_bytes, dtype=np.int64),
-    )
-
-
 class SteppableBackend:
     """Shared scaffolding for backends built from pure cost kernels.
 
     Subclasses implement ``_step_cost(batch, context)`` (may advance
     internal cursors) and ``_pure_step_seconds(batch, context)`` (must
-    not); everything else — span fusion, prefill memoisation, union
+    not); everything else — span estimates, prefill memoisation, union
     batching caps, throughput probes — is provided here.
     """
 
@@ -221,7 +158,6 @@ class SteppableBackend:
         self._base_machine = machine
         self.model = model
         self.nominal_batch = nominal_batch
-        self._last_step_seconds = 0.0
         self._prefill_cache: dict[tuple[int, int], tuple[float, float]] = {}
         self._union_batch_cache: dict[tuple[float, int], int] = {}
         self._estimated_step: float | None = None
@@ -244,21 +180,7 @@ class SteppableBackend:
             raise ValueError("batch must be >= 1")
         if context < 1:
             raise ValueError("context must be >= 1")
-        cost = self._step_cost(batch, context)
-        self._last_step_seconds = cost.seconds
-        return cost
-
-    def decode_span(
-        self,
-        batch: int,
-        contexts: typing.Sequence[int],
-        *,
-        start_time: float = 0.0,
-        until: float | None = None,
-    ) -> SpanCost:
-        return sequential_span(
-            self, batch, contexts, start_time=start_time, until=until
-        )
+        return self._step_cost(batch, context)
 
     def span_estimate(
         self, batch: int, start_context: float, steps: int
@@ -302,10 +224,6 @@ class SteppableBackend:
         compute, transfer = self.prefill_cost(prompt_len, batch)
         return compute + transfer
 
-    @property
-    def last_step_seconds(self) -> float:
-        return self._last_step_seconds
-
     def mean_union(self, batch: int) -> float:
         """Dense weights: batching inflates no byte traffic."""
         if batch < 1:
@@ -333,10 +251,9 @@ class SteppableBackend:
         """Restart cold after a crash.
 
         Pure-kernel backends keep no evolving engine state — every memo
-        here is deterministic in its key — so the base reset only clears
-        the sizing hint.  Backends with a real cursor override this.
+        here is deterministic in its key — so the base reset does
+        nothing.  Backends with a real cursor override this.
         """
-        self._last_step_seconds = 0.0
 
     def degrade(
         self, surviving_dimm_fraction: float, bandwidth_factor: float
@@ -349,8 +266,9 @@ class SteppableBackend:
         slower link from the next quoted cost onwards.  Cost memos are
         invalidated and :meth:`_renegotiate` lets subclasses rebuild
         machine-derived state; the engine then restarts (cursor rewind
-        for dejavu) exactly like a crash reset, keeping fused==stepped
-        bit-equal across the boundary.
+        for dejavu) exactly like a crash reset, so a renegotiated
+        machine's costs depend only on its new hardware, never on how
+        far it had decoded before the degrade.
         """
         base = self._base_machine
         dimms = max(1, int(base.num_dimms * surviving_dimm_fraction))
@@ -454,7 +372,6 @@ class DenseGPUBackend(SteppableBackend):
         attn = gpu_kv_attention_time(
             self.machine, self.model, mean_context, batch
         )
-        self._last_step_seconds = fc_seconds + attn
         return (
             (fc_seconds + attn) * steps,
             (fc_gpu + attn) * steps,
@@ -579,12 +496,8 @@ class DejaVuBackend(SteppableBackend):
         return float(self._union(batch).mean())
 
     def reset(self) -> None:
-        """Restart cold: the trace cursor returns to the first decode row.
-
-        A fused span may have advanced the cursor past a crash instant;
-        rewinding it on restart keeps the fused and stepped serving
-        loops bit-equal across the outage.
-        """
+        """Restart cold: the trace cursor returns to the first decode
+        row, exactly where a freshly booted machine starts."""
         super().reset()
         self._cursor = 0
 

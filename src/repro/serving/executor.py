@@ -24,7 +24,6 @@ from ..core import (
     HermesConfig,
     HermesSystem,
     OfflinePartition,
-    SpanCost,
     StepCost,
 )
 from ..hardware import Machine
@@ -239,25 +238,6 @@ class MachineExecutor:
         """One continuous-batching decode iteration over ``batch`` seqs."""
         return self.session.decode_step(batch=batch, context=context)
 
-    def decode_span(
-        self,
-        batch: int,
-        contexts: typing.Sequence[int],
-        *,
-        start_time: float = 0.0,
-        until: float | None = None,
-    ) -> SpanCost:
-        """A fused run of consecutive decode iterations at fixed batch.
-
-        Thin pass-through to
-        :meth:`~repro.core.HermesSession.decode_steps` — see there for
-        the ``until`` truncation semantics the macro-stepped scheduling
-        loop relies on.
-        """
-        return self.session.decode_steps(
-            batch, contexts, start_time=start_time, until=until
-        )
-
     def _span_probe(
         self, batch: int, context: int
     ) -> tuple[float, float, float]:
@@ -312,11 +292,6 @@ class MachineExecutor:
             (first[2] + last[2]) * half,
         )
 
-    @property
-    def last_step_seconds(self) -> float:
-        """Most recent decode-iteration latency (a span-sizing hint)."""
-        return self.session.last_step_seconds
-
     def estimated_step_seconds(self) -> float:
         """One decode iteration at the nominal batch, without mutating
         this executor's live engine state.
@@ -349,11 +324,8 @@ class MachineExecutor:
         The predictor table, hot/cold residency, window-scheduler remaps
         and trace cursor all return to their just-booted values (the
         partition comes from the per-trace cache, so the solver never
-        reruns).  This is also what keeps the fused and stepped serving
-        loops bit-equal across a crash: a fused span may have advanced
-        engine state past the crash instant, but the restart discards
-        that state on both paths.  The prefill memo survives — it is
-        pure in (prompt_len, batch).
+        reruns).  The prefill memo survives — it is pure in
+        (prompt_len, batch).
         """
         cache = _partition_cache(self.trace)
         key = (
@@ -384,8 +356,8 @@ class MachineExecutor:
         machine is a different cache key, so the first degrade solves
         once and every later run reuses it) and the engine restarts
         over it — discarding accelerator state exactly like a crash
-        restart, which is what keeps fused==stepped bit-equal across a
-        degrade boundary.  Cost memos are invalidated: a degraded
+        restart, so the renegotiated engine's evolution depends only on
+        its new hardware.  Cost memos are invalidated: a degraded
         machine quotes degraded prefill/step costs from its next
         admission onwards.  If the surviving pool can no longer hold
         the sparse weights, engine construction raises — a scenario

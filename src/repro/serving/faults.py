@@ -10,12 +10,12 @@ crash together via :class:`DomainCrashSpec` or domain-scoped
 sampling), and **degrades** (a machine loses a fraction of its DIMMs
 or link bandwidth at an instant and renegotiates instead of dying).
 Because the schedule is immutable and known a priori, every consumer —
-the stepped serving loop, the fused macro-stepped loop, health-aware
-routers, the telemetry timeline — reads the *same* timeline, which is
-what makes fused==stepped equivalence and cross-process determinism
+the serving loop in either fidelity, health-aware routers, the sharded
+coordinator, the telemetry timeline — reads the *same* timeline, which
+is what makes failure-trace replay and cross-process determinism
 (``--jobs 1`` vs ``--jobs 2``) hold bit-for-bit under chaos.
 
-Semantics, shared by both serving loops:
+Semantics, shared by both fidelities:
 
 * a machine is **down** for ``t`` in ``[at, at + restart_after +
   restart_warmup)`` — the warmup models the cold-cache penalty of a
@@ -546,12 +546,11 @@ class FaultSchedule:
         on *any* machine.
 
         Crashes are the only events that can drop migrated work into a
-        healthy machine's queue mid-span, so fused decode spans are
-        bounded by this the same way they are bounded by arrivals — the
-        stepped loop would see the refugee at its next token boundary,
-        and the fused loop must end its span there to match.  Idle
-        sleeps use ``strict=True`` (a wake-up *at* a crash instant must
-        not re-arm for the same instant).
+        healthy machine's queue mid-span, so ``fidelity: fast`` decode
+        spans are bounded by this the same way they are bounded by
+        arrivals — an exact machine would see the refugee at its next
+        token boundary.  Idle sleeps use ``strict=True`` (a wake-up *at*
+        a crash instant must not re-arm for the same instant).
         """
         starts = self._crash_starts
         i = (bisect.bisect_right if strict else bisect.bisect_left)(
@@ -568,9 +567,9 @@ class FaultSchedule:
         This is the fleet-wide span/idle bound under faults: a crash
         migrates refugees into peers' queues and a degrade evicts
         overflow residents back into the (possibly shared) queue, so
-        both can hand a healthy machine new work mid-span.  The stepped
-        loop would see it at its next token boundary; the fused loop
-        must end its span here to match.
+        both can hand a healthy machine new work mid-span.  An exact
+        machine would see it at its next token boundary; a fast span
+        ends here so that it does too.
         """
         starts = self._disruption_starts
         i = (bisect.bisect_right if strict else bisect.bisect_left)(

@@ -45,9 +45,8 @@ class BatchingPolicy:
     least 1 — the simulator additionally clamps it so a buggy policy
     cannot wedge a machine at batch 0 — and is treated as fixed while the
     running batch's composition is unchanged (true for every shipped
-    policy, whose caps depend only on immutable trace statistics); the
-    macro-stepped serving loop re-evaluates it at batch-composition
-    boundaries.
+    policy, whose caps depend only on immutable trace statistics); a
+    ``fidelity: fast`` span re-evaluates it only at span boundaries.
     """
 
     name = "fcfs"

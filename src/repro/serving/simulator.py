@@ -2,12 +2,10 @@
 
 Layers continuous batching over the per-token Hermes engine using the
 *existing* event calendar (:class:`repro.sim.Simulator` — no second event
-loop).  Each machine is one simulation process; it brackets engine work in
-Acquire/Release of a per-machine :class:`repro.sim.Resource` that marks the
-serialisation point for future intra-machine concurrency (e.g. chunked
-prefill as a separate process) — with the single process per machine today
-the resource is never contended.  The loop is the canonical
-iteration-level scheduler:
+loop).  Each machine is one simulation process, so nothing inside a
+machine ever contends: the process simply sleeps for the duration of
+each prefill and decode step.  The loop is the canonical iteration-level
+scheduler:
 
 1. ingest arrivals into the machine's queue;
 2. (cluster only) preemptively evict a low-priority resident request when
@@ -20,23 +18,14 @@ iteration-level scheduler:
 5. retire finished requests and repeat — or, when fully idle, sleep until
    the next arrival.
 
-**Macro-stepping** (``ServingConfig.macro_step``, on by default): between
-two batch-composition changes the loop above is a straight-line token
-run — same batch, context growing by exactly one per step — so instead
-of one calendar event + one engine dispatch per token, the machine
-computes the *horizon* its composition is provably fixed for (the
-earliest deterministic completion via ``max_new_tokens``, the next
-arrival, and a conservative preemption-trigger bound from the
-preemptor) and runs the whole span as one fused
-:meth:`~repro.core.HermesSession.decode_steps` call, then replays the
-stepped loop's per-token event pattern at the precomputed boundary
-times (simultaneous events resolve by push order, and identical
-machines tie on exact boundary times constantly).  Per-token
-timestamps are back-filled from the span's sequentially-accumulated
-cost array, so records, busy accounting, queue samples and every
-scheduling decision are bit-for-bit identical to the step-at-a-time
-loop (kept as the ``macro_step=False`` reference path and pinned by
-the equivalence tests and golden files).
+With ``fidelity: "exact"`` (the default) step 4 is one engine call and
+one calendar event per token: every token re-predicts hot and cold
+neurons and may remap cold neurons across the NDP-DIMMs, exactly as the
+engine decodes, and the golden files pin the result bit for bit.
+``fidelity: "fast"`` is the scale path: it collapses a whole decode span
+into one closed-form ``span_estimate`` call with uniform token spacing,
+bounded by arrivals, the preemptor's trigger and fault boundaries, and
+is validated against exact by distribution-level tolerances.
 
 Prefill blocks decode on the same machine (no chunked prefill), which is
 what creates the classic TTFT-vs-TBT tension the policies trade off.
@@ -61,9 +50,6 @@ from ..core import HermesConfig
 from ..hardware import Machine
 from ..models import ModelSpec, get_model
 from ..sim import (
-    Acquire,
-    Release,
-    Resource,
     Signal,
     Simulator,
     Timeout,
@@ -104,10 +90,6 @@ class ServingConfig:
 
     max_batch: int = 16
     num_machines: int = 1
-    #: fuse straight-line token runs into one engine call + one calendar
-    #: event (see the module docstring); ``False`` keeps the per-token
-    #: reference loop, which the equivalence tests pin against
-    macro_step: bool = True
     #: deterministic fault timeline (crashes/stragglers/partitions) the
     #: run executes against; ``None`` keeps every fault branch
     #: short-circuited and the run bit-identical to a fault-free build
@@ -124,10 +106,6 @@ class ServingConfig:
     #: load-oblivious (``shardable``) router; see
     #: :mod:`repro.cluster.sharded`
     shards: int = 0
-    #: advance each shard in its own spawned worker process instead of
-    #: inline in the coordinator (identical results by construction —
-    #: the same shard code runs either way)
-    shard_processes: bool = False
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -139,8 +117,6 @@ class ServingConfig:
                 f"fidelity must be 'exact' or 'fast', got {self.fidelity!r}")
         if self.shards < 0:
             raise ValueError("shards must be >= 0")
-        if self.shard_processes and not self.shards:
-            raise ValueError("shard_processes requires shards >= 1")
 
 
 @dataclasses.dataclass(slots=True)
@@ -162,12 +138,13 @@ class ActiveEntry:
 class Preemptor(typing.Protocol):
     """Decides whether a resident request must yield its batch slot.
 
-    ``next_trigger`` is the macro-stepping hook: a conservative lower
-    bound on the first time ``victim`` could return non-``None`` while
-    the queue and resident batch stay unchanged (``None`` = never under
-    the current state).  A preemptor without it still works — the
-    simulator falls back to checking at every token boundary, i.e. the
-    stepped loop.
+    ``next_trigger`` is the fast-fidelity span hook: a conservative
+    lower bound on the first time ``victim`` could return non-``None``
+    while the queue and resident batch stay unchanged (``None`` = never
+    under the current state).  A preemptor without it still works — fast
+    spans then shrink to one token while the queue is non-empty.  The
+    exact loop asks ``victim`` at every token boundary and never needs
+    the bound.
     """
 
     def victim(
@@ -299,15 +276,15 @@ class _RunState:
         self.span_bounds: dict[int, list[float]] | None = None
         self._span_bound_idx: dict[int, int] = {}
         #: health-monitor hook ``(machine, step_seconds, batch)`` called
-        #: at every decode boundary — identically placed in the stepped
-        #: and fused loops — when health-aware routing is on
+        #: at every decode boundary (once per span in fast mode) when
+        #: health-aware routing is on
         self.observe_step: typing.Callable[[int, float, int], None] | None = (
             None
         )
         #: degrade hook ``(machine)`` called right after a machine
         #: renegotiates over partially failed hardware — the cluster
         #: layer rebinds throughput-weighted routers and rebaselines the
-        #: health monitor here (identically placed in both loops)
+        #: health monitor here
         self.on_degrade: typing.Callable[[int], None] | None = None
 
     def note_clamp(
@@ -318,9 +295,8 @@ class _RunState:
         A limit below 1 is a policy bug — the simulator clamps so the
         machine keeps making progress, but silently repairing it would
         hide the bug, so it is surfaced as a warning and counted in the
-        report.  The limit is constant while the batch composition is
-        unchanged, so one note per machine is exact (and identical
-        between the macro-stepped and per-token loops).
+        report.  One note per machine keeps a policy that misbehaves on
+        every round from flooding the warning stream.
         """
         if self._clamp_noted[m]:
             return
@@ -471,8 +447,8 @@ class ServingSimulator:
     """
 
     #: global index of this simulator's machine 0 — nonzero only inside
-    #: a shard worker, whose executors cover a slice of a larger fleet
-    #: but whose fault/health queries must use fleet-global machine ids
+    #: a shard, whose executors cover a slice of a larger fleet but
+    #: whose fault/health queries must use fleet-global machine ids
     _machine_offset = 0
 
     def __init__(
@@ -497,7 +473,7 @@ class ServingSimulator:
                 self.model, granularity=granularity, seed=seed
             )
         #: ctor inputs retained so a sharded run can rebuild fleet
-        #: slices inside worker processes (see :mod:`repro.cluster.sharded`)
+        #: slices per shard (see :mod:`repro.cluster.sharded`)
         self.base_machine = machine
         self._trace = trace
         self._hermes_config = hermes_config
@@ -647,8 +623,7 @@ class ServingSimulator:
         :mod:`repro.telemetry`); the default :data:`NULL_TRACER` makes
         every emission site a single attribute check.  Tracing never
         perturbs the simulation: the report (and the stream itself) is
-        identical for any tracer, and identical between the macro-step
-        and per-token loops.
+        identical for any tracer.
         """
         if not workload:
             raise ValueError("workload must be non-empty")
@@ -665,9 +640,8 @@ class ServingSimulator:
         if state.tracer.enabled:
             state.tracer.emit(self._run_started_event())
         for m, executor in enumerate(self.executors):
-            resource = Resource(f"machine-{m}")
             sim.process(
-                self._machine_proc(sim, state, m, executor, resource),
+                self._machine_proc(sim, state, m, executor),
                 name=f"machine-{m}",
             )
         makespan = sim.run()
@@ -677,12 +651,11 @@ class ServingSimulator:
 
     # ------------------------------------------------------------------
     def _machine_proc(self, sim: Simulator, state: _RunState, m: int,
-                      executor: ServingBackend, resource: Resource):
+                      executor: ServingBackend):
         """Generator process for one machine's scheduling loop."""
         cfg = self.config
         policy = self._admission_policy()
         preemptor = self._preemptor()
-        macro = cfg.macro_step
         trigger_fn = (getattr(preemptor, "next_trigger", None)
                       if preemptor is not None else None)
         tracer = state.tracer
@@ -754,10 +727,10 @@ class ServingSimulator:
                 if has_degrades:
                     # ---- degrade: renegotiate, evict KV overflow ----
                     # A degrade is a *state change at an instant*, not a
-                    # time-varying multiplier: both loops apply it at
-                    # the first loop top at or past the instant (spans
-                    # are bounded there via the exec transitions), so
-                    # fused==stepped holds exactly as across a restart.
+                    # time-varying multiplier: it applies at the first
+                    # loop top at or past the instant (fast spans are
+                    # bounded there via the exec transitions), exactly
+                    # like a restart.
                     degrade = fh.at(sim.now).degrade
                     if degrade != applied_degrade:
                         applied_degrade = degrade
@@ -887,7 +860,6 @@ class ServingSimulator:
                         tracer.emit(PrefillStarted(
                             time=sim.now, req_id=request.req_id, machine=m
                         ))
-                    yield Acquire(resource)
                     compute, transfer = executor.prefill_cost(
                         request.prompt_len + replay
                     )
@@ -905,11 +877,9 @@ class ServingSimulator:
                             # cost charged, KV lost) and migrate the
                             # half-prefilled request
                             yield WaitUntil(crash)
-                            yield Release(resource)
                             state.migrate(request, m, sim.now)
                             break
                         yield Timeout(compute + transfer)
-                    yield Release(resource)
                     # only the compute part occupies the GPU; the KV push
                     # is PCIe time (kept out of utilization, like decode's
                     # syncs)
@@ -943,16 +913,77 @@ class ServingSimulator:
             if faults is not None and faults.is_down(m, sim.now):
                 continue
 
-            # ---- fast fidelity: closed-form span aggregation ----
-            # One engine estimate and three calendar events per span,
-            # with uniform token spacing across it — distributionally
-            # close to exact (pinned by tolerance tests), never
-            # bit-equal to it.  Preemption/admission decisions happen
-            # only at span boundaries; the span is still bounded by
-            # arrivals, the preemptor trigger, and fault boundaries, so
-            # scheduling reacts at the same horizon granularity as the
-            # exact fused loop.
-            if active and fast:
+            # ---- idle: sleep until the next arrival, or exit ----
+            # (an empty batch implies an empty queue: the admission loop
+            # above drains it first)
+            if not active:
+                # With pre-routed targets (sharded fast mode) an idle
+                # machine only needs to wake for its *own* arrivals —
+                # the destination of every other arrival is awake at
+                # that instant and ingests it itself, so skipping
+                # foreign wakeups changes no scheduling decision and
+                # removes the idle fleet's thundering herd at every
+                # arrival.
+                if state.span_bounds is None:
+                    upcoming = state.next_arrival()
+                else:
+                    upcoming = state.next_span_bound(m, sim.now)
+                if faults is None:
+                    if upcoming is None:
+                        break
+                    # absolute wake: ``Timeout(upcoming - now)``
+                    # re-rounds, so the instant a machine lands on would
+                    # depend on how many intermediate wakes it made — and
+                    # a shard (which skips foreign-arrival hops) could
+                    # drift a ULP from the reference.
+                    # ``WaitUntil`` is hop-independent.
+                    yield WaitUntil(upcoming)
+                    continue
+                # Under faults, idle sleeps are interruptible (a
+                # crashing peer fires our wake signal when it migrates
+                # work over) and bounded by the fleet's next crash
+                # instant — the only fault event that can create work
+                # for an idle machine, and the event that parks us when
+                # it is our own.  With no arrivals, no in-flight work
+                # left anywhere, and none of our *own* transitions
+                # outstanding, park unboundedly instead: trailing fault
+                # windows on other machines then don't stretch the
+                # calendar past the last real serving event, and a late
+                # migration out of an aborted prefill still wakes us.
+                # (Our own future crash keeps the park bounded so the
+                # restart is witnessed — down/up telemetry and the
+                # engine reset happen whether or not the fleet is idle,
+                # which is also what lets a sharded run replay this
+                # machine without knowing the other shards' idleness.)
+                if (upcoming is None and state.total_active == 0
+                        and state.queued_total() == 0
+                        and not state.expect_external
+                        and faults.next_exec_transition(m, sim.now)
+                        is None):
+                    yield WaitSignal(wake)
+                    continue
+                boundary = faults.next_any_disruption(sim.now, strict=True)
+                if upcoming is None and boundary is None:
+                    yield WaitSignal(wake)
+                    continue
+                if upcoming is None:
+                    target = boundary
+                elif boundary is None:
+                    target = upcoming
+                else:
+                    target = min(upcoming, boundary)
+                yield WaitSignal(wake, until=target)
+                continue
+
+            if fast:
+                # ---- fast fidelity: closed-form span aggregation ----
+                # One engine estimate and one calendar event per span,
+                # with uniform token spacing across it — distributionally
+                # close to exact (pinned by tolerance tests), never
+                # bit-equal to it.  Preemption/admission decisions happen
+                # only at span boundaries; the span is bounded by arrivals,
+                # the preemptor trigger, and fault boundaries — the instants
+                # at which a decision could change.
                 batch = len(active)
                 ctx_sum = sum(a.next_context for a in active)
                 k = min(a.request.output_len - len(a.record.token_times)
@@ -968,7 +999,7 @@ class ServingSimulator:
                 # needs a boundary here — admission is the only thing a
                 # boundary buys, and foreign arrivals can't join this
                 # batch.  Without targets, bound at the next global
-                # arrival like the exact fused loop.
+                # arrival.
                 if state.span_bounds is None:
                     upcoming = state.next_arrival()
                 else:
@@ -998,7 +1029,8 @@ class ServingSimulator:
                 if until is not None and k > 1 and start + seconds > until:
                     # truncate to the first step whose completion
                     # reaches the bound — the straddling step still
-                    # runs, mirroring the exact span contract
+                    # runs, just as an exact step straddling an arrival
+                    # completes before the arrival is seen
                     k = max(1, min(k, int((until - start) / mean_step) + 1))
                     seconds, gpu_cost, dimm_cost = executor.span_estimate(
                         batch, start_context, k)
@@ -1018,9 +1050,7 @@ class ServingSimulator:
                            and start + mean_step * granted >= crash):
                         granted -= 1
                     end = crash
-                yield Acquire(resource)
                 yield WaitUntil(end)
-                yield Release(resource)
                 if granted:
                     frac = granted / k
                     state.machine_gpu_busy[m] += gpu_cost * frac
@@ -1046,104 +1076,12 @@ class ServingSimulator:
                             req_ids=tuple(
                                 a.request.req_id for a in active),
                         ))
-                now = sim.now
-                finished = [a for a in active if a.record.finished]
-                if finished:
-                    active = [a for a in active if not a.record.finished]
-                    state.total_active -= len(finished)
-                    state.active_counts[m] -= len(finished)
-                    state.note_batch(now)
-                    if tracing:
-                        for entry in finished:
-                            tracer.emit(RequestCompleted(
-                                time=now,
-                                req_id=entry.request.req_id,
-                                machine=m,
-                                tokens=len(entry.record.token_times),
-                            ))
-                continue
-
-            # ---- continuous-batching decode ----
-            # A degraded (straggling) machine always steps per token:
-            # its scaled per-step costs evolve exactly like the
-            # reference loop's, so fused==stepped holds trivially
-            # through slowdown windows and fusion resumes when the
-            # window ends.
-            use_macro = macro
-            if faults is not None and use_macro and active:
-                if fh.at(sim.now).slowdown != 1.0:
-                    use_macro = False
-            span_plan = None
-            if active and use_macro:
-                # Precompute the span horizon.  The batch composition is
-                # provably fixed until the earliest deterministic
-                # completion; admission, routing and preemption
-                # decisions can additionally only change at the next
-                # arrival (when there is room, or when a preemptor's
-                # verdict may depend on the queue) or at the preemptor's
-                # trigger bound.  Every span also ends at the machine's
-                # first boundary past the next arrival: an arrival can
-                # admit (room), shift a preemption verdict, and — with
-                # router-fed per-machine queues — must be *routed*
-                # against the load snapshot of its arrival boundary.
-                # Bounding unconditionally also makes the ingest
-                # boundaries (hence ``queue_samples``) identical to the
-                # stepped loop's: an arrival is ingested at the first
-                # any-machine token boundary past it in both modes.
-                k_max = min(a.request.output_len - len(a.record.token_times)
-                            for a in active)
-                until = None
-                if preemptor is not None and queue:
-                    if trigger_fn is None:
-                        # opaque preemptor: check every boundary
-                        k_max = 1
-                    else:
-                        until = trigger_fn(sim.now, queue, active, executor)
-                upcoming = state.next_arrival()
-                if upcoming is not None and (
-                    until is None or upcoming < until
-                ):
-                    until = upcoming
-                if faults is not None:
-                    # fault boundaries bound spans exactly like arrivals:
-                    # our own crash/slowdown/degrade instants cannot land
-                    # inside a span's interior, and *any* machine's crash
-                    # (migration) or degrade (KV-overflow eviction) may
-                    # drop work into our queue, which the stepped loop
-                    # would notice at its next token boundary
-                    h = fh.at(sim.now)
-                    for bound in (h.exec_transition, h.any_disruption):
-                        if bound is not None and (
-                            until is None or bound < until
-                        ):
-                            until = bound
-                if until is not None:
-                    # size the context ramp from the backend's recent
-                    # step time: an under-sized span just ends at a
-                    # no-op boundary and a fresh span continues, so the
-                    # estimate never affects scheduling outcomes
-                    est = executor.last_step_seconds
-                    if est > 0.0:
-                        k_max = max(
-                            1, min(k_max, int((until - sim.now) / est) + 2)
-                        )
-                if k_max == 1:
-                    # a one-step span replays the stepped body's exact
-                    # event pattern anyway (decode_span == decode_step by
-                    # the span contract), and the stepped body skips the
-                    # span array machinery — bit-identical and cheaper,
-                    # which is what restores fused >= stepped under
-                    # active faults where most spans truncate to one step
-                    use_macro = False
-                else:
-                    span_plan = (k_max, until)
-            if active and not use_macro:
-                # reference path: one iteration per scheduling round
+            else:
+                # ---- exact: one engine step per token ----
                 batch = len(active)
                 context = max(
                     1, round(sum(a.next_context for a in active) / batch)
                 )
-                yield Acquire(resource)
                 cost = executor.decode_step(batch, context)
                 seconds = cost.seconds
                 gpu_cost = cost.gpu_busy
@@ -1165,10 +1103,8 @@ class ServingSimulator:
                         # the crash lands mid-step: abort — no token
                         # granted, no busy time charged
                         yield WaitUntil(crash)
-                        yield Release(resource)
                         continue
                     yield Timeout(seconds)
-                yield Release(resource)
                 state.machine_gpu_busy[m] += gpu_cost
                 state.machine_dimm_busy[m] += dimm_cost
                 if observe is not None:
@@ -1190,171 +1126,20 @@ class ServingSimulator:
                     ))
                 for entry in active:
                     entry.record.token_times.append(now)
-                finished = [a for a in active if a.record.finished]
-                if finished:
-                    active = [a for a in active if not a.record.finished]
-                    state.total_active -= len(finished)
-                    state.active_counts[m] -= len(finished)
-                    state.note_batch(now)
-                    if tracing:
-                        for entry in finished:
-                            tracer.emit(RequestCompleted(
-                                time=now,
-                                req_id=entry.request.req_id,
-                                machine=m,
-                                tokens=len(entry.record.token_times),
-                            ))
-                continue
-
-            if active:
-                # ---- macro step: one fused engine call per span ----
-                # Contexts form an arithmetic ramp: every resident
-                # request gains exactly one token per iteration, so the
-                # mean context the engine sees grows by one per step.
-                # The span horizon (``k_max``, ``until``) was
-                # precomputed above.
-                batch = len(active)
-                ctx_sum = sum(a.next_context for a in active)
-                k_max, until = span_plan
-                contexts = [max(1, round((ctx_sum + i * batch) / batch))
-                            for i in range(k_max)]
-                span = executor.decode_span(
-                    batch, contexts, start_time=sim.now, until=until
-                )
-                times = span.end_times.tolist()
-                # Replay the stepped loop's exact per-step event pattern
-                # (Acquire -> sleep-to-boundary -> Release).  The span's
-                # engine work is already done, but shared-queue machines
-                # resolve *simultaneous* events by push order, and
-                # identical machines tie on exact boundary times
-                # constantly — one big sleep would enqueue this
-                # machine's wake-up earlier than the stepped loop would
-                # have, flipping tie-breaks.  WaitUntil (not Timeout)
-                # lands each wake-up on the bit-exact boundary.
-                # Telemetry replays one DecodeStep per boundary from the
-                # span's per-step cost arrays — bit-equal to the stepped
-                # loop's emissions by the span contract, and emitted at
-                # the same point of the wake-up (between this boundary's
-                # Release and the next Acquire).  Intermediate span
-                # boundaries provably admit/ingest/preempt nothing, so
-                # the full event stream matches the stepped loop's.
-                req_ids = (tuple(a.request.req_id for a in active)
-                           if tracing else ())
-                crash = (fh.at(sim.now).next_down
-                         if faults is not None else None)
-                span_seconds = (span.seconds.tolist()
-                                if observe is not None else None)
-                granted = len(times)
-                for i, boundary in enumerate(times):
-                    yield Acquire(resource)
-                    if crash is not None and boundary >= crash:
-                        # the crash lands inside this boundary's step:
-                        # abort the remainder of the replay — no tokens
-                        # granted, no busy charged past this point (the
-                        # backend's engine-state overshoot is harmless:
-                        # restart resets it, matching the stepped loop)
-                        yield WaitUntil(crash)
-                        yield Release(resource)
-                        granted = i
-                        break
-                    yield WaitUntil(boundary)
-                    yield Release(resource)
-                    if observe is not None:
-                        observe(m, span_seconds[i], batch)
-                    if tracing:
-                        cost = span.step(i)
-                        tracer.emit(DecodeStep(
-                            time=boundary,
+            # ---- retire finished requests ----
+            now = sim.now
+            finished = [a for a in active if a.record.finished]
+            if finished:
+                active = [a for a in active if not a.record.finished]
+                state.total_active -= len(finished)
+                state.active_counts[m] -= len(finished)
+                state.note_batch(now)
+                if tracing:
+                    for entry in finished:
+                        tracer.emit(RequestCompleted(
+                            time=now,
+                            req_id=entry.request.req_id,
                             machine=m,
-                            batch=batch,
-                            seconds=cost.seconds,
-                            gpu_busy=cost.gpu_busy,
-                            dimm_busy=cost.dimm_busy,
-                            swap_bytes=cost.swap_bytes,
-                            resident_bytes=cost.resident_bytes,
-                            req_ids=req_ids,
+                            tokens=len(entry.record.token_times),
                         ))
-                if granted != len(times):
-                    times = times[:granted]
-                gpu_busy = state.machine_gpu_busy
-                dimm_busy = state.machine_dimm_busy
-                for g, d in zip(
-                    span.gpu_busy.tolist()[:granted],
-                    span.dimm_busy.tolist()[:granted],
-                ):
-                    gpu_busy[m] += g
-                    dimm_busy[m] += d
-                for entry in active:
-                    entry.record.token_times.extend(times)
-                now = sim.now
-                finished = [a for a in active if a.record.finished]
-                if finished:
-                    active = [a for a in active if not a.record.finished]
-                    state.total_active -= len(finished)
-                    state.active_counts[m] -= len(finished)
-                    state.note_batch(now)
-                    if tracing:
-                        for entry in finished:
-                            tracer.emit(RequestCompleted(
-                                time=now,
-                                req_id=entry.request.req_id,
-                                machine=m,
-                                tokens=len(entry.record.token_times),
-                            ))
-                continue
 
-            # ---- idle: sleep until the next arrival, or exit ----
-            # (reaching here implies this machine's queue is empty: with no
-            # resident batch the admission loop drains the queue first)
-            # With pre-routed targets (sharded fast mode) an idle
-            # machine only needs to wake for its *own* arrivals — the
-            # destination of every other arrival is awake at that
-            # instant and ingests it itself, so skipping foreign
-            # wakeups changes no scheduling decision and removes the
-            # idle fleet's thundering herd at every arrival.
-            if state.span_bounds is None:
-                upcoming = state.next_arrival()
-            else:
-                upcoming = state.next_span_bound(m, sim.now)
-            if faults is None:
-                if upcoming is None:
-                    break
-                # absolute wake: ``Timeout(upcoming - now)`` re-rounds,
-                # so the instant a machine lands on would depend on how
-                # many intermediate wakes it made — and a shard worker
-                # (which skips foreign-arrival hops) could drift a ULP
-                # from the reference.  ``WaitUntil`` is hop-independent.
-                yield WaitUntil(upcoming)
-                continue
-            # Under faults, idle sleeps are interruptible (a crashing
-            # peer fires our wake signal when it migrates work over) and
-            # bounded by the fleet's next crash instant — the only fault
-            # event that can create work for an idle machine, and the
-            # event that parks us when it is our own.  With no arrivals,
-            # no in-flight work left anywhere, and none of our *own*
-            # transitions outstanding, park unboundedly instead:
-            # trailing fault windows on other machines then don't
-            # stretch the calendar past the last real serving event, and
-            # a late migration out of an aborted prefill still wakes us.
-            # (Our own future crash keeps the park bounded so the
-            # restart is witnessed — down/up telemetry and the engine
-            # reset happen whether or not the fleet is idle, which is
-            # also what lets a sharded run replay this machine without
-            # knowing the other shards' idleness.)
-            if (upcoming is None and state.total_active == 0
-                    and state.queued_total() == 0
-                    and not state.expect_external
-                    and faults.next_exec_transition(m, sim.now) is None):
-                yield WaitSignal(wake)
-                continue
-            boundary = faults.next_any_disruption(sim.now, strict=True)
-            if upcoming is None and boundary is None:
-                yield WaitSignal(wake)
-                continue
-            if upcoming is None:
-                target = boundary
-            elif boundary is None:
-                target = upcoming
-            else:
-                target = min(upcoming, boundary)
-            yield WaitSignal(wake, until=target)

@@ -7,10 +7,10 @@ Processes are Python generators that yield simulation primitives:
 
 * ``Timeout(dt)`` — advance this process by ``dt`` seconds;
 * ``WaitUntil(t)`` — advance this process to the *absolute* time ``t``
-  (no-op when already past).  Macro-stepped processes use this to land on
-  exactly the clock value a chain of per-step ``Timeout`` yields would
-  have produced — ``now + (t - now)`` re-rounds in floating point, an
-  absolute target does not;
+  (no-op when already past).  The serving loop uses this to land on a
+  precomputed instant — a crash, the next arrival, the end of a
+  closed-form decode span — exactly: ``now + (t - now)`` re-rounds in
+  floating point, an absolute target does not;
 * ``Acquire(resource)`` / ``Release(resource)`` — serialise on a device;
 * ``WaitSignal(signal, until)`` — interruptible wait: sleep until another
   process fires the :class:`Signal` (``sim.fire``) or the optional
@@ -46,8 +46,8 @@ class WaitUntil:
 
     Fires immediately when ``time`` is not in the future.  Unlike
     ``Timeout(time - now)``, the wake-up lands on exactly ``time`` —
-    no float re-rounding — which is what lets a fused multi-step span
-    end on the same clock value as its step-at-a-time equivalent.
+    no float re-rounding — so the instant a process wakes at does not
+    depend on how many intermediate wake-ups it made on the way.
     """
 
     time: float

@@ -92,16 +92,6 @@ class ActivationTrace:
         """
         return self._ensure_stacked()[:, token]
 
-    def active_span(self, tokens: "list[int] | slice") -> np.ndarray:
-        """(len(tokens), num_layers, groups) activation stack of a span.
-
-        Element ``[i]`` equals ``active_matrix(tokens[i])``; the fused
-        decode path reads a whole run of consecutive tokens in one
-        gather instead of re-slicing the stack per step.  A ``slice``
-        (the common non-wrapping case) yields a copy-free view.
-        """
-        return self._ensure_stacked()[:, tokens].swapaxes(0, 1)
-
     def density(self) -> float:
         """Overall fraction of active (group, token) pairs."""
         total = sum(m.sum() for m in self.layers)

@@ -9,9 +9,8 @@ JSONL metric stream (:class:`MetricStreamTracer`, watchable live via
 Chrome/Perfetto trace (:func:`export_chrome_trace`).
 
 Telemetry observes, it never steers: with any tracer attached the
-simulation produces bit-identical results, and the macro-stepped fused
-serving loop emits the exact event stream of the per-token reference
-loop (pinned by the equivalence tests).
+simulation produces bit-identical results (pinned by the telemetry
+tests).
 """
 
 from .chrome import chrome_trace, export_chrome_trace

@@ -6,10 +6,9 @@ boundaries -> completion, with preemption round trips), machine busy
 intervals (carried on the prefill/decode events), queue-depth change
 points, and the engine's per-step swap/residency counters.
 
-Every event is a frozen dataclass with value equality, which is what the
-fused-vs-stepped equivalence tests compare: the macro-stepped serving
-loop must emit *exactly* this stream — same events, same order,
-timestamps bit-equal — as the per-token reference loop.
+Every event is a frozen dataclass with value equality, so two streams
+compare event for event — same events, same order, timestamps
+bit-equal.
 
 Events carry simulation timestamps in seconds.  ``DecodeStep.time`` is
 the *end* boundary of the iteration (the instant every resident request
@@ -126,10 +125,9 @@ class RequestResumed:
 class DecodeStep:
     """One continuous-batching decode iteration ended on a machine.
 
-    Emitted once per token boundary in *both* serving loops — the
-    macro-stepped path reconstructs these from its fused span's per-step
-    cost arrays, which are bit-equal to the stepped loop's by the
-    engine's span contract.
+    Emitted once per token boundary in exact fidelity, carrying that
+    engine step's costs; ``fidelity: fast`` emits one aggregate event
+    per closed-form span instead.
     """
 
     time: float

@@ -7,8 +7,8 @@ what keeps the disabled path inside the serving benchmark gates.
 
 Tracing **observes** a run, it never steers one: a tracer must not
 mutate simulator state, and the simulators never read anything back from
-it.  The fused-vs-stepped equivalence tests pin that the emitted stream
-is identical either way, so a tracer cannot even tell which loop ran.
+it.  The telemetry tests pin that a traced run's report is identical to
+an untraced one.
 """
 
 from __future__ import annotations

@@ -83,7 +83,9 @@ class TestSteppableSurface:
         cost = backend.decode_step(2, 40)
         assert cost.seconds > 0
         assert cost.gpu_busy >= 0 and cost.dimm_busy >= 0
-        assert backend.last_step_seconds == cost.seconds
+        # per-device busy time is accounted inside the step's latency
+        assert cost.gpu_busy <= cost.seconds
+        assert cost.dimm_busy <= cost.seconds
 
     @pytest.mark.parametrize("name", sorted(BACKENDS))
     def test_prefill_cost_memoised_and_growing(self, backends, name):
@@ -150,7 +152,6 @@ class TestSteppableSurface:
         for context in (41, 42, 43):
             assert (a.decode_step(2, context).seconds
                     == b.decode_step(2, context).seconds)
-        assert a.last_step_seconds == b.last_step_seconds
 
     def test_backend_ordering_matches_offline_story(self, machine):
         """On a model well beyond GPU memory, sparsity beats dense
@@ -169,59 +170,6 @@ class TestSteppableSurface:
     def test_dejavu_rejects_mismatched_trace(self, machine, tiny_trace):
         with pytest.raises(ValueError, match="trace"):
             DejaVuBackend(machine, get_model("OPT-13B"), trace=tiny_trace)
-
-
-class TestSpanEquivalence:
-    """decode_span == sequential decode_step, bit for bit (the contract
-    the macro-stepped serving loop relies on for every backend)."""
-
-    @pytest.mark.parametrize("name", ("dense", "dejavu"))
-    def test_span_equals_steps(self, machine, tiny_model, tiny_trace, name):
-        ref = make_backend(name, machine, tiny_model, trace=tiny_trace)
-        fused = make_backend(name, machine, tiny_model, trace=tiny_trace)
-        contexts = [33 + i for i in range(12)]
-        steps = [ref.decode_step(3, c) for c in contexts]
-        span = fused.decode_span(3, contexts, start_time=2.0)
-        assert span.seconds.tolist() == [s.seconds for s in steps]
-        assert span.gpu_busy.tolist() == [s.gpu_busy for s in steps]
-        assert span.dimm_busy.tolist() == [s.dimm_busy for s in steps]
-        running = 2.0
-        ends = []
-        for s in steps:
-            running += s.seconds
-            ends.append(running)
-        assert span.end_times.tolist() == ends
-
-    @pytest.mark.parametrize("name", ("dense", "dejavu"))
-    def test_until_truncates_after_crossing_step(
-        self, machine, tiny_model, tiny_trace, name
-    ):
-        ref = make_backend(name, machine, tiny_model, trace=tiny_trace)
-        fused = make_backend(name, machine, tiny_model, trace=tiny_trace)
-        contexts = [40 + i for i in range(10)]
-        steps = [ref.decode_step(2, c) for c in contexts]
-        boundaries = []
-        running = 1.0
-        for s in steps:
-            running += s.seconds
-            boundaries.append(running)
-        span = fused.decode_span(
-            2, contexts, start_time=1.0, until=boundaries[3]
-        )
-        assert len(span) == 4
-        assert span.end_times.tolist() == boundaries[:4]
-        rest = fused.decode_span(
-            2, contexts[4:], start_time=span.end_times[-1]
-        )
-        assert rest.end_times.tolist() == boundaries[4:]
-
-    @pytest.mark.parametrize("name", ("dense", "dejavu"))
-    def test_until_in_past_still_runs_one_step(
-        self, machine, tiny_model, tiny_trace, name
-    ):
-        backend = make_backend(name, machine, tiny_model, trace=tiny_trace)
-        span = backend.decode_span(1, [30, 31, 32], until=-1.0)
-        assert len(span) == 1
 
 
 class TestMachineGroup:

@@ -15,9 +15,6 @@ The contracts pinned here, roughly inside-out:
   KV-cache (the re-prefill is charged honestly), never-restart crashes
   strand work as ``unfinished`` and count against SLO attainment, and
   an all-machines-down run degrades to nan metrics instead of raising;
-* **macro-step** — the fused decode path stays bit-identical to the
-  stepped reference under every fault kind, for hermes and dense
-  fleets, and for the bundled chaos scenario in both routing modes;
 * **health** — the EWMA monitor demotes a machine that got slower
   *than itself* (not one that is natively slower than the fleet), and
   health-aware routing beats health-blind on the bundled chaos drill;
@@ -51,7 +48,6 @@ from repro.serving import (
     CrashSpec,
     FaultSchedule,
     LengthDistribution,
-    MachineGroup,
     PartitionSpec,
     SampleSpec,
     ServingConfig,
@@ -102,12 +98,11 @@ def _workload(num_requests=36, rate=2000.0, seed=9):
         seed=seed)
 
 
-def _serve(faults, *, machines=2, macro=True, fleet=None, policy="fcfs",
+def _serve(faults, *, machines=2, fleet=None, policy="fcfs",
            num_requests=36):
     simulator = ServingSimulator(
         "tiny-test", policy,
-        ServingConfig(max_batch=6, num_machines=machines,
-                      macro_step=macro, faults=faults),
+        ServingConfig(max_batch=6, num_machines=machines, faults=faults),
         trace=_trace(),
         fleet=fleet)
     return simulator.run(list(_workload(num_requests)))
@@ -124,14 +119,14 @@ def _record_view(record):
     )
 
 
-def _assert_reports_equal(fused, stepped):
-    assert fused.makespan == stepped.makespan
-    assert fused.machine_gpu_busy == stepped.machine_gpu_busy
-    assert fused.machine_dimm_busy == stepped.machine_dimm_busy
-    assert fused.batch_samples == stepped.batch_samples
-    assert fused.queue_samples == stepped.queue_samples
-    assert ([_record_view(r) for r in fused.records]
-            == [_record_view(r) for r in stepped.records])
+def _assert_reports_equal(a, b):
+    assert a.makespan == b.makespan
+    assert a.machine_gpu_busy == b.machine_gpu_busy
+    assert a.machine_dimm_busy == b.machine_dimm_busy
+    assert a.batch_samples == b.batch_samples
+    assert a.queue_samples == b.queue_samples
+    assert ([_record_view(r) for r in a.records]
+            == [_record_view(r) for r in b.records])
 
 
 # ----------------------------------------------------------------------
@@ -415,50 +410,9 @@ class TestServingUnderFaults:
 
     def test_empty_schedule_is_bit_identical_to_none(self):
         """The fault machinery itself is free: an empty schedule takes
-        the fault-aware code paths (signal-bounded idle waits, span
-        capping) yet reproduces the fault-free run exactly."""
+        the fault-aware code paths (signal-bounded idle waits, crash
+        checks) yet reproduces the fault-free run exactly."""
         _assert_reports_equal(_serve(FaultSchedule()), _serve(None))
-
-
-# ----------------------------------------------------------------------
-# macro-step: fused == stepped under every fault kind
-# ----------------------------------------------------------------------
-FAULT_KINDS = {
-    "crash": FaultSchedule(crashes=(CrashSpec(0, 0.005, 0.004),),
-                           restart_warmup=0.001),
-    "crash-final": FaultSchedule(crashes=(CrashSpec(0, 0.006, None),)),
-    "straggler": FaultSchedule(stragglers=(
-        StragglerSpec(1, 0.003, 0.02, 5.0),)),
-    "everything": FaultSchedule(
-        crashes=(CrashSpec(0, 0.004, 0.005),),
-        stragglers=(StragglerSpec(1, 0.002, 0.015, 4.0),),
-        partitions=(PartitionSpec(1, 0.0, 0.005),),
-        restart_warmup=0.001),
-}
-
-
-class TestFusedEqualsSteppedUnderFaults:
-    @pytest.mark.parametrize("kind", sorted(FAULT_KINDS))
-    @pytest.mark.parametrize("backend", ["hermes", "dense"])
-    def test_shared_queue(self, kind, backend):
-        fleet = [MachineGroup(count=2, backend=backend)]
-        fused = _serve(FAULT_KINDS[kind], fleet=fleet, macro=True)
-        stepped = _serve(FAULT_KINDS[kind], fleet=fleet, macro=False)
-        _assert_reports_equal(fused, stepped)
-
-    @pytest.mark.parametrize("health_aware", [False, True])
-    def test_chaos_scenario(self, health_aware):
-        scenario = load_scenario(CHAOS_SPEC)
-        trace = scenario.build_trace()
-        reports = {}
-        for macro in (True, False):
-            run = dataclasses.replace(
-                scenario,
-                config=dataclasses.replace(
-                    scenario.config, macro_step=macro,
-                    health_aware=health_aware))
-            reports[macro] = run.run(trace)
-        _assert_reports_equal(reports[True], reports[False])
 
 
 # ----------------------------------------------------------------------

@@ -11,10 +11,8 @@ PR-level contracts for the domain-aware fault model, inside-out:
   correlated-outage sweep line, and the sharpened validation messages
   (offending key + valid index range, did-you-mean for domain typos);
 * **serving** — a DIMM degrade renegotiates the machine (availability
-  stays 1.0, throughput drops, nothing strands), KV-overflow evictions
-  are honest migrations back onto the same machine, and the fused loop
-  stays bit-identical to the stepped reference under domain crashes
-  and degrades for hermes, dense, and dejavu fleets;
+  stays 1.0, throughput drops, nothing strands), and KV-overflow
+  evictions are honest migrations back onto the same machine;
 * **preemption** — the deadline preemptor refuses to evict onto an
   unhealthy machine (the victim's re-admission lands where it died);
 * **replay** — a dumped failure trace loads back to an equal schedule
@@ -46,7 +44,6 @@ from repro.serving import (
     DomainCrashSpec,
     DomainSpec,
     FaultSchedule,
-    MachineGroup,
     SampleSpec,
     ServingConfig,
     ServingSimulator,
@@ -209,47 +206,6 @@ class TestDomainSchedule:
 # ----------------------------------------------------------------------
 # serving: degradation renegotiates instead of killing
 # ----------------------------------------------------------------------
-DOMAIN_FAULT_KINDS = {
-    "domain-crash": FaultSchedule(
-        domains=(DomainSpec("rack", (0, 1)),),
-        domain_crashes=(DomainCrashSpec("rack", 0.004, 0.006),),
-        restart_warmup=0.001),
-    "degrade-dimms": FaultSchedule(degrades=(
-        DegradeSpec(1, 0.005, dimm_fraction=0.5),)),
-    "degrade-bandwidth": FaultSchedule(degrades=(
-        DegradeSpec(0, 0.004, bandwidth_factor=0.5),)),
-    "degrade-then-crash": FaultSchedule(
-        crashes=(CrashSpec(0, 0.008, 0.004),),
-        degrades=(DegradeSpec(0, 0.003, dimm_fraction=0.75),),
-        restart_warmup=0.001),
-}
-
-
-class TestFusedEqualsSteppedUnderDomains:
-    @pytest.mark.parametrize("kind", sorted(DOMAIN_FAULT_KINDS))
-    @pytest.mark.parametrize("backend", ["hermes", "dense", "dejavu"])
-    def test_shared_queue(self, kind, backend):
-        fleet = [MachineGroup(count=2, backend=backend)]
-        fused = _serve(DOMAIN_FAULT_KINDS[kind], fleet=fleet, macro=True)
-        stepped = _serve(DOMAIN_FAULT_KINDS[kind], fleet=fleet,
-                         macro=False)
-        _assert_reports_equal(fused, stepped)
-
-    @pytest.mark.parametrize("health_aware", [False, True])
-    def test_domains_scenario(self, health_aware):
-        scenario = load_scenario(DOMAINS_SPEC)
-        trace = scenario.build_trace()
-        reports = {}
-        for macro in (True, False):
-            run = dataclasses.replace(
-                scenario,
-                config=dataclasses.replace(
-                    scenario.config, macro_step=macro,
-                    health_aware=health_aware))
-            reports[macro] = run.run(trace)
-        _assert_reports_equal(reports[True], reports[False])
-
-
 class TestDegradation:
     def test_degrade_keeps_machine_alive_but_slower(self):
         healthy = _serve(None, machines=1)
@@ -282,19 +238,6 @@ class TestDegradation:
         assert all(e.from_machine == 0 for e in evictions)
         assert report.migrations >= degrades[0].evicted
         assert not report.unfinished  # evicted work finishes eventually
-
-    def test_kv_eviction_fused_equals_stepped(self):
-        faults = FaultSchedule(degrades=(
-            DegradeSpec(0, 0.004, dimm_fraction=0.5),))
-        reports = {}
-        for macro in (True, False):
-            simulator = ServingSimulator(
-                "tiny-test", "fcfs",
-                ServingConfig(max_batch=6, num_machines=1,
-                              macro_step=macro, faults=faults),
-                machine=_tight_machine(), trace=_trace())
-            reports[macro] = simulator.run(list(_workload(24)))
-        _assert_reports_equal(reports[True], reports[False])
 
 
 # ----------------------------------------------------------------------

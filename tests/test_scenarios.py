@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 
 import pytest
 
@@ -55,15 +56,23 @@ class TestParsing:
         assert {c.name for c in scenario.slo.classes} == {"default"}
 
     def test_unknown_keys_rejected_everywhere(self):
-        for mutate in (
-            lambda d: d.update(routers="oops"),
-            lambda d: d["trace"].update(granluarity=4),
-            lambda d: d["tenants"][0].update(prompt_len=16),
-            lambda d: d["tenants"][0]["prompt_lens"].update(man=16),
+        for key, mutate in (
+            ("routers", lambda d: d.update(routers="oops")),
+            ("granluarity", lambda d: d["trace"].update(granluarity=4)),
+            ("prompt_len", lambda d: d["tenants"][0].update(prompt_len=16)),
+            ("man", lambda d: d["tenants"][0]["prompt_lens"].update(man=16)),
+            # removed options: an old spec fails loudly, not silently
+            ("macro_step",
+             lambda d: d.setdefault("cluster", {}).update(macro_step=True)),
+            ("shard_processes",
+             lambda d: d.setdefault("cluster", {}).update(
+                 shard_processes=True)),
         ):
             data = copy.deepcopy(MINIMAL)
             mutate(data)
-            with pytest.raises(ValueError, match="unknown keys"):
+            with pytest.raises(
+                ValueError, match=re.escape(f"unknown keys ['{key}']")
+            ):
                 parse_scenario(data)
 
     def test_missing_model_or_tenants(self):

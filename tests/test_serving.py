@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.core import HermesSystem
+from repro.hardware import Machine
+from repro.models import get_model
 from repro.serving import (
     LengthDistribution,
     MachineExecutor,
@@ -19,6 +24,7 @@ from repro.serving import (
     time_weighted_mean,
     workload_from_arrivals,
 )
+from repro.sparsity import TraceConfig, generate_trace
 
 
 # ----------------------------------------------------------------------
@@ -67,7 +73,6 @@ class TestWorkload:
 
     def test_bursty_is_burstier_than_poisson(self):
         """Squared coefficient of variation of inter-arrival gaps > 1."""
-        import numpy as np
         config = WorkloadConfig(
             arrival="bursty",
             rate=10.0,
@@ -80,7 +85,6 @@ class TestWorkload:
         assert cv2 > 1.2
 
     def test_length_distributions(self):
-        import numpy as np
         rng = np.random.default_rng(0)
         fixed = LengthDistribution(mean=77)
         assert all(fixed.sample(rng) == 77 for _ in range(5))
@@ -458,3 +462,86 @@ class TestServingSimulator:
         simulator = ServingSimulator("tiny-test", trace=tiny_trace)
         with pytest.raises(ValueError):
             simulator.run([])
+
+
+# ----------------------------------------------------------------------
+# policy select(), vectorized mean_union, partition cache
+# ----------------------------------------------------------------------
+#: module-level trace shared by the pins below
+_TRACE = None
+
+
+def _trace():
+    global _TRACE
+    if _TRACE is None:
+        _TRACE = generate_trace(
+            get_model("tiny-test"),
+            TraceConfig(prompt_len=16, decode_len=24, granularity=8),
+            seed=11,
+        )
+    return _TRACE
+
+
+class TestPolicySelect:
+    def test_select_matches_order_head(self):
+        from repro.cluster.slo import (
+            PriorityClass,
+            PriorityOrderedPolicy,
+            SLOPolicy,
+        )
+        from repro.serving import get_policy
+        rng = np.random.default_rng(5)
+        slo = SLOPolicy(classes=(
+            PriorityClass(name="default"),
+            PriorityClass(name="hi", priority=3, ttft_slo=0.1),
+        ))
+        base_policies = [
+            get_policy(n) for n in ("fcfs", "sjf", "hermes-union")
+        ]
+        policies = base_policies + [
+            PriorityOrderedPolicy(base, slo) for base in base_policies
+        ]
+        for trial in range(20):
+            n = int(rng.integers(1, 12))
+            queue = [
+                generate_workload(
+                    WorkloadConfig(rate=50.0, num_requests=1),
+                    seed=100 * trial + i,
+                    class_name="hi" if rng.random() < 0.4 else "default",
+                )[0]
+                for i in range(n)
+            ]
+            queue = [
+                dataclasses.replace(r, req_id=i) for i, r in enumerate(queue)
+            ]
+            for policy in policies:
+                head = policy.order(queue)[0]
+                assert queue[policy.select(queue)] is head
+
+    def test_mean_union_matches_per_layer_loop(self):
+        executor = MachineExecutor(
+            Machine(), get_model("tiny-test"), trace=_trace()
+        )
+        session = executor.session
+        layers = range(get_model("tiny-test").num_layers)
+        for batch in (1, 2, 5, 8):
+            reference = float(np.mean(
+                [session.union_factor(layer, batch) for layer in layers]))
+            assert executor.mean_union(batch) == reference
+
+    def test_partition_cache_reuses_solution_across_runs(self):
+        trace = generate_trace(
+            get_model("tiny-test"),
+            TraceConfig(prompt_len=16, decode_len=24, granularity=8),
+            seed=23,
+        )
+        a = MachineExecutor(Machine(), get_model("tiny-test"), trace=trace)
+        b = MachineExecutor(Machine(), get_model("tiny-test"), trace=trace)
+        pa, pb = a.session.partition, b.session.partition
+        # distinct objects (window scheduling mutates them per run) with
+        # identical solved contents
+        assert pa is not pb
+        assert all(
+            np.array_equal(x, y) for x, y in zip(pa.hot_masks, pb.hot_masks)
+        )
+        assert np.array_equal(pa.dimm_of_matrix, pb.dimm_of_matrix)

@@ -5,8 +5,7 @@ synchronized only at crash instants (see :mod:`repro.cluster.sharded`).
 The contract pinned here: for a fixed scenario and seed, the sharded
 run equals the single-calendar reference — records (every token
 timestamp, preemption, migration), per-machine busy time, makespan,
-and batch-occupancy statistics — for any shard count, for inline and
-spawned-process workers alike.
+and batch-occupancy statistics — for any shard count.
 
 Scope notes (deliberate, documented in the module under test):
 
@@ -167,18 +166,6 @@ class TestShardedEqualsSingleProcess:
         rep = _run(dataclasses.replace(base, shards=4), workload)
         _assert_reports_equal(ref, rep)
 
-    def test_process_workers_equal_inline(self):
-        """shard_processes=True spawns workers; results are identical."""
-        workload = _workload(per=10, seed=23)
-        base = ClusterConfig(num_machines=4, router="round-robin",
-                             max_batch=4)
-        ref = _run(base, workload)
-        cfg = dataclasses.replace(
-            base, shards=2, shard_processes=True
-        )
-        rep = _run(cfg, workload)
-        _assert_reports_equal(ref, rep)
-
     def test_two_sharded_runs_identical(self):
         """Sharded runs are deterministic run-to-run (golden drift)."""
         workload = _workload(per=15, seed=31)
@@ -255,7 +242,3 @@ class TestShardedValidation:
         cfg = ClusterConfig(num_machines=4, shards=2, faults=faults)
         with pytest.raises(ValueError, match="partition"):
             _run(cfg, _workload(per=2))
-
-    def test_shard_processes_requires_shards(self):
-        with pytest.raises(ValueError, match="shard_processes"):
-            ClusterConfig(num_machines=2, shard_processes=True)

@@ -1,15 +1,7 @@
 """Telemetry subsystem tests.
 
-The two load-bearing guarantees:
-
-1. **Observation only** — attaching any tracer leaves the simulation
-   results bit-identical to an untraced run.
-2. **Loop equivalence** — the macro-stepped (fused) serving loop emits
-   *exactly* the event stream of the per-token reference loop: same
-   events, same order, timestamps bit-equal.  The fused path
-   reconstructs per-boundary ``DecodeStep`` events from its span cost
-   arrays, and this is where that contract is pinned — for the hermes
-   backend (with real preemptions in flight) and for the dense backend.
+The load-bearing guarantee is **observation only**: attaching any
+tracer leaves the simulation results bit-identical to an untraced run.
 
 Plus unit coverage for the metrics registry, the self-describing JSONL
 topic stream, the Chrome trace exporter (strict JSON, required fields,
@@ -20,7 +12,6 @@ schema.
 
 from __future__ import annotations
 
-import dataclasses
 import io
 import json
 import math
@@ -28,7 +19,6 @@ import math
 import pytest
 
 from repro.scenarios import load_scenario, parse_scenario
-from repro.serving import MachineGroup
 from repro.telemetry import (
     DecodeStep,
     MetricsRegistry,
@@ -41,7 +31,6 @@ from repro.telemetry import (
     RequestAdmitted,
     RequestCompleted,
     RequestPreempted,
-    RequestRouted,
     RunEnded,
     RunStarted,
     TelemetrySpec,
@@ -63,55 +52,27 @@ def trace(scenario):
     return scenario.build_trace()
 
 
-def _run(scenario, trace, *, macro, tracer=None):
-    scn = dataclasses.replace(
-        scenario,
-        config=dataclasses.replace(scenario.config, macro_step=macro),
-    )
+def _run(scenario, trace, *, tracer=None):
     recorder = tracer if tracer is not None else RecordingTracer()
-    report = scn.run(trace, tracer=recorder)
+    report = scenario.run(trace, tracer=recorder)
     return recorder, report
 
 
 @pytest.fixture(scope="module")
 def recorded(scenario, trace):
-    """(events, report) of the fused mixed_slo_tiny run."""
-    recorder, report = _run(scenario, trace, macro=True)
+    """(events, report) of the traced mixed_slo_tiny run."""
+    recorder, report = _run(scenario, trace)
     return recorder.events, report
 
 
 # ----------------------------------------------------------------------
 class TestLoopEquivalence:
-    def test_fused_equals_stepped_hermes_preemptive(self, scenario, trace):
-        """The acceptance pin: a routed preemptive hermes cluster emits
-        identical streams from both loops — and preemptions do occur,
-        so the preemption/resume event path is exercised."""
-        fused, rep_f = _run(scenario, trace, macro=True)
-        stepped, rep_s = _run(scenario, trace, macro=False)
-        assert rep_f.preemptions > 0
-        assert len(fused.events) == len(stepped.events)
-        assert fused.events == stepped.events
-
-    def test_fused_equals_stepped_dense_cluster(self, scenario, trace):
-        """Same pin for the dense backend (analytic span path)."""
-        dense = dataclasses.replace(
-            scenario,
-            fleet=(MachineGroup(count=2, backend="dense"),),
-        )
-        fused, _ = _run(dense, trace, macro=True)
-        stepped, _ = _run(dense, trace, macro=False)
-        assert fused.events == stepped.events
-        kinds = {type(e) for e in fused.events}
-        assert {RunStarted, RequestRouted, DecodeStep,
-                RequestCompleted, RunEnded} <= kinds
+    """The serving loop behaves identically with and without a tracer."""
 
     def test_tracing_does_not_perturb(self, scenario, trace, recorded):
         """A traced run and an untraced run produce identical reports."""
         _, traced = recorded
-        untraced = dataclasses.replace(
-            scenario,
-            config=dataclasses.replace(scenario.config, macro_step=True),
-        ).run(trace)
+        untraced = scenario.run(trace)
         assert traced.makespan == untraced.makespan
         assert traced.queue_samples == untraced.queue_samples
         assert traced.machine_gpu_busy == untraced.machine_gpu_busy
@@ -290,7 +251,7 @@ class TestTopicStream:
         report's completion counts and SLO attainment."""
         out = io.StringIO()
         tracer = MetricStreamTracer(out, source=scenario.name)
-        _, report = _run(scenario, trace, macro=True, tracer=tracer)
+        _, report = _run(scenario, trace, tracer=tracer)
         state = StreamState()
         for line in out.getvalue().splitlines():
             state.feed_line(line)
@@ -401,7 +362,7 @@ class TestWatchRenderer:
             trace_out=str(tmp_path / "run.jsonl"),
             source=scenario.name,
         )
-        _, report = _run(scenario, trace, macro=True, tracer=sinks.tracer)
+        _, report = _run(scenario, trace, tracer=sinks.tracer)
         (path,) = sinks.close()
         assert watch(path, once=True) == 0
         rendered = capsys.readouterr().out
@@ -427,7 +388,7 @@ class TestWatchRenderer:
             TelemetrySpec(stream=str(tmp_path / "run.jsonl")),
             source=scenario.name,
         )
-        _run(scenario, trace, macro=True, tracer=sinks.tracer)
+        _run(scenario, trace, tracer=sinks.tracer)
         (path,) = sinks.close()
         out = io.StringIO()
         assert watch(path, once=False, interval=0.01, out=out) == 0

@@ -11,12 +11,12 @@ scale drill (``scenarios/megafleet_1k.json``, one run), maintaining
 * default — measure and print, compare informationally.
 * ``--check`` — exit non-zero when the *simulated* metrics (tokens/s,
   SLO attainment, preemptions) drift from the committed record beyond
-  float noise, **or** when the fused-loop scenario runs/sec fall more
-  than ``--tolerance`` (default 40 %) below the committed baseline
-  after calibration scaling.  Simulated outputs are deterministic, so
-  the drift half is a golden-style behaviour gate on the full cluster
-  stack; the wall-time half guards the macro-stepped serving fast path
-  the way ``tools/bench.py`` guards ``decode_step``.
+  float noise, **or** when a scenario's runs/sec fall more than
+  ``--tolerance`` (default 40 %) below the committed baseline after
+  calibration scaling.  Simulated outputs are deterministic, so the
+  drift half is a golden-style behaviour gate on the full cluster
+  stack; the wall-time half guards the serving loop end to end the
+  way ``tools/bench.py`` guards ``decode_step``.
 * ``--update`` — rewrite ``BENCH_serving.json`` with this machine's
   numbers (appends the previous record to its ``history``).
 * ``--quick`` — shorter measurement window; what CI runs.
@@ -139,11 +139,6 @@ def main(argv: list[str] | None = None) -> int:
         sim = scen["simulated"]
         print(f"scenario {scen['scenario']}: {scen['runs_per_sec']:.2f} "
               f"runs/sec ({scen['runs']} runs in {scen['seconds']:.2f}s)")
-        fused = scen.get("fused_loop")
-        if fused:
-            print(f"fused loop: {fused['speedup']:.2f}x over the stepped "
-                  f"reference ({fused['stepped_runs_per_sec']:.2f} "
-                  "runs/sec with macro_step off)")
         if "tokens_per_second" in sim:
             print(f"simulated: {sim['tokens_per_second']:,.0f} tok/s, "
                   f"{sim['preemptions']} preemptions, "
@@ -191,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
             ratio = scen["runs_per_sec"] / ref
             print(f"wall time vs baseline ({src}): {ratio:.2f}x")
             if args.check and ratio < 1.0 - args.tolerance:
-                print(f"FAIL: {key} fused-loop runs/sec dropped "
+                print(f"FAIL: {key} runs/sec dropped "
                       f"{(1.0 - ratio) * 100:.0f}% (> "
                       f"{args.tolerance * 100:.0f}% allowed)",
                       file=sys.stderr)
