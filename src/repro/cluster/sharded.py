@@ -423,7 +423,7 @@ def run_sharded(
             per_machine[target].append(request.arrival)
         return per_machine
 
-    handles = [
+    runners = [
         _ShardRunner(
             model=cluster_sim.model,
             policy=cluster_sim.policy,
@@ -447,7 +447,7 @@ def run_sharded(
     ]
 
     def advance_all(until: float | None) -> list[list]:
-        return [handle.advance(until) for handle in handles]
+        return [runner.advance(until) for runner in runners]
 
     coordinator_events: list = []
     for i, barrier in enumerate(barriers):
@@ -473,17 +473,17 @@ def run_sharded(
                     ))
         for s_idx, batch in enumerate(transfers):
             if batch:
-                handles[s_idx].deliver(batch)
+                runners[s_idx].deliver(batch)
         next_bound = barriers[i + 1] if i + 1 < len(barriers) else None
         arrivals = take_until(next_bound)
         for s_idx, batch in enumerate(arrivals):
             if batch:
-                handles[s_idx].extend(batch)
+                runners[s_idx].extend(batch)
         if next_bound is None:
-            for handle in handles:
-                handle.mark_final()
+            for runner in runners:
+                runner.mark_final()
     advance_all(None)
-    results = [handle.finish() for handle in handles]
+    results = [runner.finish() for runner in runners]
 
     makespan = max(res["makespan"] for res in results)
     merged = types.SimpleNamespace(
