@@ -295,8 +295,8 @@ class _RunState:
         A limit below 1 is a policy bug — the simulator clamps so the
         machine keeps making progress, but silently repairing it would
         hide the bug, so it is surfaced as a warning and counted in the
-        report.  One note per machine keeps a policy that misbehaves on
-        every round from flooding the warning stream.
+        report.  The limit is constant while the batch composition is
+        unchanged, so one note per machine is exact.
         """
         if self._clamp_noted[m]:
             return
