@@ -155,6 +155,34 @@ def test_shared_queue_fleets_match_goldens(golden, fleet_runs, key):
 
 
 @pytest.fixture(scope="module")
+def routed_runs():
+    from tools.capture_goldens import routed_runs
+
+    return routed_runs()
+
+
+@pytest.mark.parametrize(
+    "key", ("routed4/round-robin", "routed-mixed/round-robin",
+            "routed4/session-affinity-crash")
+)
+def test_routed_fleets_match_goldens(golden, routed_runs, key):
+    """Routed cluster fleets are pinned to every token and migration.
+
+    Round-robin on a hermes fleet and on a dense/dejavu mix, and
+    session-affinity routing whose crash drill re-routes refugees: the
+    router's decisions, each request's machine, token timestamps and
+    migration count, and the per-machine busy time pin the cluster
+    front door absolutely.
+    """
+    from tools.capture_goldens import routed_outputs
+
+    simulator, workload = routed_runs[key]
+    report = simulator.run(list(workload))
+    assert json.loads(json.dumps(routed_outputs(report))) == \
+        golden["serving"][key]
+
+
+@pytest.fixture(scope="module")
 def baseline_golden():
     return json.loads(BASELINE_GOLDEN_PATH.read_text())
 

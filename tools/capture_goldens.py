@@ -16,7 +16,10 @@ the Hermes engine is.
 The serving section also pins multi-machine shared-queue fleets (three
 identical machines per policy, and a hermes/dense/dejavu trio) down to
 every request's machine and token timestamps, so a change to the event
-calendar's same-instant ordering shows up as drift.
+calendar's same-instant ordering shows up as drift.  Routed cluster
+fleets (round-robin on hermes and on a dense/dejavu mix, and
+session-affinity under two crash/restart windows) are pinned the same
+way, plus every request's migration count.
 
 ``--verify`` instead *recomputes* every golden and diffs it against the
 committed files without writing anything — the CI golden-drift gate.  It
@@ -43,6 +46,7 @@ from repro.baselines import (
     HuggingfaceAccelerate,
     TensorRTLLM,
 )
+from repro.cluster import ClusterConfig, ClusterSimulator
 from repro.core import HermesConfig, HermesSystem
 from repro.hardware import Machine
 from repro.models import get_model
@@ -55,6 +59,8 @@ from repro.serving import (
     default_serving_trace,
     generate_workload,
 )
+from repro.serving.faults import CrashSpec, FaultSchedule
+from repro.serving.workload import merge_workloads
 from repro.sparsity import TraceConfig, generate_trace
 
 #: mirrors tests/conftest.py's ``tiny_trace``
@@ -92,6 +98,14 @@ FLEET_SEED = 9
 #: wildly, so the machines' token boundaries interleave irregularly
 TRIO_BACKENDS = ("hermes", "dense", "dejavu")
 TRIO_SEED = 13
+
+#: routed cluster fleets: four machines behind a router, each tenant
+#: stream seeded ``seed + i``; the crash drill re-routes refugees
+ROUTED_TENANTS = 4
+ROUTED_CRASHES = (
+    CrashSpec(machine=1, at=0.05, restart_after=0.1),
+    CrashSpec(machine=2, at=0.12, restart_after=0.15),
+)
 
 
 def engine_goldens() -> dict:
@@ -189,6 +203,44 @@ def fleet_runs() -> dict:
     return runs
 
 
+def _tenant_workload(per: int, rate: float, seed: int) -> list:
+    return merge_workloads(*[
+        generate_workload(WorkloadConfig(num_requests=per, rate=rate),
+                          seed=seed + i, tenant=f"t{i}")
+        for i in range(ROUTED_TENANTS)
+    ])
+
+
+def routed_runs() -> dict:
+    """The routed cluster fleets as ``key -> (simulator, workload)``."""
+    base = ClusterConfig(num_machines=4, router="round-robin", max_batch=4)
+    workload = _tenant_workload(per=20, rate=120.0, seed=7)
+    chaos = ClusterConfig(num_machines=4, router="session-affinity",
+                          max_batch=4,
+                          faults=FaultSchedule(crashes=ROUTED_CRASHES))
+    return {
+        "routed4/round-robin": (
+            ClusterSimulator("tiny-test", "fcfs", base), workload),
+        "routed-mixed/round-robin": (
+            ClusterSimulator(
+                "tiny-test", "fcfs", base,
+                fleet=[MachineGroup(count=2, backend="dense"),
+                       MachineGroup(count=2, backend="dejavu")]),
+            workload),
+        "routed4/session-affinity-crash": (
+            ClusterSimulator("tiny-test", "fcfs", chaos),
+            _tenant_workload(per=25, rate=300.0, seed=13)),
+    }
+
+
+def routed_outputs(report) -> dict:
+    """:func:`fleet_outputs` plus every request's migration count."""
+    out = fleet_outputs(report)
+    for r in report.records:
+        out["records"][str(r.request.req_id)]["migrations"] = r.migrations
+    return out
+
+
 def serving_goldens() -> dict:
     model = get_model("tiny-test")
     trace = default_serving_trace(model, granularity=4)
@@ -209,6 +261,8 @@ def serving_goldens() -> dict:
             runs[f"rate{rate:g}/{policy}"] = _report_metrics(report)
     for key, (simulator, workload) in fleet_runs().items():
         runs[key] = fleet_outputs(simulator.run(list(workload)))
+    for key, (simulator, workload) in routed_runs().items():
+        runs[key] = routed_outputs(simulator.run(list(workload)))
     return runs
 
 
