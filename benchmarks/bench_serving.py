@@ -25,8 +25,9 @@ fault-injection chaos drill (``chaos_mixed_tiny.json``), so the Hermes
 fast path, the pluggable-backend dispatch, and the failure-handling
 path (migrations, availability, MTTR) all stay gated.  The
 1000-machine ``megafleet_1k.json`` scale drill is additionally timed
-as a single end-to-end run (sharded loop + ``fidelity: fast``), gating
-the scale path the same way.
+as a single end-to-end run (``fidelity: fast`` behind the push-based
+front door, which wakes only an arrival's machine), gating the scale
+path the same way.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ BENCH_CHAOS_SCENARIO = "chaos_mixed_tiny.json"
 #: the correlated-failure drill (rack-wide domain crash + a DIMM
 #: degrade with renegotiation): pins the failure-domain path
 BENCH_DOMAINS_SCENARIO = "chaos_domains_tiny.json"
-#: the 1000-machine scale drill (sharded event loop + fidelity:fast):
-#: pins the megafleet path end to end
+#: the 1000-machine scale drill (front door + fidelity:fast): pins
+#: the megafleet path end to end
 BENCH_MEGAFLEET_SCENARIO = "megafleet_1k.json"
 
 
@@ -101,14 +102,14 @@ def bench_scenario(
 def bench_megafleet(spec: str = BENCH_MEGAFLEET_SCENARIO) -> dict:
     """One timed end-to-end run of the 1000-machine scale drill.
 
-    The megafleet scenario (100k requests over 1000 machines, sharded
-    event loop + ``fidelity: fast``) costs ~10 s of wall time per run,
-    so unlike the tiny scenarios it is measured as a *single* timed
-    run with no warmup pass — the committed baseline and the CI check
-    then measure exactly the same thing (one cold run including the
-    one-time trace/partition work), keeping the wall ratio honest.
-    The ``simulated`` half is unaffected either way: sharded runs are
-    pinned bit-identical run-to-run by the tier-1 suite.
+    The megafleet scenario (100k requests over 1000 machines,
+    ``fidelity: fast``, one calendar) costs several seconds of wall
+    time per run, so unlike the tiny scenarios it is measured as a
+    *single* timed run with no warmup pass — the committed baseline and
+    the CI check then measure exactly the same thing (one cold run
+    including the one-time trace/partition work), keeping the wall
+    ratio honest.  The ``simulated`` half is unaffected either way: a
+    fast run depends only on its inputs, pinned by the tier-1 suite.
     """
     path = resolve_scenario(spec)
     scenario = load_scenario(path)

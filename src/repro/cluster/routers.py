@@ -1,8 +1,11 @@
 """Pluggable request routers for the cluster front door.
 
-A router maps each arriving request to a machine index, consulting a
-per-machine *load* vector (queued + resident requests) the run state
-maintains.  All routers are deterministic given their construction
+The front door calls a router once per request, at the request's
+arrival instant, with a live per-machine *load* sequence (queued +
+resident requests).  Reading one machine's load costs O(1), so a router
+pays only for what it reads: round-robin and session-affinity never
+look, power-of-two reads two entries, and the least-loaded variants
+scan once.  All routers are deterministic given their construction
 arguments — power-of-two-choices draws its probes from a seeded
 generator, so a (scenario, seed) pair replays exactly.
 
@@ -46,11 +49,6 @@ class Router:
     #: routers that normalize load by machine speed set this; the
     #: cluster simulator then calls :meth:`bind_fleet` before the run
     needs_throughputs = False
-    #: a router whose decisions depend only on the request stream (never
-    #: on live load values) can be replayed by the sharded coordinator
-    #: without simulating the fleet — the requirement for
-    #: ``ServingConfig.shards`` (see :mod:`repro.cluster.sharded`)
-    shardable = False
 
     def route(self, request: Request, loads: typing.Sequence[float]) -> int:
         """Machine index for ``request`` given per-machine loads."""
@@ -71,9 +69,6 @@ class RoundRobinRouter(Router):
     """Cycle through machines in arrival order."""
 
     name = "round-robin"
-    #: the counter ignores loads entirely — decisions are a pure
-    #: function of the routing-call order, which the coordinator replays
-    shardable = True
 
     def __init__(self) -> None:
         self._next = 0
@@ -91,9 +86,11 @@ class LeastLoadedRouter(Router):
 
     def route(self, request: Request, loads: typing.Sequence[float]) -> int:
         best = 0
+        best_load = float("inf")
         for m, load in enumerate(loads):
-            if load < loads[best]:
+            if load < best_load:
                 best = m
+                best_load = load
         return best
 
 
@@ -105,9 +102,6 @@ class SessionAffinityRouter(Router):
     """
 
     name = "session-affinity"
-    #: stateless and order-independent: the target is a pure function
-    #: of the tenant, so any routing-call interleaving replays exactly
-    shardable = True
 
     def route(self, request: Request, loads: typing.Sequence[float]) -> int:
         return zlib.crc32(request.tenant.encode()) % len(loads)
@@ -168,9 +162,9 @@ class ThroughputLeastLoadedRouter(Router):
                 f"router bound to {len(weights)} machines but asked to "
                 f"route over {len(loads)}")
         best = 0
-        best_cost = loads[0] / weights[0]
-        for m in range(1, len(loads)):
-            cost = loads[m] / weights[m]
+        best_cost = float("inf")
+        for m, (load, weight) in enumerate(zip(loads, weights)):
+            cost = load / weight
             if cost < best_cost:
                 best = m
                 best_cost = cost

@@ -4,8 +4,9 @@
 loop (:class:`~repro.serving.ServingSimulator`) for a front-door
 architecture: instead of every machine admitting from one shared queue,
 a :class:`~repro.cluster.routers.Router` assigns each arrival to a
-per-machine queue at ingest time, admission within a machine is ordered
-by priority class (base batching policy within a class), and — when the
+per-machine queue at its arrival instant (waking only that machine),
+admission within a machine is ordered by priority class (base batching
+policy within a class), and — when the
 :class:`~repro.cluster.slo.SLOPolicy` enables it — a deadline-threatened
 high-priority prefill preempts the newest low-priority resident.
 
@@ -141,7 +142,7 @@ class ClusterSimulator(ServingSimulator):
 
         def assign(request: Request, now: float) -> int:
             clock[0] = now
-            target = router.route(request, state.loads())
+            target = router.route(request, state.loads)
             if faults is not None and faults.is_partitioned(target, now):
                 # a router<->machine partition is a network fact, not a
                 # policy choice: *no* router can hand work to a machine
@@ -201,29 +202,14 @@ class ClusterSimulator(ServingSimulator):
             # a victim's free re-admission lands back on the same
             # machine, so the preemptor must know when that machine is
             # straggling/degraded/dying — resolved by executor identity
-            # (the victim call passes the executor, not the index).
-            # ``_machine_offset`` maps a shard's local executor list
-            # onto fleet-global machine ids for the fault queries.
-            index = {
-                id(ex): m + self._machine_offset
-                for m, ex in enumerate(self.executors)
-            }
+            # (the victim call passes the executor, not the index)
+            index = {id(ex): m for m, ex in enumerate(self.executors)}
 
             def health(executor, now: float) -> str:
                 return faults.health_state(index[id(executor)], now)
 
         return DeadlinePreemptor(self._admission_policy(), self.slo,
                                  health=health)
-
-    def run(self, workload, *, tracer=None):
-        """Serve ``workload``; dispatches to the sharded coordinator
-        when ``config.shards`` is set (see :mod:`repro.cluster.sharded`
-        for the partitioning and its bit-equality contract)."""
-        if self.config.shards:
-            from .sharded import run_sharded
-
-            return run_sharded(self, workload, tracer=tracer)
-        return super().run(workload, tracer=tracer)
 
     def _make_report(self, state: _RunState, makespan: float) -> ClusterReport:
         return ClusterReport(

@@ -375,7 +375,6 @@ def _parse_cluster(data: dict | None) -> tuple[ClusterConfig, str, dict]:
             "num_machines",
             "max_batch",
             "fidelity",
-            "shards",
             "router",
             "router_seed",
             "health_aware",

@@ -522,13 +522,16 @@ def make_backend(
     nominal_batch: int = 8,
     granularity: int = 64,
     seed: int = 7,
+    probe_store: dict | None = None,
 ) -> "ServingBackend":
     """Instantiate a registered backend on ``machine`` for ``model``.
 
     ``hermes_config`` applies to the ``hermes`` backend only (rejected
     elsewhere so a scenario cannot silently drop engine overrides);
     ``trace`` feeds the backends that consume ground-truth activations
-    (hermes, dejavu) and is ignored by the dense backend.
+    (hermes, dejavu) and is ignored by the dense backend;
+    ``probe_store`` is the hermes backend's shared fast-fidelity probe
+    memo (see :meth:`MachineExecutor._span_probe`).
     """
     try:
         factory = BACKENDS[name.lower()]
@@ -545,6 +548,7 @@ def make_backend(
             nominal_batch=nominal_batch,
             granularity=granularity,
             seed=seed,
+            probe_store=probe_store,
         )
     if hermes_config is not None:
         raise ValueError(

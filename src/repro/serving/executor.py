@@ -116,25 +116,6 @@ def _partition_cache(trace: ActivationTrace) -> dict:
     return cache
 
 
-def _span_probe_store(trace: ActivationTrace) -> dict:
-    """Per-trace memo of fast-fidelity span cost probes.
-
-    Same lifetime discipline as :func:`_partition_cache`.  A point's
-    value is the live-engine step cost at its *first* probe and is
-    shared by every machine with identical (machine, model, config,
-    nominal_batch) for the trace's lifetime, so a 1000-machine
-    homogeneous fleet pays each point's ~half-millisecond engine step
-    once instead of once per machine.  Repeated identical runs see the
-    same values (the first run also used them from first store), which
-    is what keeps fast mode deterministic run-to-run.
-    """
-    store = getattr(trace, "_span_probe_store", None)
-    if store is None:
-        store = {}
-        trace._span_probe_store = store
-    return store
-
-
 class MachineExecutor:
     """One Hermes machine serving a stream of requests.
 
@@ -165,6 +146,7 @@ class MachineExecutor:
         partition: OfflinePartition | None = None,
         granularity: int = 64,
         seed: int = 7,
+        probe_store: dict | None = None,
     ) -> None:
         if nominal_batch < 1:
             raise ValueError("nominal_batch must be >= 1")
@@ -204,6 +186,9 @@ class MachineExecutor:
         self._span_probe_cache: dict[
             tuple[int, int], tuple[float, float, float]
         ] = {}
+        #: fast-fidelity probe memo shared by identical machines; the
+        #: serving simulator passes one per run (see :meth:`_span_probe`)
+        self._probe_store = {} if probe_store is None else probe_store
         self._estimated_step: float | None = None
 
     # ------------------------------------------------------------------
@@ -247,14 +232,19 @@ class MachineExecutor:
         slightly as predictor/window state evolves; fast fidelity
         freezes each point at its first probe so a megafleet run pays
         the ~half-millisecond engine step once per distinct point
-        instead of twice per span.  Part of fast mode's documented
-        approximation; the degrade path clears the memo because a
-        renegotiated machine quotes genuinely different costs.
+        instead of twice per span.  The frozen value is shared through
+        the probe store by every machine with identical (machine, model,
+        config, nominal_batch), so a 1000-machine homogeneous fleet
+        probes each point once.  The serving simulator hands its
+        executors one store per run, so a run's values depend only on
+        that run.  Part of fast mode's documented approximation; the
+        degrade path clears the memo because a renegotiated machine
+        quotes genuinely different costs.
         """
         key = (batch, context)
         hit = self._span_probe_cache.get(key)
         if hit is None:
-            store = _span_probe_store(self.trace)
+            store = self._probe_store
             skey = (
                 self.machine, self.model.name, self.system.config,
                 self.nominal_batch, batch, context,
@@ -325,8 +315,10 @@ class MachineExecutor:
         and trace cursor all return to their just-booted values (the
         partition comes from the per-trace cache, so the solver never
         reruns).  The prefill memo survives — it is pure in
-        (prompt_len, batch).
+        (prompt_len, batch) — and the span-probe memo is re-read from
+        the probe store.
         """
+        self._span_probe_cache.clear()
         cache = _partition_cache(self.trace)
         key = (
             self.machine, self.model.name, self.system.config,

@@ -10,8 +10,8 @@ crash together via :class:`DomainCrashSpec` or domain-scoped
 sampling), and **degrades** (a machine loses a fraction of its DIMMs
 or link bandwidth at an instant and renegotiates instead of dying).
 Because the schedule is immutable and known a priori, every consumer —
-the serving loop in either fidelity, health-aware routers, the sharded
-coordinator, the telemetry timeline — reads the *same* timeline, which
+the serving loop in either fidelity, the front door's health-aware
+routing, the telemetry timeline — reads the *same* timeline, which
 is what makes failure-trace replay and cross-process determinism
 (``--jobs 1`` vs ``--jobs 2``) hold bit-for-bit under chaos.
 
@@ -506,19 +506,6 @@ class FaultSchedule:
                 out.setdefault(machine, set()).add(dspec.at)
         return {m: sorted(times) for m, times in out.items()}
 
-    @functools.cached_property
-    def _all_transitions(self) -> list[tuple[float, int]]:
-        """Fleet-wide sorted (time, machine) execution+routing boundaries."""
-        out: set[tuple[float, int]] = set()
-        for machine, times in self._exec_transitions.items():
-            out.update((t, machine) for t in times)
-        for machine, specs in self._part.items():
-            for spec in specs:
-                out.add((spec.start, machine))
-                if spec.end is not None:
-                    out.add((spec.end, machine))
-        return sorted(out)
-
     def next_exec_transition(self, machine: int, time: float) -> float | None:
         """First instant strictly after ``time`` where this machine's
         execution behaviour (up/down/slowdown) changes."""
@@ -529,34 +516,11 @@ class FaultSchedule:
         return times[i] if i < len(times) else None
 
     @functools.cached_property
-    def _crash_starts(self) -> list[float]:
-        return sorted(crash.at for crash in self.expanded_crashes)
-
-    @functools.cached_property
     def _disruption_starts(self) -> list[float]:
         return sorted(
             {crash.at for crash in self.expanded_crashes}
             | {spec.at for spec in self.degrades}
         )
-
-    def next_any_down(
-        self, time: float, *, strict: bool = False
-    ) -> float | None:
-        """First crash instant at (or, with ``strict``, after) ``time``,
-        on *any* machine.
-
-        Crashes are the only events that can drop migrated work into a
-        healthy machine's queue mid-span, so ``fidelity: fast`` decode
-        spans are bounded by this the same way they are bounded by
-        arrivals — an exact machine would see the refugee at its next
-        token boundary.  Idle sleeps use ``strict=True`` (a wake-up *at*
-        a crash instant must not re-arm for the same instant).
-        """
-        starts = self._crash_starts
-        i = (bisect.bisect_right if strict else bisect.bisect_left)(
-            starts, time
-        )
-        return starts[i] if i < len(starts) else None
 
     def next_any_disruption(
         self, time: float, *, strict: bool = False
@@ -576,14 +540,6 @@ class FaultSchedule:
             starts, time
         )
         return starts[i] if i < len(starts) else None
-
-    def next_any_transition(self, time: float) -> float | None:
-        """First instant strictly after ``time`` where *any* machine's
-        fault state changes — bounds idle sleeps so a machine can notice
-        work migrated to it by a crashing peer."""
-        times = self._all_transitions
-        i = bisect.bisect_right(times, (time, math.inf))
-        return times[i][0] if i < len(times) else None
 
     # ------------------------------------------------------------------
     def downtime_within(self, machine: int, horizon: float) -> float:

@@ -4,10 +4,13 @@ Layers continuous batching over the per-token Hermes engine using the
 *existing* event calendar (:class:`repro.sim.Simulator` — no second event
 loop).  Each machine is one simulation process, so nothing inside a
 machine ever contends: the process simply sleeps for the duration of
-each prefill and decode step.  The loop is the canonical iteration-level
-scheduler:
+each prefill and decode step.  Arrivals are *pushed*: one front-door
+process routes every request into its queue at its arrival instant and
+fires only the wake signal of the machine that may admit it (in
+shared-queue mode, the one signal every machine waits on).  The machine
+loop is the canonical iteration-level scheduler:
 
-1. ingest arrivals into the machine's queue;
+1. wake when the front door (or a crashing peer) hands it work;
 2. (cluster only) preemptively evict a low-priority resident request when
    a queued higher-priority prefill would otherwise miss its deadline;
 3. admit queued requests in policy order while the effective batch cap
@@ -15,17 +18,19 @@ scheduler:
    admission's prefill on the machine;
 4. run one decode iteration for the whole resident batch (every request
    gains one token; the engine sees the batch's mean context length);
-5. retire finished requests and repeat — or, when fully idle, sleep until
-   the next arrival.
+5. retire finished requests and repeat — or, when fully idle, wait on
+   its wake signal.
 
 With ``fidelity: "exact"`` (the default) step 4 is one engine call and
 one calendar event per token: every token re-predicts hot and cold
 neurons and may remap cold neurons across the NDP-DIMMs, exactly as the
 engine decodes, and the golden files pin the result bit for bit.
 ``fidelity: "fast"`` is the scale path: it collapses a whole decode span
-into one closed-form ``span_estimate`` call with uniform token spacing,
-bounded by arrivals, the preemptor's trigger and fault boundaries, and
-is validated against exact by distribution-level tolerances.
+into one closed-form ``span_estimate`` call with uniform token spacing.
+A span is planned up to the preemptor's trigger and the fault
+boundaries and waits on the machine's wake signal, so an arrival for
+that machine cuts it at the step in flight; it is validated against
+exact by distribution-level tolerances.
 
 Prefill blocks decode on the same machine (no chunked prefill), which is
 what creates the classic TTFT-vs-TBT tension the policies trade off.
@@ -41,8 +46,10 @@ all through the small override points this module exposes
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
 import math
+import operator
 import typing
 import warnings
 
@@ -100,12 +107,6 @@ class ServingConfig:
     #: ``span_estimate`` call with uniform token spacing — validated
     #: against exact by distribution-level tolerances, not equality
     fidelity: str = "exact"
-    #: number of machine-group shards the cluster event loop is
-    #: partitioned into (0 = the single-calendar reference path).
-    #: Sharded runs need the routed cluster front door and a
-    #: load-oblivious (``shardable``) router; see
-    #: :mod:`repro.cluster.sharded`
-    shards: int = 0
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -115,8 +116,6 @@ class ServingConfig:
         if self.fidelity not in ("exact", "fast"):
             raise ValueError(
                 f"fidelity must be 'exact' or 'fast', got {self.fidelity!r}")
-        if self.shards < 0:
-            raise ValueError("shards must be >= 0")
 
 
 @dataclasses.dataclass(slots=True)
@@ -208,13 +207,38 @@ class _FaultHorizon:
         return self
 
 
+class _Loads(collections.abc.Sequence):
+    """Live per-machine load (queued + resident) routers consult.
+
+    A view over the run state's queues and resident counts, so a
+    routing call pays only for the machines its router reads: O(1) per
+    lookup, and iteration runs at C speed for the routers that scan.
+    """
+
+    __slots__ = ("_queues", "_active")
+
+    def __init__(self, queues: list[list[Request]],
+                 active: list[int]) -> None:
+        self._queues = queues
+        self._active = active
+
+    def __len__(self) -> int:
+        return len(self._active)
+
+    def __getitem__(self, m: int) -> int:
+        return len(self._queues[m]) + self._active[m]
+
+    def __iter__(self) -> typing.Iterator[int]:
+        return map(operator.add, map(len, self._queues), self._active)
+
+
 class _RunState:
-    """Mutable state shared by the machine processes of one run.
+    """Mutable state shared by the processes of one run.
 
     ``num_queues == 1`` is the shared-queue (work-stealing) mode the
     single-cluster :class:`ServingSimulator` uses; with one queue per
-    machine, ``assign`` routes each arrival to its machine at ingest time
-    (the cluster layer passes a router here).
+    machine, ``assign`` routes each arrival to its machine at its
+    arrival instant (the cluster layer passes a router here).
     """
 
     def __init__(
@@ -232,6 +256,7 @@ class _RunState:
         self.records = {
             r.req_id: RequestRecord(request=r) for r in self.workload
         }
+        #: index of the first request the front door has not routed yet
         self.next_arrival_idx = 0
         self.queues: list[list[Request]] = [[] for _ in range(num_queues)]
         #: running total of queued requests across every queue — kept
@@ -243,6 +268,7 @@ class _RunState:
         self.tracer: Tracer = NULL_TRACER
         self.total_active = 0
         self.active_counts = [0] * num_machines
+        self.loads = _Loads(self.queues, self.active_counts)
         self.queue_samples: list[tuple[float, float]] = []
         self.batch_samples: list[tuple[float, float]] = []
         self.machine_gpu_busy = [0.0] * num_machines
@@ -250,31 +276,21 @@ class _RunState:
         #: machines whose policy returned a batch limit < 1 (clamped)
         self.batch_limit_clamps = 0
         self._clamp_noted = [False] * num_machines
-        #: per-machine interruptible-wait channels: a crashing peer
-        #: fires the destination's signal when it migrates work over, so
-        #: an idle machine picks the work up immediately instead of
-        #: sleeping through it (fault runs only — fault-free idle sleeps
-        #: never block on these)
-        self.wake_signals = [Signal(f"wake-{i}") for i in range(num_machines)]
-        #: the live simulator, bound by ``run()`` (fault migration needs
-        #: to fire wake signals at the current simulation time)
+        #: interruptible-wait channels, indexed by machine: the front
+        #: door (or a crashing peer migrating work over) fires the
+        #: destination's signal, waking it if idle and cutting its fast
+        #: span.  In shared-queue mode every machine may admit any
+        #: request, so all entries are *one* signal, which wakes its
+        #: waiters in the order they started waiting
+        if num_queues == 1:
+            self.wake_signals = [Signal("wake")] * num_machines
+        else:
+            self.wake_signals = [
+                Signal(f"wake-{i}") for i in range(num_machines)
+            ]
+        #: the live simulator, bound by ``run()`` (routing and fault
+        #: migration fire wake signals at the current simulation time)
         self.sim: Simulator | None = None
-        #: set by the sharded coordinator while future windows may still
-        #: deliver work (arrivals or crash refugees) from outside this
-        #: state's view — a fully idle machine then parks *bounded* by
-        #: the next fault boundary instead of unboundedly, exactly like
-        #: an unsharded machine that sees the whole fleet's backlog
-        self.expect_external = False
-        #: target-aware fast-fidelity span bounds: the sharded
-        #: coordinator pre-routes every arrival, so it can tell each
-        #: machine exactly which arrival instants concern *it* — spans
-        #: and idle parks then end only where admission can actually
-        #: happen, instead of at every fleet-global arrival (the
-        #: unsharded fast loop's conservative bound, which degenerates
-        #: to single-step spans at 1000-machine aggregate rates).
-        #: ``None`` means "targets unknown, bound globally".
-        self.span_bounds: dict[int, list[float]] | None = None
-        self._span_bound_idx: dict[int, int] = {}
         #: health-monitor hook ``(machine, step_seconds, batch)`` called
         #: at every decode boundary (once per span in fast mode) when
         #: health-aware routing is on
@@ -313,65 +329,54 @@ class _RunState:
         """Machine ``m``'s admission queue (the shared one if only one)."""
         return self.queues[m] if len(self.queues) > 1 else self.queues[0]
 
-    def loads(self) -> list[float]:
-        """Per-machine load proxy (queued + resident) routers consult."""
-        counts = self.active_counts
-        if len(self.queues) == 1:
-            # shared queue: the backlog belongs to no machine yet
-            return [float(c) for c in counts]
-        return [len(q) + c for q, c in zip(self.queues, counts)]
-
-    def queued_total(self) -> int:
-        return self.queued_count
-
-    def next_span_bound(self, m: int, now: float) -> float | None:
-        """Machine ``m``'s first own-arrival instant strictly past
-        ``now`` (fast mode with pre-routed targets).
-
-        Simulation time is nondecreasing across the event loop and each
-        machine only probes its own list, so a monotone per-machine
-        cursor is exact.
-        """
-        bounds = self.span_bounds[m]
-        i = self._span_bound_idx.get(m, 0)
-        while i < len(bounds) and bounds[i] <= now:
-            i += 1
-        self._span_bound_idx[m] = i
-        return bounds[i] if i < len(bounds) else None
+    @property
+    def all_routed(self) -> bool:
+        """Whether the front door has routed every request."""
+        return self.next_arrival_idx == len(self.workload)
 
     # ------------------------------------------------------------------
-    def ingest(self, now: float) -> bool:
-        """Move every request with ``arrival <= now`` into its queue.
+    def front_door(self):
+        """Process routing each request at its arrival instant.
 
-        Returns whether anything arrived (admission order may change).
+        At every distinct arrival instant it routes the requests with
+        ``arrival <= now`` in ``(arrival, req_id)`` order, fires the
+        wake signal of each target — only the machines that may admit
+        the new work wake up — and samples the queue once.
         """
-        moved = False
+        sim = self.sim
+        workload = self.workload
+        queues = self.queues
+        signals = self.wake_signals
+        assign = self.assign
         tracer = self.tracer
-        while (self.next_arrival_idx < len(self.workload)
-               and self.workload[self.next_arrival_idx].arrival <= now):
-            request = self.workload[self.next_arrival_idx]
-            target = 0 if self.assign is None else self.assign(request, now)
-            self.queues[target].append(request)
-            self.queued_count += 1
-            self.next_arrival_idx += 1
-            moved = True
-            if tracer.enabled:
-                tracer.emit(RequestAdmitted(
-                    time=now,
-                    req_id=request.req_id,
-                    tenant=request.tenant,
-                    class_name=request.class_name,
-                    arrival=request.arrival,
-                    prompt_len=request.prompt_len,
-                    output_len=request.output_len,
-                ))
-                if self.assign is not None:
-                    tracer.emit(RequestRouted(
-                        time=now, req_id=request.req_id, machine=target
+        i = 0
+        while i < len(workload):
+            yield WaitUntil(workload[i].arrival)
+            now = sim.now
+            first = i
+            while i < len(workload) and workload[i].arrival <= now:
+                request = workload[i]
+                target = 0 if assign is None else assign(request, now)
+                queues[target].append(request)
+                sim.fire(signals[target])
+                i += 1
+                if tracer.enabled:
+                    tracer.emit(RequestAdmitted(
+                        time=now,
+                        req_id=request.req_id,
+                        tenant=request.tenant,
+                        class_name=request.class_name,
+                        arrival=request.arrival,
+                        prompt_len=request.prompt_len,
+                        output_len=request.output_len,
                     ))
-        if moved:
+                    if assign is not None:
+                        tracer.emit(RequestRouted(
+                            time=now, req_id=request.req_id, machine=target
+                        ))
+            self.next_arrival_idx = i
+            self.queued_count += i - first
             self.note_queue(now)
-        return moved
 
     def requeue(self, m: int, request: Request, now: float) -> None:
         """Return a preempted request to machine ``m``'s queue."""
@@ -413,26 +418,50 @@ class _RunState:
                     time=now, req_id=request.req_id, machine=target
                 ))
         self.note_queue(now)
-        if self.sim is not None:
-            if routed:
-                self.sim.fire(self.wake_signals[target])
-            else:
-                for signal in self.wake_signals:
-                    self.sim.fire(signal)
-
-    def next_arrival(self) -> float | None:
-        if self.next_arrival_idx >= len(self.workload):
-            return None
-        return self.workload[self.next_arrival_idx].arrival
+        self.sim.fire(self.wake_signals[target])
 
     def note_queue(self, now: float) -> None:
-        depth = self.queued_total()
+        depth = self.queued_count
         self.queue_samples.append((now, float(depth)))
         if self.tracer.enabled:
             self.tracer.emit(QueueDepth(time=now, depth=depth))
 
     def note_batch(self, now: float) -> None:
         self.batch_samples.append((now, float(self.total_active)))
+
+
+def _span_cost(executor: ServingBackend, batch: int, start_context: float,
+               steps: int, factor: float) -> tuple[float, float, float]:
+    """A fast span's ``(seconds, gpu_busy, dimm_busy)`` at slowdown
+    ``factor``."""
+    cost = executor.span_estimate(batch, start_context, steps)
+    if factor == 1.0:
+        return cost
+    return cost[0] * factor, cost[1] * factor, cost[2] * factor
+
+
+def _cut_span(executor: ServingBackend, batch: int, start_context: float,
+              steps: int, factor: float, start: float, cut: float,
+              mean_step: float) -> tuple[int, tuple[float, float, float]]:
+    """The shortest prefix of a ``steps``-token span started at ``start``
+    whose re-estimated end reaches ``cut``, with its cost.
+
+    The planned span's mean step only seeds the search: a prefix's own
+    estimate is what its tokens are spaced by, and span cost grows with
+    the prefix, so the walk from the seed is short.
+    """
+    j = min(steps, int((cut - start) / mean_step) + 1)
+    cost = _span_cost(executor, batch, start_context, j, factor)
+    while j < steps and start + cost[0] < cut:
+        j += 1
+        cost = _span_cost(executor, batch, start_context, j, factor)
+    while j > 1:
+        shorter = _span_cost(executor, batch, start_context, j - 1, factor)
+        if start + shorter[0] < cut:
+            break
+        j -= 1
+        cost = shorter
+    return j, cost
 
 
 class ServingSimulator:
@@ -445,11 +474,6 @@ class ServingSimulator:
     single all-default hermes group reproduces the homogeneous fleet
     exactly.
     """
-
-    #: global index of this simulator's machine 0 — nonzero only inside
-    #: a shard, whose executors cover a slice of a larger fleet but
-    #: whose fault/health queries must use fleet-global machine ids
-    _machine_offset = 0
 
     def __init__(
         self,
@@ -472,13 +496,6 @@ class ServingSimulator:
             trace = default_serving_trace(
                 self.model, granularity=granularity, seed=seed
             )
-        #: ctor inputs retained so a sharded run can rebuild fleet
-        #: slices per shard (see :mod:`repro.cluster.sharded`)
-        self.base_machine = machine
-        self._trace = trace
-        self._hermes_config = hermes_config
-        self._granularity = granularity
-        self._seed = seed
         # Each machine gets its own backend (own online engine state)
         # over the shared activation trace.  For Hermes machines the
         # offline partition is solved once — it is deterministic in
@@ -488,6 +505,10 @@ class ServingSimulator:
         # own hardware state, not something a sibling's migrations may
         # mutate mid-flight.
         nominal_batch = max(2, self.config.max_batch // 2)
+        #: the hermes machines' fast-fidelity probe memo, emptied at the
+        #: start of every repeated run (see :meth:`run`)
+        self._probe_store: dict = {}
+        self._runs = 0
         if fleet is None:
             self.fleet: tuple[MachineGroup, ...] = (
                 MachineGroup(count=self.config.num_machines),
@@ -499,6 +520,7 @@ class ServingSimulator:
                     hermes_config,
                     trace=trace,
                     nominal_batch=nominal_batch,
+                    probe_store=self._probe_store,
                 )
                 for _ in range(self.config.num_machines)
             ]
@@ -540,6 +562,7 @@ class ServingSimulator:
                         nominal_batch=group_batch,
                         granularity=granularity,
                         seed=seed,
+                        probe_store=self._probe_store,
                     )
                     for _ in range(group.count)
                 )
@@ -623,14 +646,18 @@ class ServingSimulator:
         :mod:`repro.telemetry`); the default :data:`NULL_TRACER` makes
         every emission site a single attribute check.  Tracing never
         perturbs the simulation: the report (and the stream itself) is
-        identical for any tracer.
+        identical for any tracer.  A repeated call starts from the same
+        cold fleet as the first: pristine hardware, fresh engine state
+        and an empty probe memo, so a report depends only on its inputs.
         """
         if not workload:
             raise ValueError("workload must be non-empty")
-        if self.config.shards:
-            raise ValueError(
-                "shards require the routed cluster front door; use "
-                "repro.cluster.ClusterSimulator")
+        if self._runs:
+            self._probe_store.clear()
+            for executor in self.executors:
+                executor.degrade(1.0, 1.0)
+                executor.reset()
+        self._runs += 1
         if self.config.faults is not None:
             self.config.faults.validate_fleet(self.config.num_machines)
         sim = Simulator()
@@ -639,6 +666,9 @@ class ServingSimulator:
         state.tracer = tracer if tracer is not None else NULL_TRACER
         if state.tracer.enabled:
             state.tracer.emit(self._run_started_event())
+        # registered first, so arrivals at t = 0 are routed before any
+        # machine looks at its queue
+        sim.process(state.front_door(), name="front-door")
         for m, executor in enumerate(self.executors):
             sim.process(
                 self._machine_proc(sim, state, m, executor),
@@ -786,8 +816,7 @@ class ServingSimulator:
                                     # shared queue: an idle sibling may
                                     # be parked — wake it to steal the
                                     # evicted work, like a migration
-                                    for signal in state.wake_signals:
-                                        sim.fire(signal)
+                                    sim.fire(wake)
                         if tracing:
                             tracer.emit(MachineDegraded(
                                 time=sim.now,
@@ -808,7 +837,6 @@ class ServingSimulator:
                             state=health,
                             slowdown=faults.slowdown_at(m, sim.now),
                         ))
-            state.ingest(sim.now)
             queue = state.queue_of(m)
 
             # ---- effective batch cap for this round ----
@@ -839,8 +867,8 @@ class ServingSimulator:
 
             # ---- admission: fill the batch in policy order ----
             # re-rank each admission: the queue changes under us while this
-            # machine yields (new arrivals, and sibling machines admitting
-            # from the same shared queue)
+            # machine yields (the front door routes arrivals during a
+            # prefill, and siblings admit from the same shared queue)
             while len(active) < limit and queue:
                 request = queue.pop(policy.select(queue))
                 state.queued_count -= 1
@@ -904,75 +932,43 @@ class ServingSimulator:
                 state.total_active += 1
                 state.active_counts[m] += 1
                 state.note_batch(sim.now)
-                # arrivals during this prefill are admissible right away
-                state.ingest(sim.now)
-                queue = state.queue_of(m)
 
             # a crash that landed during an admission prefill parks the
             # machine before it touches the (now stale) decode state
             if faults is not None and faults.is_down(m, sim.now):
                 continue
 
-            # ---- idle: sleep until the next arrival, or exit ----
+            # ---- idle: wait for work, or exit ----
             # (an empty batch implies an empty queue: the admission loop
             # above drains it first)
             if not active:
-                # With pre-routed targets (sharded fast mode) an idle
-                # machine only needs to wake for its *own* arrivals —
-                # the destination of every other arrival is awake at
-                # that instant and ingests it itself, so skipping
-                # foreign wakeups changes no scheduling decision and
-                # removes the idle fleet's thundering herd at every
-                # arrival.
-                if state.span_bounds is None:
-                    upcoming = state.next_arrival()
-                else:
-                    upcoming = state.next_span_bound(m, sim.now)
                 if faults is None:
-                    if upcoming is None:
+                    if state.all_routed:
                         break
-                    # absolute wake: ``Timeout(upcoming - now)``
-                    # re-rounds, so the instant a machine lands on would
-                    # depend on how many intermediate wakes it made — and
-                    # a shard (which skips foreign-arrival hops) could
-                    # drift a ULP from the reference.
-                    # ``WaitUntil`` is hop-independent.
-                    yield WaitUntil(upcoming)
+                    yield WaitSignal(wake)
                     continue
-                # Under faults, idle sleeps are interruptible (a
-                # crashing peer fires our wake signal when it migrates
-                # work over) and bounded by the fleet's next crash
-                # instant — the only fault event that can create work
-                # for an idle machine, and the event that parks us when
-                # it is our own.  With no arrivals, no in-flight work
-                # left anywhere, and none of our *own* transitions
-                # outstanding, park unboundedly instead: trailing fault
-                # windows on other machines then don't stretch the
-                # calendar past the last real serving event, and a late
-                # migration out of an aborted prefill still wakes us.
-                # (Our own future crash keeps the park bounded so the
-                # restart is witnessed — down/up telemetry and the
-                # engine reset happen whether or not the fleet is idle,
-                # which is also what lets a sharded run replay this
-                # machine without knowing the other shards' idleness.)
-                if (upcoming is None and state.total_active == 0
-                        and state.queued_total() == 0
-                        and not state.expect_external
+                # Under faults a crashing peer also fires our signal
+                # when it migrates work over, and the park is bounded by
+                # the fleet's next crash or degrade instant — the fault
+                # events that can hand an idle machine work, or park us
+                # when it is our own.  With every request routed, no
+                # in-flight work left anywhere, and none of our *own*
+                # transitions outstanding, park unboundedly instead:
+                # trailing fault windows on other machines then don't
+                # stretch the calendar past the last real serving event,
+                # and a late migration out of an aborted prefill still
+                # wakes us.  (Our own future crash keeps the park
+                # bounded so the restart is witnessed — down/up
+                # telemetry and the engine reset happen whether or not
+                # the fleet is idle.)
+                if (state.all_routed and state.total_active == 0
+                        and state.queued_count == 0
                         and faults.next_exec_transition(m, sim.now)
                         is None):
                     yield WaitSignal(wake)
-                    continue
-                boundary = faults.next_any_disruption(sim.now, strict=True)
-                if upcoming is None and boundary is None:
-                    yield WaitSignal(wake)
-                    continue
-                if upcoming is None:
-                    target = boundary
-                elif boundary is None:
-                    target = upcoming
                 else:
-                    target = min(upcoming, boundary)
-                yield WaitSignal(wake, until=target)
+                    yield WaitSignal(wake, until=faults.next_any_disruption(
+                        sim.now, strict=True))
                 continue
 
             if fast:
@@ -981,9 +977,10 @@ class ServingSimulator:
                 # with uniform token spacing across it — distributionally
                 # close to exact (pinned by tolerance tests), never
                 # bit-equal to it.  Preemption/admission decisions happen
-                # only at span boundaries; the span is bounded by arrivals,
-                # the preemptor trigger, and fault boundaries — the instants
-                # at which a decision could change.
+                # only at span boundaries: the span is planned up to the
+                # preemptor trigger and the fault boundaries, and an
+                # arrival for this machine cuts it at the step in flight —
+                # the instants at which a decision could change.
                 batch = len(active)
                 ctx_sum = sum(a.next_context for a in active)
                 k = min(a.request.output_len - len(a.record.token_times)
@@ -994,19 +991,6 @@ class ServingSimulator:
                         k = 1
                     else:
                         until = trigger_fn(sim.now, queue, active, executor)
-                # span-bounding arrival: with pre-routed targets
-                # (sharded), only an arrival destined to *this* machine
-                # needs a boundary here — admission is the only thing a
-                # boundary buys, and foreign arrivals can't join this
-                # batch.  Without targets, bound at the next global
-                # arrival.
-                if state.span_bounds is None:
-                    upcoming = state.next_arrival()
-                else:
-                    upcoming = state.next_span_bound(m, sim.now)
-                if upcoming is not None and (until is None
-                                             or upcoming < until):
-                    until = upcoming
                 factor = 1.0
                 crash = None
                 if faults is not None:
@@ -1019,29 +1003,33 @@ class ServingSimulator:
                             until = bound
                 start = sim.now
                 start_context = ctx_sum / batch
-                seconds, gpu_cost, dimm_cost = executor.span_estimate(
-                    batch, start_context, k)
-                if factor != 1.0:
-                    seconds *= factor
-                    gpu_cost *= factor
-                    dimm_cost *= factor
-                mean_step = seconds / k
+                seconds, gpu_cost, dimm_cost = _span_cost(
+                    executor, batch, start_context, k, factor)
                 if until is not None and k > 1 and start + seconds > until:
                     # truncate to the first step whose completion
                     # reaches the bound — the straddling step still
                     # runs, just as an exact step straddling an arrival
                     # completes before the arrival is seen
-                    k = max(1, min(k, int((until - start) / mean_step) + 1))
-                    seconds, gpu_cost, dimm_cost = executor.span_estimate(
-                        batch, start_context, k)
-                    if factor != 1.0:
-                        seconds *= factor
-                        gpu_cost *= factor
-                        dimm_cost *= factor
-                    mean_step = seconds / k
+                    k = max(1, min(k, int((until - start) / (seconds / k))
+                                   + 1))
+                    seconds, gpu_cost, dimm_cost = _span_cost(
+                        executor, batch, start_context, k, factor)
                 end = start + seconds
+                stop = end if crash is None or end < crash else crash
+                yield WaitSignal(wake, until=stop)
+                if sim.now < stop:
+                    # an arrival for this machine cut the span: keep the
+                    # shortest prefix whose re-estimated span reaches it
+                    # — the step in flight completes, then admission runs
+                    k, (seconds, gpu_cost, dimm_cost) = _cut_span(
+                        executor, batch, start_context, k, factor, start,
+                        sim.now, seconds / k)
+                    end = start + seconds
+                    stop = end if crash is None or end < crash else crash
+                    yield WaitUntil(stop)
+                mean_step = seconds / k
                 granted = k
-                if crash is not None and end >= crash:
+                if stop == crash:
                     # only tokens completing before the crash are
                     # granted; the machine parks at the crash instant
                     granted = min(k, int(max(0.0, crash - start)
@@ -1049,8 +1037,6 @@ class ServingSimulator:
                     while (granted > 0
                            and start + mean_step * granted >= crash):
                         granted -= 1
-                    end = crash
-                yield WaitUntil(end)
                 if granted:
                     frac = granted / k
                     state.machine_gpu_busy[m] += gpu_cost * frac

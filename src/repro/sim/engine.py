@@ -15,8 +15,9 @@ Processes are Python generators that yield simulation primitives:
 * ``WaitSignal(signal, until)`` — interruptible wait: sleep until another
   process fires the :class:`Signal` (``sim.fire``) or the optional
   absolute deadline passes, whichever comes first.  The serving layer
-  uses this so an idle machine can be woken the moment a crashed peer
-  migrates work into its queue, instead of polling;
+  uses this so the front door (or a crashed peer) wakes exactly the
+  machine it hands work to, and so an arrival can cut a fast decode
+  span short, instead of polling;
 * another process handle — join (wait for completion).
 
 The engine is deterministic: simultaneous events fire in scheduling order.
@@ -231,9 +232,8 @@ class Simulator:
         A bounded run is *resumable*: events at exactly ``until`` fire,
         the first event past it is pushed back intact (same sequence
         number, so tie-breaks replay identically), and a later ``run``
-        call continues from where this one stopped.  The sharded cluster
-        coordinator drives each shard's calendar window-by-window
-        through exactly this contract.
+        call continues from where this one stopped — a calendar can be
+        driven window by window.
         """
         while self._queue:
             time, seq, entry = heapq.heappop(self._queue)

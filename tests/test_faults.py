@@ -254,14 +254,6 @@ class TestFaultSchedule:
         assert f2.health_state(0, 0.5) == "slow"
         assert f2.health_state(0, 2.0) == "ok"
 
-    def test_next_any_down_strictness(self):
-        f = FaultSchedule(crashes=(CrashSpec(0, 1.0, 1.0),
-                                   CrashSpec(1, 2.0, 1.0)))
-        assert f.next_any_down(0.0) == 1.0
-        assert f.next_any_down(1.0) == 1.0
-        assert f.next_any_down(1.0, strict=True) == 2.0
-        assert f.next_any_down(2.0, strict=True) is None
-
     def test_downtime_and_recoveries_within_horizon(self):
         f = FaultSchedule(
             crashes=(CrashSpec(0, 1.0, 2.0), CrashSpec(1, 3.0, None)),

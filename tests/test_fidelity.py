@@ -21,8 +21,10 @@ tiny batches are where uniform spacing diverges most from the exact
 context ramp — while moderate loads sit near ~1e-3 and the crash
 drill near ~3e-4.  Goodput's deltas are additionally discrete (a
 request flipping across the SLO boundary moves it by its whole token
-count).  Fast mode composes with sharding, and stays deterministic
-run-to-run — both pinned below.
+count).  A fast run depends only on its own inputs (a fresh trace,
+a trace another run already probed, and a repeated ``run()`` agree), and
+a fast span ends only where a scheduling decision can change — all
+pinned below.
 """
 
 from __future__ import annotations
@@ -30,14 +32,19 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterConfig, ClusterSimulator
 from repro.cluster.slo import PriorityClass, SLOPolicy
+from repro.models import get_model
 from repro.serving import WorkloadConfig, generate_workload
+from repro.serving.executor import DEFAULT_TRACE_DECODE, DEFAULT_TRACE_PROMPT
 from repro.serving.faults import CrashSpec, FaultSchedule
 from repro.serving.workload import merge_workloads
+from repro.sparsity import TraceConfig, generate_trace
+from repro.telemetry import DecodeStep, RecordingTracer
 
 MODEL = "tiny-test"
 REL_TOL = 0.05
@@ -129,41 +136,69 @@ class TestFastFidelityTolerance:
         assert sum(r.migrations for r in exact.records) > 0
         _assert_distributions_close(exact, fast)
 
-    def test_fast_plus_sharded_deterministic(self):
-        """fidelity:fast composes with shards; two runs are identical."""
-        cfg = ClusterConfig(num_machines=4, router="round-robin",
-                            max_batch=4, fidelity="fast", shards=2)
+
+def _fresh_trace():
+    """A new trace object equal to the simulator's default one."""
+    return generate_trace(
+        get_model(MODEL),
+        TraceConfig(prompt_len=DEFAULT_TRACE_PROMPT,
+                    decode_len=DEFAULT_TRACE_DECODE, granularity=64),
+        seed=7)
+
+
+def _assert_identical(a, b):
+    assert a.makespan == b.makespan
+    assert a.machine_gpu_busy == b.machine_gpu_busy
+    assert a.machine_dimm_busy == b.machine_dimm_busy
+    for ra, rb in zip(a.records, b.records, strict=True):
+        assert ra.machine == rb.machine
+        assert ra.prefill_start == rb.prefill_start
+        assert ra.token_times == rb.token_times
+
+
+class TestRunIsolation:
+    CONFIG = ClusterConfig(num_machines=4, router="round-robin",
+                           max_batch=4, fidelity="fast")
+
+    def test_fast_run_ignores_earlier_runs_on_its_trace(self):
+        """A fast run's report is the same on a fresh trace and on a
+        trace a different fast run has already probed."""
         workload = _workload(20, 100.0, 29)
-        runs = [
-            ClusterSimulator(MODEL, "fcfs", cfg, slo=SLO).run(list(workload))
-            for _ in range(2)
-        ]
-        a, b = runs
-        assert a.makespan == b.makespan
-        assert a.machine_gpu_busy == b.machine_gpu_busy
-        for ra, rb in zip(a.records, b.records):
-            assert ra.token_times == rb.token_times
-            assert ra.machine == rb.machine
+        cold = ClusterSimulator(MODEL, "fcfs", self.CONFIG, slo=SLO,
+                                trace=_fresh_trace()).run(list(workload))
+        trace = _fresh_trace()
+        other = dataclasses.replace(self.CONFIG, max_batch=2)
+        ClusterSimulator(MODEL, "fcfs", other, slo=SLO, trace=trace).run(
+            _workload(12, 600.0, 3))
+        warm = ClusterSimulator(MODEL, "fcfs", self.CONFIG, slo=SLO,
+                                trace=trace).run(list(workload))
+        _assert_identical(cold, warm)
 
-    def test_fast_sharded_within_tolerance_of_exact(self):
-        """Sharded fast mode stays inside the same tolerance envelope.
+    @pytest.mark.parametrize("fidelity", ["exact", "fast"])
+    def test_repeated_runs_agree(self, fidelity):
+        """A second ``run()`` starts from the same cold fleet."""
+        cfg = dataclasses.replace(self.CONFIG, fidelity=fidelity)
+        sim = ClusterSimulator(MODEL, "fcfs", cfg, slo=SLO,
+                               trace=_fresh_trace())
+        workload = _workload(20, 100.0, 29)
+        _assert_identical(sim.run(list(workload)), sim.run(list(workload)))
 
-        Fast + sharded is *not* bit-equal to fast unsharded: the
-        coordinator pre-routes every arrival, so shards bound spans at
-        the arrivals targeting each machine instead of every global
-        arrival (same admission instants, different uniform-spacing
-        windows).  The contract is the distribution one, against the
-        exact single-calendar reference, with identical budgets.
-        """
-        base = ClusterConfig(num_machines=4, router="round-robin",
-                             max_batch=4)
-        workload = _workload(20, 100.0, 41)
-        exact = ClusterSimulator(MODEL, "fcfs", base, slo=SLO).run(
-            list(workload))
-        cfg = dataclasses.replace(base, fidelity="fast", shards=4)
-        fast = ClusterSimulator(MODEL, "fcfs", cfg, slo=SLO).run(
-            list(workload))
-        _assert_distributions_close(exact, fast)
-        assert [r.machine for r in fast.records] == [
-            r.machine for r in exact.records
-        ]
+
+def test_fast_spans_end_only_at_own_events():
+    """No thundering herd: an arrival cuts only its own machine's span.
+
+    A fast span ends at a completion, an arrival routed to its machine,
+    the preemptor's trigger, or a fault boundary — so a fault-free,
+    non-preemptive run makes at most two spans (one ``DecodeStep`` each)
+    per request, however many machines share the front door.
+    """
+    cfg = ClusterConfig(num_machines=16, router="round-robin",
+                        max_batch=8, fidelity="fast")
+    workload = generate_workload(
+        WorkloadConfig(num_requests=200, rate=400.0), seed=3)
+    tracer = RecordingTracer()
+    report = ClusterSimulator(MODEL, "fcfs", cfg).run(workload,
+                                                      tracer=tracer)
+    assert len(report.completed) == len(workload)
+    spans = sum(isinstance(e, DecodeStep) for e in tracer.events)
+    assert spans <= 2 * len(workload)

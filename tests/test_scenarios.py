@@ -67,6 +67,8 @@ class TestParsing:
             ("shard_processes",
              lambda d: d.setdefault("cluster", {}).update(
                  shard_processes=True)),
+            ("shards",
+             lambda d: d.setdefault("cluster", {}).update(shards=8)),
         ):
             data = copy.deepcopy(MINIMAL)
             mutate(data)

@@ -136,11 +136,10 @@ class TestEngine:
     def test_run_until_is_resumable(self):
         """Bounded runs are checkpoints, not terminations.
 
-        The sharded coordinator drives shard calendars window-by-window
-        through this contract: events timestamped exactly at ``until``
-        fire within the bounded run; the first event past it is pushed
-        back unconsumed and fires on the next ``run`` with its original
-        scheduling order preserved.
+        Events timestamped exactly at ``until`` fire within the bounded
+        run; the first event past it is pushed back unconsumed and fires
+        on the next ``run`` with its original scheduling order
+        preserved, so a calendar can be driven window by window.
         """
         sim = Simulator()
         fired = []
@@ -161,8 +160,7 @@ class TestEngine:
 
     def test_run_until_past_last_event(self):
         """A window past the last event drains the calendar and stops
-        at the final event's time (the coordinator lands idle shards on
-        the barrier itself)."""
+        at the final event's time, not at the window's end."""
         sim = Simulator()
 
         def proc():

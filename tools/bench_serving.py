@@ -5,7 +5,8 @@ layer: measures end-to-end runs/sec of the CI smoke scenario
 (``scenarios/mixed_slo_tiny.json``), the mixed-fleet backend scenario
 (``scenarios/backend_shootout_tiny.json``), the fault-injection
 drill (``scenarios/chaos_mixed_tiny.json``), and the 1000-machine
-scale drill (``scenarios/megafleet_1k.json``, one run), maintaining
+scale drill (``scenarios/megafleet_1k.json``: one ``fidelity: fast``
+run in which each arrival wakes only its machine), maintaining
 ``BENCH_serving.json`` at the repo root.  Modes:
 
 * default — measure and print, compare informationally.
@@ -91,7 +92,7 @@ def measure(quick: bool) -> dict:
         # the capacity planner over the smoke scenario: pins the
         # enumerate/prune/frontier counts and the chosen fleet
         "planner": bench_planner(min_seconds=min_seconds / 2),
-        # the 1000-machine scale drill (sharded loop + fidelity:fast):
+        # the 1000-machine scale drill (front door + fidelity:fast):
         # one cold end-to-end run, identical in quick and full mode
         "megafleet_1k": bench_megafleet(),
         # what enabling telemetry costs, recorded informationally —
