@@ -508,7 +508,7 @@ class ServingSimulator:
         #: the hermes machines' fast-fidelity probe memo, emptied at the
         #: start of every repeated run (see :meth:`run`)
         self._probe_store: dict = {}
-        self._runs = 0
+        self._ran = False
         if fleet is None:
             self.fleet: tuple[MachineGroup, ...] = (
                 MachineGroup(count=self.config.num_machines),
@@ -652,12 +652,12 @@ class ServingSimulator:
         """
         if not workload:
             raise ValueError("workload must be non-empty")
-        if self._runs:
+        if self._ran:
             self._probe_store.clear()
             for executor in self.executors:
                 executor.degrade(1.0, 1.0)
                 executor.reset()
-        self._runs += 1
+        self._ran = True
         if self.config.faults is not None:
             self.config.faults.validate_fleet(self.config.num_machines)
         sim = Simulator()

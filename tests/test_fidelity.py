@@ -41,7 +41,7 @@ from repro.cluster.slo import PriorityClass, SLOPolicy
 from repro.models import get_model
 from repro.serving import WorkloadConfig, generate_workload
 from repro.serving.executor import DEFAULT_TRACE_DECODE, DEFAULT_TRACE_PROMPT
-from repro.serving.faults import CrashSpec, FaultSchedule
+from repro.serving.faults import CrashSpec, DegradeSpec, FaultSchedule
 from repro.serving.workload import merge_workloads
 from repro.sparsity import TraceConfig, generate_trace
 from repro.telemetry import DecodeStep, RecordingTracer
@@ -174,10 +174,17 @@ class TestRunIsolation:
                                 trace=trace).run(list(workload))
         _assert_identical(cold, warm)
 
-    @pytest.mark.parametrize("fidelity", ["exact", "fast"])
-    def test_repeated_runs_agree(self, fidelity):
-        """A second ``run()`` starts from the same cold fleet."""
-        cfg = dataclasses.replace(self.CONFIG, fidelity=fidelity)
+    @pytest.mark.parametrize("fidelity,faults", [
+        ("exact", None),
+        ("fast", None),
+        ("exact", FaultSchedule(degrades=(
+            DegradeSpec(machine=0, at=0.05, bandwidth_factor=0.5),))),
+    ], ids=["exact", "fast", "exact-degraded"])
+    def test_repeated_runs_agree(self, fidelity, faults):
+        """A second ``run()`` starts from the same cold fleet, with
+        pristine hardware even after a degrade."""
+        cfg = dataclasses.replace(self.CONFIG, fidelity=fidelity,
+                                  faults=faults)
         sim = ClusterSimulator(MODEL, "fcfs", cfg, slo=SLO,
                                trace=_fresh_trace())
         workload = _workload(20, 100.0, 29)
