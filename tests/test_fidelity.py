@@ -204,8 +204,8 @@ def test_fast_spans_end_only_at_own_events():
     workload = generate_workload(
         WorkloadConfig(num_requests=200, rate=400.0), seed=3)
     tracer = RecordingTracer()
-    report = ClusterSimulator(MODEL, "fcfs", cfg).run(workload,
-                                                      tracer=tracer)
+    sim = ClusterSimulator(MODEL, "fcfs", cfg)
+    report = sim.run(workload, tracer=tracer)
     assert len(report.completed) == len(workload)
     spans = sum(isinstance(e, DecodeStep) for e in tracer.events)
     assert spans <= 2 * len(workload)
