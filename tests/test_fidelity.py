@@ -41,7 +41,15 @@ from repro.cluster.slo import PriorityClass, SLOPolicy
 from repro.models import get_model
 from repro.serving import WorkloadConfig, generate_workload
 from repro.serving.executor import DEFAULT_TRACE_DECODE, DEFAULT_TRACE_PROMPT
-from repro.serving.faults import CrashSpec, DegradeSpec, FaultSchedule
+from repro.serving.faults import (
+    CrashSpec,
+    DegradeSpec,
+    DomainCrashSpec,
+    DomainSpec,
+    FaultSchedule,
+    PartitionSpec,
+    StragglerSpec,
+)
 from repro.serving.workload import merge_workloads
 from repro.sparsity import TraceConfig, generate_trace
 from repro.telemetry import DecodeStep, RecordingTracer
@@ -124,16 +132,30 @@ class TestFastFidelityTolerance:
         exact, fast = _pair(base, _workload(30, rate, 11 + seed))
         _assert_distributions_close(exact, fast)
 
-    def test_under_crash_faults(self):
-        """Crash-truncated spans stay within the same budget."""
-        faults = FaultSchedule(crashes=(
+    @pytest.mark.parametrize("router,faults", [
+        ("session-affinity", FaultSchedule(crashes=(
             CrashSpec(machine=1, at=0.2, restart_after=0.3),
             CrashSpec(machine=3, at=0.5, restart_after=0.4),
-        ))
-        base = ClusterConfig(num_machines=4, router="session-affinity",
-                             max_batch=4, faults=faults)
+        ))),
+        ("least-loaded", FaultSchedule(degrades=(
+            DegradeSpec(machine=1, at=0.1, dimm_fraction=0.5,
+                        bandwidth_factor=0.5),))),
+        ("least-loaded", FaultSchedule(stragglers=(
+            StragglerSpec(machine=2, start=0.05, end=0.3, slowdown=4.0),))),
+        ("least-loaded", FaultSchedule(partitions=(
+            PartitionSpec(machine=0, start=0.05, end=0.25),))),
+        ("least-loaded", FaultSchedule(
+            domains=(DomainSpec("rack0", (0, 1)),),
+            domain_crashes=(DomainCrashSpec("rack0", 0.1, 0.2),))),
+    ], ids=["crash", "degrade", "straggler", "partition", "domain-crash"])
+    def test_under_faults(self, router, faults):
+        """Fault-cut spans stay within the same budget for every fault
+        kind, and the crashing inputs do migrate requests."""
+        base = ClusterConfig(num_machines=4, router=router, max_batch=4,
+                             faults=faults)
         exact, fast = _pair(base, _workload(60, 300.0, 5))
-        assert sum(r.migrations for r in exact.records) > 0
+        migrations = sum(r.migrations for r in exact.records)
+        assert (migrations > 0) == bool(faults.expanded_crashes)
         _assert_distributions_close(exact, fast)
 
 

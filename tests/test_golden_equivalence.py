@@ -163,16 +163,19 @@ def routed_runs():
 
 @pytest.mark.parametrize(
     "key", ("routed4/round-robin", "routed-mixed/round-robin",
-            "routed4/session-affinity-crash")
+            "routed4/session-affinity-crash", "routed4/fast-round-robin",
+            "routed4/least-loaded-degrade")
 )
 def test_routed_fleets_match_goldens(golden, routed_runs, key):
     """Routed cluster fleets are pinned to every token and migration.
 
-    Round-robin on a hermes fleet and on a dense/dejavu mix, and
-    session-affinity routing whose crash drill re-routes refugees: the
-    router's decisions, each request's machine, token timestamps and
-    migration count, and the per-machine busy time pin the cluster
-    front door absolutely.
+    Round-robin on a hermes fleet and on a dense/dejavu mix,
+    session-affinity routing whose crash drill re-routes refugees, the
+    round-robin fleet at fast fidelity, and a least-loaded fleet whose
+    degrade evicts residents while a peer straggles: the router's
+    decisions, each request's machine, token timestamps and migration
+    count, and the per-machine busy time pin the cluster front door
+    absolutely.
     """
     from tools.capture_goldens import routed_outputs
 

@@ -19,7 +19,9 @@ every request's machine and token timestamps, so a change to the event
 calendar's same-instant ordering shows up as drift.  Routed cluster
 fleets (round-robin on hermes and on a dense/dejavu mix, and
 session-affinity under two crash/restart windows) are pinned the same
-way, plus every request's migration count.
+way, plus every request's migration count.  Two more routed entries pin
+the fault-free fast-fidelity span loop and a least-loaded fleet whose
+small-DIMM machines straggle and degrade, so a degrade evicts residents.
 
 ``--verify`` instead *recomputes* every golden and diffs it against the
 committed files without writing anything — the CI golden-drift gate.  It
@@ -36,6 +38,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import pathlib
 import sys
@@ -59,7 +62,12 @@ from repro.serving import (
     default_serving_trace,
     generate_workload,
 )
-from repro.serving.faults import CrashSpec, FaultSchedule
+from repro.serving.faults import (
+    CrashSpec,
+    DegradeSpec,
+    FaultSchedule,
+    StragglerSpec,
+)
 from repro.serving.workload import merge_workloads
 from repro.sparsity import TraceConfig, generate_trace
 
@@ -106,6 +114,15 @@ ROUTED_CRASHES = (
     CrashSpec(machine=1, at=0.05, restart_after=0.1),
     CrashSpec(machine=2, at=0.12, restart_after=0.15),
 )
+#: a straggler window and a half-DIMM degrade on a least-loaded fleet of
+#: small-DIMM machines, where the degrade's shrunken KV pool evicts
+ROUTED_DEGRADES = FaultSchedule(
+    degrades=(DegradeSpec(1, 0.05, dimm_fraction=0.5),),
+    stragglers=(StragglerSpec(2, 0.03, 0.12, 4.0),),
+)
+#: bytes per DIMM of the degrade drill's machines: room for ~1600
+#: resident tiny-test KV tokens pristine, so half the pool overflows
+SMALL_DIMM_BYTES = 1_613_824
 
 
 def engine_goldens() -> dict:
@@ -211,6 +228,16 @@ def _tenant_workload(per: int, rate: float, seed: int) -> list:
     ])
 
 
+def _small_dimm_machine() -> Machine:
+    """The default machine with every DIMM shrunk to
+    :data:`SMALL_DIMM_BYTES`."""
+    base = Machine()
+    geometry = dataclasses.replace(base.dimm.geometry,
+                                   capacity_bytes=SMALL_DIMM_BYTES)
+    return dataclasses.replace(
+        base, dimm=dataclasses.replace(base.dimm, geometry=geometry))
+
+
 def routed_runs() -> dict:
     """The routed cluster fleets as ``key -> (simulator, workload)``."""
     base = ClusterConfig(num_machines=4, router="round-robin", max_batch=4)
@@ -218,6 +245,8 @@ def routed_runs() -> dict:
     chaos = ClusterConfig(num_machines=4, router="session-affinity",
                           max_batch=4,
                           faults=FaultSchedule(crashes=ROUTED_CRASHES))
+    degrade = ClusterConfig(num_machines=4, router="least-loaded",
+                            max_batch=4, faults=ROUTED_DEGRADES)
     return {
         "routed4/round-robin": (
             ClusterSimulator("tiny-test", "fcfs", base), workload),
@@ -229,6 +258,14 @@ def routed_runs() -> dict:
             workload),
         "routed4/session-affinity-crash": (
             ClusterSimulator("tiny-test", "fcfs", chaos),
+            _tenant_workload(per=25, rate=300.0, seed=13)),
+        "routed4/fast-round-robin": (
+            ClusterSimulator("tiny-test", "fcfs",
+                             dataclasses.replace(base, fidelity="fast")),
+            workload),
+        "routed4/least-loaded-degrade": (
+            ClusterSimulator("tiny-test", "fcfs", degrade,
+                             machine=_small_dimm_machine()),
             _tenant_workload(per=25, rate=300.0, seed=13)),
     }
 
