@@ -452,11 +452,11 @@ def _parse_faults(
 ) -> FaultSchedule | None:
     """The ``faults:`` section: explicit events plus seeded sampled chaos.
 
-    Absent section means ``None`` — every fault branch in the serving
-    loops stays short-circuited and the run is bit-identical to a
-    fault-free build.  Explicit events and the ``sample`` table are
-    validated with the same unknown-key strictness as the rest of the
-    spec, and the merged schedule is checked against the fleet size.
+    Absent section means ``None`` — every machine of the serving loop
+    runs against a pristine fault timeline.  Explicit events and the
+    ``sample`` table are validated with the same unknown-key strictness
+    as the rest of the spec, and the merged schedule is checked against
+    the fleet size.
 
     ``trace: FILE`` replays a recorded JSONL failure log instead (path
     relative to the scenario file); the trace carries the *complete*

@@ -13,7 +13,10 @@ Because the schedule is immutable and known a priori, every consumer —
 the serving loop in either fidelity, the front door's health-aware
 routing, the telemetry timeline — reads the *same* timeline, which
 is what makes failure-trace replay and cross-process determinism
-(``--jobs 1`` vs ``--jobs 2``) hold bit-for-bit under chaos.
+(``--jobs 1`` vs ``--jobs 2``) hold bit-for-bit under chaos.  Each
+serving machine reads only its *own* part of it: its waits are clamped
+at plan time to its own next crash, and another machine's fault
+reaches it only as work migrated through its wake signal.
 
 Semantics, shared by both fidelities:
 
@@ -49,12 +52,15 @@ Semantics, shared by both fidelities:
   ``t >= at`` (closed on the left, like a crash); multiple degrades on
   one machine compound multiplicatively.  The machine does *not* go
   down: its executor rebuilds the model partition over the surviving
-  hardware, evicting (re-queue + re-prefill on the same machine) only
-  the residents whose KV no longer fits.
+  hardware, evicting (a migration onto the same machine: re-queue +
+  re-prefill) only the residents whose KV no longer fits.  A busy
+  machine renegotiates at its first step boundary at or past ``at``;
+  an idle one when it next wakes, before it serves anything.
 
-With no ``faults:`` section every consumer short-circuits on
-``faults is None`` — the fault-free path is bit-identical to a build
-without this module (pinned by the goldens).
+With no ``faults:`` section the serving loop runs against a pristine
+timeline (never down, undegraded, slowdown 1.0) and the router and
+report skip their fault queries — the fault-free path is pinned by the
+goldens.
 
 :func:`dump_fault_trace` / :func:`load_fault_trace` serialise a
 schedule to a JSONL failure log (one event per line, ``kind``
@@ -514,32 +520,6 @@ class FaultSchedule:
             return None
         i = bisect.bisect_right(times, time)
         return times[i] if i < len(times) else None
-
-    @functools.cached_property
-    def _disruption_starts(self) -> list[float]:
-        return sorted(
-            {crash.at for crash in self.expanded_crashes}
-            | {spec.at for spec in self.degrades}
-        )
-
-    def next_any_disruption(
-        self, time: float, *, strict: bool = False
-    ) -> float | None:
-        """First crash *or* degrade instant at (or, with ``strict``,
-        after) ``time``, on *any* machine.
-
-        This is the fleet-wide span/idle bound under faults: a crash
-        migrates refugees into peers' queues and a degrade evicts
-        overflow residents back into the (possibly shared) queue, so
-        both can hand a healthy machine new work mid-span.  An exact
-        machine would see it at its next token boundary; a fast span
-        ends here so that it does too.
-        """
-        starts = self._disruption_starts
-        i = (bisect.bisect_right if strict else bisect.bisect_left)(
-            starts, time
-        )
-        return starts[i] if i < len(starts) else None
 
     # ------------------------------------------------------------------
     def downtime_within(self, machine: int, horizon: float) -> float:

@@ -10,7 +10,8 @@ fires only the wake signal of the machine that may admit it (in
 shared-queue mode, the one signal every machine waits on).  The machine
 loop is the canonical iteration-level scheduler:
 
-1. wake when the front door (or a crashing peer) hands it work;
+1. wake when the front door (or a crashing peer) hands it work, or
+   when its own fault timeline crashes it;
 2. (cluster only) preemptively evict a low-priority resident request when
    a queued higher-priority prefill would otherwise miss its deadline;
 3. admit queued requests in policy order while the effective batch cap
@@ -27,10 +28,16 @@ neurons and may remap cold neurons across the NDP-DIMMs, exactly as the
 engine decodes, and the golden files pin the result bit for bit.
 ``fidelity: "fast"`` is the scale path: it collapses a whole decode span
 into one closed-form ``span_estimate`` call with uniform token spacing.
-A span is planned up to the preemptor's trigger and the fault
-boundaries and waits on the machine's wake signal, so an arrival for
-that machine cuts it at the step in flight; it is validated against
-exact by distribution-level tolerances.
+A span is planned up to the preemptor's trigger and the machine's own
+next fault transition and waits on the machine's wake signal, so an
+arrival for that machine cuts it at the step in flight; it is validated
+against exact by distribution-level tolerances.
+
+Faults reach a machine only through its own timeline and its wake
+signal: every wait (prefill, exact step, fast span, idle park) ends at
+its work's end clamped to the machine's own next crash, one check on
+waking aborts the work in flight, and a peer's crash hands the machine
+migrated work through the signal.
 
 Prefill blocks decode on the same machine (no chunked prefill), which is
 what creates the classic TTFT-vs-TBT tension the policies trade off.
@@ -56,13 +63,7 @@ import warnings
 from ..core import HermesConfig
 from ..hardware import Machine
 from ..models import ModelSpec, get_model
-from ..sim import (
-    Signal,
-    Simulator,
-    Timeout,
-    WaitSignal,
-    WaitUntil,
-)
+from ..sim import Signal, Simulator, WaitSignal, WaitUntil
 from ..sparsity import ActivationTrace
 from ..telemetry.events import (
     DecodeStep,
@@ -84,7 +85,7 @@ from ..telemetry.events import (
 )
 from ..telemetry.tracer import NULL_TRACER, Tracer
 from .backends import MachineGroup, ServingBackend, make_backend
-from .executor import MachineExecutor, default_serving_trace
+from .executor import default_serving_trace
 from .faults import FaultSchedule
 from .metrics import RequestRecord, ServingReport
 from .policies import BatchingPolicy, get_policy
@@ -97,9 +98,10 @@ class ServingConfig:
 
     max_batch: int = 16
     num_machines: int = 1
-    #: deterministic fault timeline (crashes/stragglers/partitions) the
-    #: run executes against; ``None`` keeps every fault branch
-    #: short-circuited and the run bit-identical to a fault-free build
+    #: deterministic fault timeline (crashes/stragglers/partitions/
+    #: degrades) the run executes against; each machine sees only its
+    #: own part of it.  ``None`` is a pristine timeline: no machine is
+    #: ever down, degraded or slowed
     faults: FaultSchedule | None = None
     #: cost model fidelity: ``"exact"`` replays every token boundary
     #: (the reference, pinned bit-for-bit by goldens), ``"fast"``
@@ -140,10 +142,8 @@ class Preemptor(typing.Protocol):
     ``next_trigger`` is the fast-fidelity span hook: a conservative
     lower bound on the first time ``victim`` could return non-``None``
     while the queue and resident batch stay unchanged (``None`` = never
-    under the current state).  A preemptor without it still works — fast
-    spans then shrink to one token while the queue is non-empty.  The
-    exact loop asks ``victim`` at every token boundary and never needs
-    the bound.
+    under the current state).  The exact loop asks ``victim`` at every
+    token boundary and never needs the bound.
     """
 
     def victim(
@@ -168,28 +168,31 @@ class Preemptor(typing.Protocol):
 
 
 class _FaultHorizon:
-    """Memoised per-machine view of the fault timeline's next boundaries.
+    """One machine's own fault state, memoised between its transitions.
 
-    Every value a machine's scheduling loop asks of the
-    :class:`FaultSchedule` — am I down, my degrade state, my slowdown
-    factor, my next crash, my next exec transition, the fleet's next
-    disruption — is piecewise-constant between two instants: the
-    machine's own next exec transition and the fleet's next disruption
-    start.  One refresh at or past ``min`` of those re-derives all six
-    with the same calls the loop used to make per span, so the cached
-    values are *identical* to direct queries (bit-equality and goldens
-    are untouched) while the steady-state cost per span drops from six
-    bisects to one float compare.
+    The machine loop's only view of the fault timeline.  Every value it
+    asks of the :class:`FaultSchedule` — am I down, my degrade state, my
+    slowdown factor, my next crash, my next exec transition — changes
+    only at one of the machine's *own* exec transitions, so one refresh
+    at or past the next transition re-derives all five with direct
+    queries: the cached values are identical to them, and between
+    transitions a lookup is one float compare.  Without a schedule the
+    horizon is pristine (never down, undegraded, slowdown 1.0, no crash,
+    no transition) and never refreshes.
     """
 
     __slots__ = ("_faults", "_machine", "_until", "down_now", "degrade",
-                 "slowdown", "next_down", "exec_transition",
-                 "any_disruption")
+                 "slowdown", "next_down", "exec_transition")
 
-    def __init__(self, faults: FaultSchedule, machine: int) -> None:
+    def __init__(self, faults: FaultSchedule | None, machine: int) -> None:
         self._faults = faults
         self._machine = machine
-        self._until = -math.inf
+        self._until = math.inf if faults is None else -math.inf
+        self.down_now = False
+        self.degrade = (1.0, 1.0)
+        self.slowdown = 1.0
+        self.next_down: float | None = None
+        self.exec_transition: float | None = None
 
     def at(self, now: float) -> "_FaultHorizon":
         if now >= self._until:
@@ -200,11 +203,15 @@ class _FaultHorizon:
             self.slowdown = faults.slowdown_at(m, now)
             self.next_down = faults.next_down(m, now)
             self.exec_transition = faults.next_exec_transition(m, now)
-            self.any_disruption = faults.next_any_disruption(now)
-            bounds = [b for b in (self.exec_transition, self.any_disruption)
-                      if b is not None]
-            self._until = min(bounds) if bounds else math.inf
+            self._until = (math.inf if self.exec_transition is None
+                           else self.exec_transition)
         return self
+
+    def stop(self, end: float) -> float:
+        """A wait's deadline: ``end`` clamped to the machine's next
+        crash, which a completion landing on it misses."""
+        crash = self.next_down
+        return end if crash is None or end < crash else crash
 
 
 class _Loads(collections.abc.Sequence):
@@ -384,26 +391,30 @@ class _RunState:
         self.queued_count += 1
         self.note_queue(now)
 
-    def migrate(self, request: Request, from_machine: int, now: float) -> None:
-        """Evacuate ``request`` off a crashed machine.
+    def migrate(self, request: Request, from_machine: int, now: float,
+                onto: int | None = None) -> None:
+        """Move ``request`` off ``from_machine``, losing its KV cache.
 
         Generated tokens survive (they were already streamed to the
         client) but the KV cache does not: the record is flagged for
         re-prefill over ``prompt_len + generated`` on re-admission — the
-        honest migration cost.  In routed mode the request is re-routed
-        against current loads and health; in shared-queue mode it
-        returns to the common backlog.  The destination's wake signal
-        fires so an idle machine picks the refugee up immediately.
+        honest migration cost.  A crash evacuation leaves ``onto`` unset:
+        in routed mode the request is re-routed against current loads
+        and health, in shared-queue mode it returns to the common
+        backlog.  A degrade eviction passes ``onto=from_machine``: the
+        machine did not die, so the request re-queues on it.  The
+        destination's wake signal fires so an idle machine picks the
+        request up immediately.
         """
         record = self.records[request.req_id]
         record.needs_prefill = True
         record.migrations += 1
         routed = len(self.queues) > 1
-        if routed and self.assign is not None:
-            target = self.assign(request, now)
-        else:
-            target = 0
-        self.queues[target].append(request)
+        target = onto
+        if target is None:
+            target = (self.assign(request, now)
+                      if routed and self.assign is not None else 0)
+        self.queue_of(target).append(request)
         self.queued_count += 1
         if self.tracer.enabled:
             self.tracer.emit(RequestMigrated(
@@ -413,7 +424,7 @@ class _RunState:
                 to_machine=target if routed else -1,
                 generated=len(record.token_times),
             ))
-            if routed:
+            if routed and onto is None:
                 self.tracer.emit(RequestRouted(
                     time=now, req_id=request.req_id, machine=target
                 ))
@@ -510,65 +521,49 @@ class ServingSimulator:
         self._probe_store: dict = {}
         self._ran = False
         if fleet is None:
-            self.fleet: tuple[MachineGroup, ...] = (
-                MachineGroup(count=self.config.num_machines),
+            fleet = (MachineGroup(count=self.config.num_machines),)
+        if not fleet:
+            raise ValueError("fleet needs at least one machine group")
+        self.fleet: tuple[MachineGroup, ...] = tuple(fleet)
+        self.executors: list[ServingBackend] = []
+        for group in self.fleet:
+            group_model = (
+                get_model(group.model)
+                if group.model is not None
+                else self.model
             )
-            self.executors: list[ServingBackend] = [
-                MachineExecutor(
-                    machine,
-                    self.model,
-                    hermes_config,
-                    trace=trace,
-                    nominal_batch=nominal_batch,
+            # a group serving the simulator's model shares its trace; an
+            # overriding group gets the deterministic default trace for
+            # its own model
+            group_trace = trace if group_model is self.model else None
+            backend_name = group.backend.lower()
+            group_machine = (
+                group.machine if group.machine is not None else machine
+            )
+            group_batch = (
+                group.nominal_batch
+                if group.nominal_batch is not None
+                else nominal_batch
+            )
+            self.executors.extend(
+                make_backend(
+                    backend_name,
+                    group_machine,
+                    group_model,
+                    hermes_config=(
+                        hermes_config if backend_name == "hermes" else None
+                    ),
+                    trace=group_trace,
+                    nominal_batch=group_batch,
+                    granularity=granularity,
+                    seed=seed,
                     probe_store=self._probe_store,
                 )
-                for _ in range(self.config.num_machines)
-            ]
-        else:
-            if not fleet:
-                raise ValueError("fleet needs at least one machine group")
-            self.fleet = tuple(fleet)
-            self.executors = []
-            for group in self.fleet:
-                group_model = (
-                    get_model(group.model)
-                    if group.model is not None
-                    else self.model
-                )
-                # a group serving the simulator's model shares its
-                # trace; an overriding group gets the deterministic
-                # default trace for its own model
-                group_trace = trace if group_model is self.model else None
-                backend_name = group.backend.lower()
-                group_machine = (
-                    group.machine if group.machine is not None else machine
-                )
-                group_batch = (
-                    group.nominal_batch
-                    if group.nominal_batch is not None
-                    else nominal_batch
-                )
-                self.executors.extend(
-                    make_backend(
-                        backend_name,
-                        group_machine,
-                        group_model,
-                        hermes_config=(
-                            hermes_config
-                            if backend_name == "hermes"
-                            else None
-                        ),
-                        trace=group_trace,
-                        nominal_batch=group_batch,
-                        granularity=granularity,
-                        seed=seed,
-                        probe_store=self._probe_store,
-                    )
-                    for _ in range(group.count)
-                )
-            self.config = dataclasses.replace(
-                self.config, num_machines=len(self.executors)
+                for _ in range(group.count)
             )
+        self.config = dataclasses.replace(
+            self.config, num_machines=len(self.executors)
+        )
 
     @property
     def machine_backends(self) -> list[str]:
@@ -686,157 +681,121 @@ class ServingSimulator:
         cfg = self.config
         policy = self._admission_policy()
         preemptor = self._preemptor()
-        trigger_fn = (getattr(preemptor, "next_trigger", None)
-                      if preemptor is not None else None)
         tracer = state.tracer
         tracing = tracer.enabled
-        #: the fault timeline, or None — every fault branch below guards
-        #: on this so the fault-free hot path is untouched (pinned by
-        #: the goldens and the serving bench gate)
         faults = cfg.faults
         wake = state.wake_signals[m]
         observe = state.observe_step
         last_health: str | None = None
         #: the cumulative degrade state already applied to the backend —
-        #: the loop top renegotiates whenever the schedule's state moves
-        #: past it (checked only when the schedule has degrades at all)
-        has_degrades = faults is not None and bool(faults.degrades)
+        #: the loop top renegotiates whenever the horizon's state moves
+        #: past it
         applied_degrade = (1.0, 1.0)
-        #: memoised fault-boundary view — identical values to direct
-        #: schedule queries, refreshed only when a boundary is crossed
-        fh = _FaultHorizon(faults, m) if faults is not None else None
+        #: this machine's own fault timeline, pristine without faults
+        fh = _FaultHorizon(faults, m)
         fast = cfg.fidelity == "fast"
         active: list[ActiveEntry] = []
         while True:
-            if faults is not None:
-                if fh.at(sim.now).down_now:
-                    # ---- crash: kill residents, migrate, park ----
-                    now = sim.now
-                    if tracing:
-                        tracer.emit(MachineDown(
-                            time=now, machine=m, reason="crash"
-                        ))
-                        tracer.emit(MachineHealth(
-                            time=now, machine=m, state="down", slowdown=1.0
-                        ))
-                        last_health = "down"
-                    # snapshot the backlog *before* migrating residents:
-                    # a resident whose re-route lands back on this same
-                    # (dead) machine must not be swept up and counted as
-                    # a second migration for the same evacuation
-                    pending: list[Request] = []
-                    if len(state.queues) > 1:
-                        # routed mode: the dead machine's backlog is
-                        # re-routed too (the frontend still holds it)
-                        pending = list(state.queue_of(m))
-                        state.queue_of(m).clear()
-                        state.queued_count -= len(pending)
-                    if active:
-                        state.total_active -= len(active)
-                        state.active_counts[m] -= len(active)
-                        state.note_batch(now)
-                        for entry in active:
-                            state.migrate(entry.request, m, now)
-                        active = []
-                    for request in pending:
-                        state.migrate(request, m, now)
-                    up = faults.up_time(m, now)
-                    if up is None:
-                        # never restarts; unserved work stays queued and
-                        # is reported honestly as unfinished
-                        return
-                    yield WaitUntil(up)
-                    executor.reset()
-                    if tracing:
-                        tracer.emit(MachineUp(
-                            time=sim.now,
-                            machine=m,
-                            warmup=faults.restart_warmup,
-                        ))
-                    continue
-                if has_degrades:
-                    # ---- degrade: renegotiate, evict KV overflow ----
-                    # A degrade is a *state change at an instant*, not a
-                    # time-varying multiplier: it applies at the first
-                    # loop top at or past the instant (fast spans are
-                    # bounded there via the exec transitions), exactly
-                    # like a restart.
-                    degrade = fh.at(sim.now).degrade
-                    if degrade != applied_degrade:
-                        applied_degrade = degrade
-                        executor.degrade(*degrade)
-                        evicted = 0
-                        capacity = executor.kv_capacity_tokens()
-                        if active:
-                            # keep the admission-order prefix that still
-                            # fits the shrunken KV pool; the overflow is
-                            # re-queued on this same machine (it did not
-                            # die — this is renegotiation, not
-                            # migration) and re-prefills on re-admission
-                            resident = 0.0
-                            kept: list[ActiveEntry] = []
-                            overflow: list[ActiveEntry] = []
-                            for entry in active:
-                                tokens = entry.next_context - 1
-                                if resident + tokens <= capacity:
-                                    resident += tokens
-                                    kept.append(entry)
-                                else:
-                                    overflow.append(entry)
-                            if overflow:
-                                active = kept
-                                evicted = len(overflow)
-                                state.total_active -= evicted
-                                state.active_counts[m] -= evicted
-                                state.note_batch(sim.now)
-                                for entry in overflow:
-                                    entry.record.needs_prefill = True
-                                    entry.record.migrations += 1
-                                    state.requeue(
-                                        m, entry.request, sim.now
-                                    )
-                                    if tracing:
-                                        # same KV-losing hop as a crash
-                                        # evacuation, except the request
-                                        # stays on its (renegotiated)
-                                        # machine in routed mode
-                                        tracer.emit(RequestMigrated(
-                                            time=sim.now,
-                                            req_id=entry.request.req_id,
-                                            from_machine=m,
-                                            to_machine=(
-                                                m if len(state.queues) > 1
-                                                else -1
-                                            ),
-                                            generated=len(
-                                                entry.record.token_times
-                                            ),
-                                        ))
-                                if len(state.queues) == 1:
-                                    # shared queue: an idle sibling may
-                                    # be parked — wake it to steal the
-                                    # evicted work, like a migration
-                                    sim.fire(wake)
-                        if tracing:
-                            tracer.emit(MachineDegraded(
-                                time=sim.now,
-                                machine=m,
-                                surviving_dimm_fraction=degrade[0],
-                                bandwidth_factor=degrade[1],
-                                evicted=evicted,
-                            ))
-                        if state.on_degrade is not None:
-                            state.on_degrade(m)
+            h = fh.at(sim.now)
+            if h.down_now:
+                # ---- crash: kill residents, migrate, park ----
+                now = sim.now
                 if tracing:
-                    health = faults.health_state(m, sim.now)
-                    if health != last_health:
-                        last_health = health
-                        tracer.emit(MachineHealth(
-                            time=sim.now,
-                            machine=m,
-                            state=health,
-                            slowdown=faults.slowdown_at(m, sim.now),
-                        ))
+                    tracer.emit(MachineDown(
+                        time=now, machine=m, reason="crash"
+                    ))
+                    tracer.emit(MachineHealth(
+                        time=now, machine=m, state="down", slowdown=1.0
+                    ))
+                    last_health = "down"
+                # snapshot the backlog *before* migrating residents: a
+                # resident whose re-route lands back on this same (dead)
+                # machine must not be swept up and counted as a second
+                # migration for the same evacuation
+                pending: list[Request] = []
+                if len(state.queues) > 1:
+                    # routed mode: the dead machine's backlog is
+                    # re-routed too (the frontend still holds it)
+                    pending = list(state.queue_of(m))
+                    state.queue_of(m).clear()
+                    state.queued_count -= len(pending)
+                if active:
+                    state.total_active -= len(active)
+                    state.active_counts[m] -= len(active)
+                    state.note_batch(now)
+                    for entry in active:
+                        state.migrate(entry.request, m, now)
+                    active = []
+                for request in pending:
+                    state.migrate(request, m, now)
+                up = faults.up_time(m, now)
+                if up is None:
+                    # never restarts; unserved work stays queued and is
+                    # reported honestly as unfinished
+                    return
+                yield WaitUntil(up)
+                executor.reset()
+                if tracing:
+                    tracer.emit(MachineUp(
+                        time=sim.now,
+                        machine=m,
+                        warmup=faults.restart_warmup,
+                    ))
+                continue
+            if h.degrade != applied_degrade:
+                # ---- degrade: renegotiate, evict KV overflow ----
+                # A degrade is a *state change at an instant*, not a
+                # time-varying multiplier: it applies at the first loop
+                # top at or past the instant (fast spans end at the
+                # machine's own exec transitions), exactly like a
+                # restart.
+                applied_degrade = degrade = h.degrade
+                executor.degrade(*degrade)
+                evicted = 0
+                capacity = executor.kv_capacity_tokens()
+                if active:
+                    # keep the admission-order prefix that still fits
+                    # the shrunken KV pool; the overflow migrates onto
+                    # this same machine (it did not die) and re-prefills
+                    # on re-admission
+                    resident = 0.0
+                    kept: list[ActiveEntry] = []
+                    overflow: list[ActiveEntry] = []
+                    for entry in active:
+                        tokens = entry.next_context - 1
+                        if resident + tokens <= capacity:
+                            resident += tokens
+                            kept.append(entry)
+                        else:
+                            overflow.append(entry)
+                    if overflow:
+                        active = kept
+                        evicted = len(overflow)
+                        state.total_active -= evicted
+                        state.active_counts[m] -= evicted
+                        state.note_batch(sim.now)
+                        for entry in overflow:
+                            state.migrate(entry.request, m, sim.now, onto=m)
+                if tracing:
+                    tracer.emit(MachineDegraded(
+                        time=sim.now,
+                        machine=m,
+                        surviving_dimm_fraction=degrade[0],
+                        bandwidth_factor=degrade[1],
+                        evicted=evicted,
+                    ))
+                if state.on_degrade is not None:
+                    state.on_degrade(m)
+            if tracing and faults is not None:
+                health = faults.health_state(m, sim.now)
+                if health != last_health:
+                    last_health = health
+                    tracer.emit(MachineHealth(
+                        time=sim.now,
+                        machine=m,
+                        state=health,
+                        slowdown=faults.slowdown_at(m, sim.now),
+                    ))
             queue = state.queue_of(m)
 
             # ---- effective batch cap for this round ----
@@ -891,23 +850,15 @@ class ServingSimulator:
                     compute, transfer = executor.prefill_cost(
                         request.prompt_len + replay
                     )
-                    if faults is None:
-                        yield Timeout(compute + transfer)
-                    else:
-                        h = fh.at(sim.now)
-                        factor = h.slowdown
-                        compute *= factor
-                        transfer *= factor
-                        crash = h.next_down
-                        if (crash is not None
-                                and sim.now + (compute + transfer) >= crash):
-                            # the crash lands mid-prefill: abort (no
-                            # cost charged, KV lost) and migrate the
-                            # half-prefilled request
-                            yield WaitUntil(crash)
-                            state.migrate(request, m, sim.now)
-                            break
-                        yield Timeout(compute + transfer)
+                    h = fh.at(sim.now)
+                    compute *= h.slowdown
+                    transfer *= h.slowdown
+                    yield WaitUntil(h.stop(sim.now + (compute + transfer)))
+                    if fh.at(sim.now).down_now:
+                        # the crash landed mid-prefill: abort (no cost
+                        # charged, KV lost) and migrate the request
+                        state.migrate(request, m, sim.now)
+                        break
                     # only the compute part occupies the GPU; the KV push
                     # is PCIe time (kept out of utilization, like decode's
                     # syncs)
@@ -933,42 +884,24 @@ class ServingSimulator:
                 state.active_counts[m] += 1
                 state.note_batch(sim.now)
 
+            h = fh.at(sim.now)
             # a crash that landed during an admission prefill parks the
             # machine before it touches the (now stale) decode state
-            if faults is not None and faults.is_down(m, sim.now):
+            if h.down_now:
                 continue
 
-            # ---- idle: wait for work, or exit ----
+            # ---- idle: park until handed work or crashed, or retire ----
             # (an empty batch implies an empty queue: the admission loop
-            # above drains it first)
+            # above drains it first).  The front door, or a crashing peer
+            # migrating work over, fires our signal; our own next crash
+            # ends the park so the outage is witnessed — down/up
+            # telemetry and the engine reset happen whether or not the
+            # fleet is idle.  Without faults only the front door hands
+            # out work, so once it has routed everything we retire.
             if not active:
-                if faults is None:
-                    if state.all_routed:
-                        break
-                    yield WaitSignal(wake)
-                    continue
-                # Under faults a crashing peer also fires our signal
-                # when it migrates work over, and the park is bounded by
-                # the fleet's next crash or degrade instant — the fault
-                # events that can hand an idle machine work, or park us
-                # when it is our own.  With every request routed, no
-                # in-flight work left anywhere, and none of our *own*
-                # transitions outstanding, park unboundedly instead:
-                # trailing fault windows on other machines then don't
-                # stretch the calendar past the last real serving event,
-                # and a late migration out of an aborted prefill still
-                # wakes us.  (Our own future crash keeps the park
-                # bounded so the restart is witnessed — down/up
-                # telemetry and the engine reset happen whether or not
-                # the fleet is idle.)
-                if (state.all_routed and state.total_active == 0
-                        and state.queued_count == 0
-                        and faults.next_exec_transition(m, sim.now)
-                        is None):
-                    yield WaitSignal(wake)
-                else:
-                    yield WaitSignal(wake, until=faults.next_any_disruption(
-                        sim.now, strict=True))
+                if faults is None and state.all_routed:
+                    break
+                yield WaitSignal(wake, until=h.next_down)
                 continue
 
             if fast:
@@ -978,29 +911,22 @@ class ServingSimulator:
                 # close to exact (pinned by tolerance tests), never
                 # bit-equal to it.  Preemption/admission decisions happen
                 # only at span boundaries: the span is planned up to the
-                # preemptor trigger and the fault boundaries, and an
-                # arrival for this machine cuts it at the step in flight —
-                # the instants at which a decision could change.
+                # preemptor trigger and this machine's next exec
+                # transition, and an arrival for this machine cuts it at
+                # the step in flight — the instants at which a decision
+                # could change.
                 batch = len(active)
                 ctx_sum = sum(a.next_context for a in active)
                 k = min(a.request.output_len - len(a.record.token_times)
                         for a in active)
-                until = None
+                until = h.exec_transition
                 if preemptor is not None and queue:
-                    if trigger_fn is None:
-                        k = 1
-                    else:
-                        until = trigger_fn(sim.now, queue, active, executor)
-                factor = 1.0
-                crash = None
-                if faults is not None:
-                    h = fh.at(sim.now)
-                    factor = h.slowdown
-                    crash = h.next_down
-                    for bound in (h.exec_transition, h.any_disruption):
-                        if bound is not None and (until is None
-                                                  or bound < until):
-                            until = bound
+                    trigger = preemptor.next_trigger(sim.now, queue, active,
+                                                     executor)
+                    if trigger is not None and (until is None
+                                                or trigger < until):
+                        until = trigger
+                factor = h.slowdown
                 start = sim.now
                 start_context = ctx_sum / batch
                 seconds, gpu_cost, dimm_cost = _span_cost(
@@ -1014,8 +940,7 @@ class ServingSimulator:
                                    + 1))
                     seconds, gpu_cost, dimm_cost = _span_cost(
                         executor, batch, start_context, k, factor)
-                end = start + seconds
-                stop = end if crash is None or end < crash else crash
+                stop = h.stop(start + seconds)
                 yield WaitSignal(wake, until=stop)
                 if sim.now < stop:
                     # an arrival for this machine cut the span: keep the
@@ -1024,18 +949,18 @@ class ServingSimulator:
                     k, (seconds, gpu_cost, dimm_cost) = _cut_span(
                         executor, batch, start_context, k, factor, start,
                         sim.now, seconds / k)
-                    end = start + seconds
-                    stop = end if crash is None or end < crash else crash
+                    stop = h.stop(start + seconds)
                     yield WaitUntil(stop)
                 mean_step = seconds / k
                 granted = k
-                if stop == crash:
-                    # only tokens completing before the crash are
-                    # granted; the machine parks at the crash instant
-                    granted = min(k, int(max(0.0, crash - start)
+                if fh.at(sim.now).down_now:
+                    # the span stopped at the crash: only tokens
+                    # completing before it are granted, and the machine
+                    # parks at the crash instant
+                    granted = min(k, int(max(0.0, stop - start)
                                          / mean_step))
                     while (granted > 0
-                           and start + mean_step * granted >= crash):
+                           and start + mean_step * granted >= stop):
                         granted -= 1
                 if granted:
                     frac = granted / k
@@ -1069,28 +994,19 @@ class ServingSimulator:
                     1, round(sum(a.next_context for a in active) / batch)
                 )
                 cost = executor.decode_step(batch, context)
-                seconds = cost.seconds
-                gpu_cost = cost.gpu_busy
-                dimm_cost = cost.dimm_busy
-                if faults is None:
-                    yield Timeout(seconds)
-                else:
-                    # a straggler stretches the whole step; the cost is
-                    # quoted at the step's start, so a step straddling a
-                    # window boundary completes at its quoted cost —
-                    # exactly like a step straddling an arrival
-                    h = fh.at(sim.now)
-                    factor = h.slowdown
-                    seconds *= factor
-                    gpu_cost *= factor
-                    dimm_cost *= factor
-                    crash = h.next_down
-                    if crash is not None and sim.now + seconds >= crash:
-                        # the crash lands mid-step: abort — no token
-                        # granted, no busy time charged
-                        yield WaitUntil(crash)
-                        continue
-                    yield Timeout(seconds)
+                # a straggler stretches the whole step; the cost is
+                # quoted at the step's start, so a step straddling a
+                # window boundary completes at its quoted cost — exactly
+                # like a step straddling an arrival
+                factor = h.slowdown
+                seconds = cost.seconds * factor
+                gpu_cost = cost.gpu_busy * factor
+                dimm_cost = cost.dimm_busy * factor
+                yield WaitUntil(h.stop(sim.now + seconds))
+                if fh.at(sim.now).down_now:
+                    # the crash landed mid-step: abort — no token
+                    # granted, no busy time charged
+                    continue
                 state.machine_gpu_busy[m] += gpu_cost
                 state.machine_dimm_busy[m] += dimm_cost
                 if observe is not None:
@@ -1128,4 +1044,3 @@ class ServingSimulator:
                             machine=m,
                             tokens=len(entry.record.token_times),
                         ))
-

@@ -214,20 +214,30 @@ class TestRunIsolation:
 
 
 def test_fast_spans_end_only_at_own_events():
-    """No thundering herd: an arrival cuts only its own machine's span.
+    """No thundering herd: a span ends only at its own machine's events.
 
     A fast span ends at a completion, an arrival routed to its machine,
-    the preemptor's trigger, or a fault boundary — so a fault-free,
-    non-preemptive run makes at most two spans (one ``DecodeStep`` each)
-    per request, however many machines share the front door.
+    the preemptor's trigger, or its machine's own fault transition — so
+    on a non-preemptive run the machines no fault names make at most two
+    spans (one ``DecodeStep`` each) per request they serve, however many
+    machines share the front door and however often a peer's fault
+    timeline changes.
     """
-    cfg = ClusterConfig(num_machines=16, router="round-robin",
-                        max_batch=8, fidelity="fast")
     workload = generate_workload(
         WorkloadConfig(num_requests=200, rate=400.0), seed=3)
-    tracer = RecordingTracer()
-    sim = ClusterSimulator(MODEL, "fcfs", cfg)
-    report = sim.run(workload, tracer=tracer)
-    assert len(report.completed) == len(workload)
-    spans = sum(isinstance(e, DecodeStep) for e in tracer.events)
-    assert spans <= 2 * len(workload)
+    # twenty slight degrades on machine 15, spread over the arrivals
+    peer_degrades = FaultSchedule(degrades=tuple(
+        DegradeSpec(machine=15, at=0.025 * (i + 1), bandwidth_factor=0.99)
+        for i in range(20)))
+    for faults in (None, peer_degrades):
+        cfg = ClusterConfig(num_machines=16, router="round-robin",
+                            max_batch=8, fidelity="fast", faults=faults)
+        tracer = RecordingTracer()
+        report = ClusterSimulator(MODEL, "fcfs", cfg).run(
+            list(workload), tracer=tracer)
+        assert len(report.completed) == len(workload)
+        named = faults.machines if faults is not None else frozenset()
+        served = sum(r.machine not in named for r in report.records)
+        spans = sum(isinstance(e, DecodeStep) and e.machine not in named
+                    for e in tracer.events)
+        assert spans <= 2 * served
