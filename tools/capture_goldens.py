@@ -121,7 +121,7 @@ ROUTED_DEGRADES = FaultSchedule(
     stragglers=(StragglerSpec(2, 0.03, 0.12, 4.0),),
 )
 #: bytes per DIMM of the degrade drill's machines: room for ~1600
-#: resident tiny-test KV tokens pristine, so half the pool overflows
+#: resident tiny-test KV tokens pristine but ~40 on half the pool
 SMALL_DIMM_BYTES = 1_613_824
 
 
