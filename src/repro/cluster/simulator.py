@@ -185,17 +185,6 @@ class ClusterSimulator(ServingSimulator):
     def _preemptor(self) -> Preemptor | None:
         if not self.slo.preemptive:
             return None
-        unsupported = sorted({
-            getattr(executor, "name", type(executor).__name__)
-            for executor in self.executors
-            if not getattr(executor, "supports_preemption", True)
-        })
-        if unsupported:
-            raise ValueError(
-                "slo.preemptive requires every backend to support free "
-                f"re-admission after eviction; these do not: "
-                f"{', '.join(unsupported)} (see the README capability "
-                "matrix)")
         faults = self.config.faults
         health = None
         if faults is not None:

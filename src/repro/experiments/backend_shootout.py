@@ -33,11 +33,11 @@ parts.
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 from ..cluster import ClusterReport
-from ..scenarios import Scenario, load_scenario, scenario_trace
-from ..serving import BACKENDS, MachineGroup
+from ..models import get_model
+from ..scenarios import Scenario, load_scenario
+from ..serving import BACKENDS, MachineGroup, default_serving_trace
 from ..serving.metrics import RequestRecord, percentile
 from .cluster_eval import resolve_scenario
 from .common import ExperimentResult
@@ -48,12 +48,6 @@ DEFAULT_SCENARIO = "backend_shootout_tiny.json"
 
 #: homogeneous fleets swept next to the scenario's own mixed fleet
 BACKEND_SWEEP = tuple(sorted(BACKENDS))
-
-
-@functools.lru_cache(maxsize=4)
-def _trace(model: str, granularity: int, seed: int):
-    """Per-process trace cache (workers rebuild at most one trace)."""
-    return scenario_trace(model, granularity, seed)
 
 
 def _fleet_variant(scenario: Scenario, backend: str | None) -> Scenario:
@@ -98,7 +92,11 @@ def _point(task: tuple[str, str | None]) -> list[list]:
     """One fleet variant of the shootout; one row per (backend, class)."""
     path, backend = task
     scenario = _fleet_variant(load_scenario(path), backend)
-    trace = _trace(scenario.model, scenario.granularity, scenario.trace_seed)
+    trace = default_serving_trace(
+        get_model(scenario.model),
+        granularity=scenario.granularity,
+        seed=scenario.trace_seed,
+    )
     simulator = scenario.build_simulator(trace)
     machine_backends = simulator.machine_backends
     report = simulator.run(scenario.build_workload())

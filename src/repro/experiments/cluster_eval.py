@@ -25,10 +25,11 @@ balance (lower fairness across machines) for per-tenant locality.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import pathlib
 
-from ..scenarios import Scenario, load_scenario, scenario_trace
+from ..models import get_model
+from ..scenarios import Scenario, load_scenario
+from ..serving import default_serving_trace
 from ..telemetry import scenario_sinks
 from .common import ExperimentResult
 from .runner import run_grid
@@ -65,13 +66,6 @@ def resolve_scenario(spec: str | pathlib.Path) -> pathlib.Path:
     )
 
 
-@functools.lru_cache(maxsize=4)
-def _trace(model: str, granularity: int, seed: int):
-    """Per-process trace cache (deterministic, so workers rebuild at
-    most one trace per scenario model)."""
-    return scenario_trace(model, granularity, seed)
-
-
 def _scenario_rows(
     scenario: Scenario,
     router: str | None,
@@ -88,7 +82,11 @@ def _scenario_rows(
             scenario,
             config=dataclasses.replace(scenario.config, router=router),
         )
-    trace = _trace(scenario.model, scenario.granularity, scenario.trace_seed)
+    trace = default_serving_trace(
+        get_model(scenario.model),
+        granularity=scenario.granularity,
+        seed=scenario.trace_seed,
+    )
     sinks = scenario_sinks(
         scenario.telemetry, trace_out=trace_out, source=scenario.name
     )

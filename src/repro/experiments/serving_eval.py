@@ -18,8 +18,6 @@ for per-step latency control.
 
 from __future__ import annotations
 
-import functools
-
 from ..models import get_model
 from ..serving import (
     LengthDistribution,
@@ -51,18 +49,13 @@ QUICK_SETTING = dict(
 WORKLOAD_SEED = 3
 
 
-@functools.lru_cache(maxsize=2)
-def _serving_trace(model: str, granularity: int):
-    """Per-process serving-trace cache (trace generation is deterministic,
-    so every worker reconstructs the identical trace at most once)."""
-    return default_serving_trace(get_model(model), granularity=granularity)
-
-
 def _point(task: tuple[float, str, bool]) -> list:
     """One (arrival rate, policy) cell of the serving sweep."""
     rate, policy, quick = task
     setting = QUICK_SETTING if quick else FULL_SETTING
-    trace = _serving_trace(setting["model"], setting["granularity"])
+    trace = default_serving_trace(
+        get_model(setting["model"]), granularity=setting["granularity"]
+    )
     workload = generate_workload(
         WorkloadConfig(rate=rate,
                        num_requests=setting["num_requests"],

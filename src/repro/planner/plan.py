@@ -30,8 +30,9 @@ import pathlib
 import typing
 
 from ..experiments.runner import run_grid
+from ..models import get_model
 from ..scenarios import Scenario, load_scenario
-from ..scenarios.spec import scenario_trace
+from ..serving import default_serving_trace
 from .frontier import pareto_frontier
 from .prune import (
     CandidateAnalysis,
@@ -199,12 +200,6 @@ class PlanResult:
 # simulator validation
 # ----------------------------------------------------------------------
 @functools.lru_cache(maxsize=4)
-def _trace(model: str, granularity: int, seed: int):
-    """Per-process activation-trace cache (one per model actually run)."""
-    return scenario_trace(model, granularity, seed)
-
-
-@functools.lru_cache(maxsize=4)
 def _scenario(path: str) -> Scenario:
     """Per-process scenario cache for spawn workers."""
     return load_scenario(path)
@@ -241,7 +236,11 @@ def _validate(
     )
     try:
         report: "ClusterReport" = variant.run(
-            _trace(scenario.model, scenario.granularity, scenario.trace_seed)
+            default_serving_trace(
+                get_model(scenario.model),
+                granularity=scenario.granularity,
+                seed=scenario.trace_seed,
+            )
         )
     except (ValueError, MemoryError) as exc:
         # the simulator rejected the fleet outright (e.g. a fault

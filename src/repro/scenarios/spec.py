@@ -52,6 +52,8 @@ from ..serving import (
     merge_sampled,
     merge_workloads,
 )
+from ..serving.executor import DEFAULT_TRACE_DECODE, DEFAULT_TRACE_PROMPT
+from ..serving.faults import FAULT_EVENT_KEYS
 from ..sparsity import ActivationTrace, TraceConfig, generate_trace
 from ..telemetry import TelemetrySpec, Tracer
 
@@ -59,11 +61,18 @@ from ..telemetry import TelemetrySpec, Tracer
 def scenario_trace(model: str, granularity: int, seed: int) -> ActivationTrace:
     """The shared activation trace a scenario's machines execute against.
 
-    Mirrors :func:`repro.serving.default_serving_trace`'s shape so a
+    The shape of :func:`repro.serving.default_serving_trace`, so a
     scenario run exercises the same serving fast path the benchmarks
-    measure, but stays explicitly seedable from the spec.
+    measure, explicitly seedable from the spec and generated afresh on
+    every call: a cold set-up pays for the trace and its partition
+    solve.  Callers that want the memoised trace use
+    ``default_serving_trace``.
     """
-    config = TraceConfig(prompt_len=64, decode_len=64, granularity=granularity)
+    config = TraceConfig(
+        prompt_len=DEFAULT_TRACE_PROMPT,
+        decode_len=DEFAULT_TRACE_DECODE,
+        granularity=granularity,
+    )
     return generate_trace(get_model(model), config, seed=seed)
 
 
@@ -408,11 +417,6 @@ _FAULT_KEYS = (
     "sample",
     "trace",
 )
-_CRASH_KEYS = ("machine", "at", "restart_after")
-_STRAGGLER_KEYS = ("machine", "start", "end", "slowdown")
-_PARTITION_KEYS = ("machine", "start", "end")
-_DOMAIN_CRASH_KEYS = ("domain", "at", "restart_after")
-_DEGRADE_KEYS = ("machine", "at", "dimm_fraction", "bandwidth_factor")
 _SAMPLE_KEYS = (
     "horizon",
     "crashes_per_machine",
@@ -482,7 +486,7 @@ def _parse_faults(
         schedule.validate_fleet(num_machines)
         return schedule
 
-    def _events(key: str, allowed: tuple, factory) -> tuple:
+    def _events(key: str, kind: str, factory) -> tuple:
         entries = data.get(key)
         if entries is None:
             return ()
@@ -493,21 +497,21 @@ def _parse_faults(
             context = f"faults.{key}[{index}]"
             if not isinstance(entry, dict):
                 raise ValueError(f"{context}: each event is a mapping")
-            _take(entry, allowed, context)
+            _take(entry, FAULT_EVENT_KEYS[kind], context)
             out.append(factory(**entry))
         return tuple(out)
 
     schedule = FaultSchedule(
-        crashes=_events("crashes", _CRASH_KEYS, CrashSpec),
-        stragglers=_events("stragglers", _STRAGGLER_KEYS, StragglerSpec),
-        partitions=_events("partitions", _PARTITION_KEYS, PartitionSpec),
+        crashes=_events("crashes", "crash", CrashSpec),
+        stragglers=_events("stragglers", "straggler", StragglerSpec),
+        partitions=_events("partitions", "partition", PartitionSpec),
         seed=int(data.get("seed", 0)),
         restart_warmup=float(data.get("restart_warmup", 0.0)),
         domains=_parse_domains(data),
         domain_crashes=_events(
-            "domain_crashes", _DOMAIN_CRASH_KEYS, DomainCrashSpec
+            "domain_crashes", "domain-crash", DomainCrashSpec
         ),
-        degrades=_events("degrades", _DEGRADE_KEYS, DegradeSpec),
+        degrades=_events("degrades", "degrade", DegradeSpec),
     )
     sample = data.get("sample")
     if sample is not None:

@@ -13,13 +13,13 @@ from .backends import (
     BACKENDS,
     DejaVuBackend,
     DenseGPUBackend,
+    MachineExecutor,
     MachineGroup,
     ServingBackend,
-    SteppableBackend,
     make_backend,
     probe_tokens_per_second,
 )
-from .executor import MachineExecutor, default_serving_trace
+from .executor import default_serving_trace
 from .faults import (
     CrashSpec,
     DegradeSpec,
@@ -79,7 +79,6 @@ __all__ = [
     "default_serving_trace",
     "BACKENDS",
     "ServingBackend",
-    "SteppableBackend",
     "DenseGPUBackend",
     "DejaVuBackend",
     "MachineGroup",

@@ -1,13 +1,12 @@
 """Pluggable per-machine serving backends.
 
 The serving/cluster simulators drive every machine through one small
-steppable surface — :class:`ServingBackend` — so a fleet can mix Hermes
-boxes with the paper's baseline systems (§V-A2) and serve *identical*
-traffic through each:
+steppable surface — the :class:`ServingBackend` base class — so a fleet
+can mix Hermes boxes with the paper's baseline systems (§V-A2) and serve
+*identical* traffic through each:
 
-* ``hermes`` — :class:`~repro.serving.executor.MachineExecutor`, the
-  NDP-DIMM engine with its online control plane (the original and still
-  the default);
+* ``hermes`` — :class:`MachineExecutor`, the NDP-DIMM engine with its
+  online control plane (the original and still the default);
 * ``dense`` — :class:`DenseGPUBackend`, a TensorRT-like dense-GPU
   machine: when the whole model fits in GPU memory every layer is read
   at HBM bandwidth, otherwise the non-resident fraction streams over
@@ -33,9 +32,6 @@ a whole decode span (``fidelity: fast`` only);
 estimate for load-normalizing routers; ``reset``/``degrade``/
 ``kv_capacity_tokens`` -> the fault model's restart, renegotiation and
 eviction hooks.
-
-Capability flags (``supports_preemption``, ``supports_union_batching``)
-are documented per backend in the README's capability matrix.
 """
 
 from __future__ import annotations
@@ -43,7 +39,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import typing
 
 import numpy as np
 
@@ -55,98 +50,28 @@ from ..baselines.base import (
     zigzag_prefill_time,
 )
 from ..baselines.dejavu import DejaVu
-from ..core import HermesConfig, StepCost
+from ..core import HermesConfig, HermesSystem, OfflinePartition, StepCost
 from ..hardware import Machine
 from ..models import ModelSpec
 from ..sparsity import ActivationTrace
-from .executor import (
-    MachineExecutor,
-    default_serving_trace,
-    max_union_batch_under_cap,
-)
+from .executor import default_serving_trace
 
 #: context length used by the pure throughput probes — long enough to be
 #: decode-representative, short enough to stay attention-light
 REFERENCE_CONTEXT = 128
 
 
-@typing.runtime_checkable
-class ServingBackend(typing.Protocol):
-    """The steppable per-machine surface the serving simulators consume."""
+class ServingBackend:
+    """The steppable per-machine surface the serving simulators consume.
 
-    machine: Machine
-    model: ModelSpec
-    nominal_batch: int
-
-    def prefill_cost(
-        self, prompt_len: int, batch: int = 1
-    ) -> tuple[float, float]:
-        """(GPU compute, PCIe transfer) seconds to prefill one request."""
-        ...  # pragma: no cover - protocol
-
-    def prefill_seconds(self, prompt_len: int, batch: int = 1) -> float:
-        """Total latency of prefilling one joining request."""
-        ...  # pragma: no cover - protocol
-
-    def decode_step(self, batch: int, context: int) -> StepCost:
-        """One continuous-batching decode iteration over ``batch`` seqs."""
-        ...  # pragma: no cover - protocol
-
-    def span_estimate(
-        self, batch: int, start_context: float, steps: int
-    ) -> tuple[float, float, float]:
-        """Aggregate ``(seconds, gpu_busy, dimm_busy)`` of a decode span.
-
-        The ``fidelity: fast`` cost kernel: ``steps`` consecutive
-        iterations at ``batch`` over the arithmetic context ramp
-        starting at ``start_context`` (growing by one per step),
-        collapsed to closed-form totals — no per-step arrays, no
-        per-step events.  Estimates may differ (slightly) from summing
-        ``decode_step``; the tolerance tests pin how much.
-        """
-        ...  # pragma: no cover - protocol
-
-    def mean_union(self, batch: int) -> float:
-        """Mean per-layer batch-union inflation at ``batch`` sequences."""
-        ...  # pragma: no cover - protocol
-
-    def max_union_batch(self, union_cap: float, limit: int) -> int:
-        """Largest batch whose mean union stays under ``union_cap``."""
-        ...  # pragma: no cover - protocol
-
-    def estimated_tokens_per_second(self) -> float:
-        """Pure, deterministic decode-throughput estimate."""
-        ...  # pragma: no cover - protocol
-
-    def reset(self) -> None:
-        """Restart cold after a crash: discard evolving engine state."""
-        ...  # pragma: no cover - protocol
-
-    def degrade(
-        self, surviving_dimm_fraction: float, bandwidth_factor: float
-    ) -> None:
-        """Renegotiate over partially failed hardware (cumulative state,
-        always derated from the pristine machine)."""
-        ...  # pragma: no cover - protocol
-
-    def kv_capacity_tokens(self) -> float:
-        """Resident KV tokens this machine can hold (``inf``: unbounded
-        for the purposes of degrade eviction)."""
-        ...  # pragma: no cover - protocol
-
-
-class SteppableBackend:
-    """Shared scaffolding for backends built from pure cost kernels.
-
-    Subclasses implement ``_step_cost(batch, context)`` (may advance
-    internal cursors) and ``_pure_step_seconds(batch, context)`` (must
-    not); everything else — span estimates, prefill memoisation, union
-    batching caps, throughput probes — is provided here.
+    Subclasses set their registry ``name`` and implement
+    ``_step_cost(batch, context)`` (may advance internal cursors),
+    ``_prefill_pair(prompt_len, batch)``, and either
+    ``_pure_step_seconds(batch, context)`` (must not advance anything)
+    or their own :meth:`estimated_step_seconds`; everything else — span
+    estimates, prefill memoisation, union batching caps, throughput
+    probes, degrade derating — is provided here.
     """
-
-    name = "steppable"
-    supports_preemption = True
-    supports_union_batching = False
 
     def __init__(
         self, machine: Machine, model: ModelSpec, *, nominal_batch: int = 8
@@ -174,43 +99,62 @@ class SteppableBackend:
     ) -> tuple[float, float]:
         raise NotImplementedError  # pragma: no cover - abstract
 
-    # ---- ServingBackend surface --------------------------------------
+    # ---- the serving surface -----------------------------------------
     def decode_step(self, batch: int, context: int) -> StepCost:
+        """One continuous-batching decode iteration over ``batch`` seqs."""
         if batch < 1:
             raise ValueError("batch must be >= 1")
         if context < 1:
             raise ValueError("context must be >= 1")
         return self._step_cost(batch, context)
 
+    def _span_probe(
+        self, batch: int, context: int
+    ) -> tuple[float, float, float]:
+        """One ``(seconds, gpu_busy, dimm_busy)`` probe of
+        :meth:`span_estimate` — a plain ``decode_step``."""
+        cost = self.decode_step(batch, context)
+        return cost.seconds, cost.gpu_busy, cost.dimm_busy
+
     def span_estimate(
         self, batch: int, start_context: float, steps: int
     ) -> tuple[float, float, float]:
-        """Trapezoid aggregation: probe the ramp's two ends.
+        """Aggregate ``(seconds, gpu_busy, dimm_busy)`` of a decode span.
+
+        The ``fidelity: fast`` cost kernel: ``steps`` consecutive
+        iterations at ``batch`` over the arithmetic context ramp
+        starting at ``start_context`` (growing by one per step),
+        collapsed to closed-form totals — no per-step arrays, no
+        per-step events.  Estimates may differ (slightly) from summing
+        ``decode_step``; the tolerance tests pin how much.
 
         Per-step cost is monotone and near-affine in the context for
         every bundled backend, so ``steps * mean(first, last)`` is a
-        tight closed-form total from just two ``decode_step`` probes
-        (which advance any internal cursor by two, not ``steps`` —
-        that cursor drift is part of what makes fast fidelity
-        approximate).  Backends with exactly-affine kernels override
-        this with the exact closed form.
+        tight trapezoid total from just two :meth:`_span_probe` calls
+        at the ramp's ends (which advance any internal cursor by two,
+        not ``steps`` — that cursor drift is part of what makes fast
+        fidelity approximate).  Backends with exactly-affine kernels
+        override this with the exact closed form.
         """
-        first = self.decode_step(batch, max(1, round(start_context)))
+        first = self._span_probe(batch, max(1, round(start_context)))
         if steps == 1:
-            return first.seconds, first.gpu_busy, first.dimm_busy
-        last = self.decode_step(
+            return first
+        last = self._span_probe(
             batch, max(1, round(start_context + steps - 1))
         )
         half = steps / 2.0
         return (
-            (first.seconds + last.seconds) * half,
-            (first.gpu_busy + last.gpu_busy) * half,
-            (first.dimm_busy + last.dimm_busy) * half,
+            (first[0] + last[0]) * half,
+            (first[1] + last[1]) * half,
+            (first[2] + last[2]) * half,
         )
 
     def prefill_cost(
         self, prompt_len: int, batch: int = 1
     ) -> tuple[float, float]:
+        """(GPU compute, PCIe transfer) seconds to prefill one request,
+        memoised: admission and deadline checks hit the same prompt
+        lengths over and over."""
         if prompt_len < 1:
             raise ValueError("prompt_len must be >= 1")
         key = (prompt_len, batch)
@@ -221,20 +165,36 @@ class SteppableBackend:
         return cost
 
     def prefill_seconds(self, prompt_len: int, batch: int = 1) -> float:
+        """Total latency of prefilling one joining request."""
         compute, transfer = self.prefill_cost(prompt_len, batch)
         return compute + transfer
 
     def mean_union(self, batch: int) -> float:
-        """Dense weights: batching inflates no byte traffic."""
+        """Mean per-layer batch-union inflation at ``batch`` sequences
+        (dense weights: batching inflates no byte traffic)."""
         if batch < 1:
             raise ValueError("batch must be >= 1")
         return 1.0
 
     def max_union_batch(self, union_cap: float, limit: int) -> int:
-        """Largest batch under the union cap (>= 1, monotone search)."""
-        return max_union_batch_under_cap(
-            self.mean_union, union_cap, limit, self._union_batch_cache
-        )
+        """Largest batch whose mean union stays under ``union_cap``.
+
+        The union factor is monotone in the batch size and depends only
+        on immutable trace frequencies, so the answer is memoised per
+        (cap, limit); at least batch 1 is always admitted.
+        """
+        if limit < 1:
+            raise ValueError("limit must be >= 1")
+        key = (union_cap, limit)
+        best = self._union_batch_cache.get(key)
+        if best is None:
+            best = 1
+            for b in range(2, limit + 1):
+                if self.mean_union(b) > union_cap:
+                    break
+                best = b
+            self._union_batch_cache[key] = best
+        return best
 
     def estimated_step_seconds(self) -> float:
         """One decode iteration at the nominal batch (pure, memoised)."""
@@ -245,6 +205,7 @@ class SteppableBackend:
         return self._estimated_step
 
     def estimated_tokens_per_second(self) -> float:
+        """Pure, deterministic decode-throughput estimate."""
         return self.nominal_batch / self.estimated_step_seconds()
 
     def reset(self) -> None:
@@ -260,15 +221,19 @@ class SteppableBackend:
     ) -> None:
         """Renegotiate this machine over partially failed hardware.
 
-        The streamed backends do not touch the NDP-DIMM pool, so a DIMM
-        loss only re-labels the machine; a ``bandwidth_factor`` derate
-        is the one that bites — every streamed weight byte crosses the
-        slower link from the next quoted cost onwards.  Cost memos are
-        invalidated and :meth:`_renegotiate` lets subclasses rebuild
-        machine-derived state; the engine then restarts (cursor rewind
-        for dejavu) exactly like a crash reset, so a renegotiated
+        ``surviving_dimm_fraction`` of the *pristine* DIMM pool remains
+        (at least one DIMM always survives — total loss is a crash, not
+        a degrade) and the PCIe link is derated to ``bandwidth_factor``
+        of nominal, so ``degrade(1.0, 1.0)`` restores the pristine
+        machine.  Cost memos are invalidated, :meth:`_renegotiate`
+        rebuilds machine-derived state, and the engine restarts (cursor
+        rewind for dejavu) exactly like a crash reset, so a renegotiated
         machine's costs depend only on its new hardware, never on how
-        far it had decoded before the degrade.
+        far it had decoded before the degrade.  The streamed backends do
+        not touch the NDP-DIMM pool, so a DIMM loss only re-labels the
+        machine; a ``bandwidth_factor`` derate is the one that bites —
+        every streamed weight byte crosses the slower link from the next
+        quoted cost onwards.
         """
         base = self._base_machine
         dimms = max(1, int(base.num_dimms * surviving_dimm_fraction))
@@ -301,7 +266,188 @@ class SteppableBackend:
         )
 
 
-class DenseGPUBackend(SteppableBackend):
+def _clone_partition(partition: OfflinePartition) -> OfflinePartition:
+    """A private mutable copy of a solved partition.
+
+    Window scheduling remaps ``dimm_of`` in place, so cached pristine
+    solutions must be cloned per serving run — the machines *within* one
+    run keep sharing a single copy, as before.
+    """
+    return OfflinePartition(
+        hot_masks=[mask.copy() for mask in partition.hot_masks],
+        dimm_of=[row.copy() for row in partition.dimm_of],
+        strategy=partition.strategy,
+    )
+
+
+def _partition_cache(trace: ActivationTrace) -> dict:
+    """Per-trace memo of solved offline partitions.
+
+    Stored on the trace object itself (like its lazy ``_stacked`` view)
+    so the cache's lifetime — and the identity component of the key —
+    is exactly the trace.  The partition is otherwise deterministic in
+    (machine, model, config, batch), which forms the key.
+    """
+    cache = getattr(trace, "_partition_cache", None)
+    if cache is None:
+        cache = {}
+        trace._partition_cache = cache
+    return cache
+
+
+class MachineExecutor(ServingBackend):
+    """One Hermes machine serving a stream of requests.
+
+    Owns one :class:`~repro.core.HermesSystem` and a long-lived
+    :class:`~repro.core.HermesSession` opened with ``wrap=True``, so the
+    serving simulator can charge *per-request prefill* and *per-token
+    decode* costs with a batch size that changes whenever a request
+    joins or leaves — the engine's control-plane state (predictor table,
+    hot/cold residency, window scheduler) evolves continuously across
+    requests, exactly as it would on a machine that never goes idle
+    between users.
+    """
+
+    name = "hermes"
+
+    def __init__(
+        self,
+        machine: Machine,
+        model: ModelSpec,
+        config: HermesConfig | None = None,
+        *,
+        trace: ActivationTrace | None = None,
+        nominal_batch: int = 8,
+        granularity: int = 64,
+        seed: int = 7,
+        probe_store: dict | None = None,
+    ) -> None:
+        super().__init__(machine, model, nominal_batch=nominal_batch)
+        self.system = HermesSystem(machine, model, config)
+        if trace is None:
+            trace = default_serving_trace(
+                model, granularity=granularity, seed=seed
+            )
+        self.trace = trace
+        #: fast-fidelity probe memo shared by identical machines; the
+        #: serving simulator passes one per run (see :meth:`_span_probe`)
+        self._probe_store = {} if probe_store is None else probe_store
+        self.reset()
+
+    def _step_cost(self, batch: int, context: int) -> StepCost:
+        return self.session.decode_step(batch=batch, context=context)
+
+    def _prefill_pair(
+        self, prompt_len: int, batch: int
+    ) -> tuple[float, float]:
+        # the hot set stays GPU-resident between requests on a serving
+        # machine: prompt compute plus the KV-cache push only
+        return self.session.prefill_cost(prompt_len, batch, reload_hot=False)
+
+    def _renegotiate(self) -> None:
+        # a new engine over the surviving DIMMs (raises when they can no
+        # longer hold the sparse weights); reset re-plans the partition
+        self.system = HermesSystem(
+            self.machine, self.model, self.system.config
+        )
+
+    def reset(self) -> None:
+        """Restart the machine cold: fresh session, pristine engine state.
+
+        Fault injection calls this when a crashed machine comes back up.
+        The predictor table, hot/cold residency, window-scheduler remaps
+        and trace cursor all return to their just-booted values.  The
+        offline partition is solved once per (trace, machine, model,
+        config, batch) — every machine and every restart gets a clone
+        from the per-trace cache, and a degraded machine is a different
+        key, so its first degrade solves once.  The prefill memo
+        survives (it is pure in (prompt_len, batch)) and the span probes
+        are bound to this hardware's shared dict in the probe store.
+        """
+        key = (
+            self.machine, self.model.name, self.system.config,
+            self.nominal_batch,
+        )
+        cache = _partition_cache(self.trace)
+        pristine = cache.get(key)
+        self.session = self.system.session(
+            self.trace, self.nominal_batch, wrap=True,
+            partition=None if pristine is None else _clone_partition(pristine),
+        )
+        if pristine is None:
+            cache[key] = _clone_partition(self.session.partition)
+        self._span_probes = self._probe_store.setdefault(key, {})
+
+    def _span_probe(
+        self, batch: int, context: int
+    ) -> tuple[float, float, float]:
+        """One memoised ``decode_step`` cost probe for ``span_estimate``.
+
+        The live engine's step cost at a (batch, context) point drifts
+        slightly as predictor/window state evolves; fast fidelity
+        freezes each point at its first probe so a megafleet run pays
+        the ~half-millisecond engine step once per distinct point
+        instead of twice per span.  The frozen value is shared through
+        the probe store by every machine with identical (machine, model,
+        config, nominal_batch), so a 1000-machine homogeneous fleet
+        probes each point once.  The serving simulator hands its
+        executors one store per run, so a run's values depend only on
+        that run.  Part of fast mode's documented approximation; a
+        degraded machine reads its own dict because it quotes genuinely
+        different costs.
+        """
+        key = (batch, context)
+        hit = self._span_probes.get(key)
+        if hit is None:
+            hit = super()._span_probe(batch, context)
+            self._span_probes[key] = hit
+        return hit
+
+    def estimated_step_seconds(self) -> float:
+        """One decode iteration at the nominal batch, without mutating
+        this executor's live engine state.
+
+        Probes a *throwaway* sibling session (same trace, machine and
+        config — its partition comes from the per-trace cache, so the
+        solver never reruns) at the trace's first decode context and
+        memoises the result.  Deterministic, so throughput-normalizing
+        routers stay replayable.
+        """
+        if self._estimated_step is None:
+            probe = MachineExecutor(
+                self.machine, self.model, self.system.config,
+                trace=self.trace, nominal_batch=self.nominal_batch,
+            )
+            self._estimated_step = probe.session.decode_step(
+                self.nominal_batch).seconds
+        return self._estimated_step
+
+    def kv_capacity_tokens(self) -> float:
+        """Resident KV tokens the DIMM pool can hold beside the sparse
+        weights.
+
+        Hermes stripes the KV cache across the NDP-DIMM pool (attention
+        runs near-memory), so capacity is whatever the pool has left
+        after the sparse weights — the quantity a DIMM degrade shrinks.
+        The serving loop uses this to decide which residents must be
+        evicted (re-queued with a re-prefill) after a degrade.
+        """
+        weights = self.model.total_weight_bytes - self.model.embedding_bytes
+        free = self.machine.dimm_capacity_total - weights
+        return max(0.0, free / self.model.kv_bytes_total(1, 1))
+
+    def mean_union(self, batch: int) -> float:
+        """Mean per-layer batch-union inflation at ``batch`` sequences.
+
+        Batched sparse GEMV moves the *union* of the batch's
+        activations, so the union-capped policy meaningfully bounds the
+        step latency.  One reduction over the session's cached
+        per-layer union column.
+        """
+        return float(self.session.union_factors(batch).mean())
+
+
+class DenseGPUBackend(ServingBackend):
     """TensorRT-like dense serving on the machine's GPU.
 
     Full weights resident when they fit (every layer read at HBM
@@ -312,10 +458,6 @@ class DenseGPUBackend(SteppableBackend):
     """
 
     name = "dense"
-    supports_preemption = True
-    #: dense weights — the union factor is identically 1, so a union cap
-    #: never constrains the batch
-    supports_union_batching = False
 
     def __init__(
         self, machine: Machine, model: ModelSpec, *, nominal_batch: int = 8
@@ -386,7 +528,7 @@ class DenseGPUBackend(SteppableBackend):
                                     batch, self.resident_fraction), 0.0)
 
 
-class DejaVuBackend(SteppableBackend):
+class DejaVuBackend(ServingBackend):
     """Deja-Vu-style sparse host-offload serving.
 
     Each decode iteration charges the offline baseline's per-token cost
@@ -398,8 +540,6 @@ class DejaVuBackend(SteppableBackend):
     """
 
     name = "dejavu"
-    supports_preemption = True
-    supports_union_batching = True
 
     def __init__(
         self,
@@ -505,7 +645,7 @@ class DejaVuBackend(SteppableBackend):
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
-BACKENDS: dict[str, type] = {
+BACKENDS: dict[str, type[ServingBackend]] = {
     "hermes": MachineExecutor,
     "dense": DenseGPUBackend,
     "dejavu": DejaVuBackend,
@@ -523,7 +663,7 @@ def make_backend(
     granularity: int = 64,
     seed: int = 7,
     probe_store: dict | None = None,
-) -> "ServingBackend":
+) -> ServingBackend:
     """Instantiate a registered backend on ``machine`` for ``model``.
 
     ``hermes_config`` applies to the ``hermes`` backend only (rejected

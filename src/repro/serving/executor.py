@@ -1,36 +1,20 @@
-"""Per-machine execution: drives the Hermes engine in stepped mode.
-
-A :class:`MachineExecutor` owns one :class:`~repro.core.HermesSystem` and a
-long-lived :class:`~repro.core.HermesSession` opened with ``wrap=True``, so
-the serving simulator can charge *per-request prefill* and *per-token
-decode* costs with a batch size that changes whenever a request joins or
-leaves — the engine's control-plane state (predictor table, hot/cold
-residency, window scheduler) evolves continuously across requests, exactly
-as it would on a machine that never goes idle between users.
+"""The default activation trace the serving backends execute against.
 
 Activation ground truth comes from one shared trace per model.  The engine
 models a batch as one activation stream plus the batch-union inflation
 factor (paper §V-C), so a single trace faithfully stands in for the
-concurrent sequences; the cursor cycles over the decode region.
+concurrent sequences; a backend's cursor cycles over the decode region.
+The backends themselves live in :mod:`repro.serving.backends`.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import functools
-import typing
 
-from ..core import (
-    HermesConfig,
-    HermesSystem,
-    OfflinePartition,
-    StepCost,
-)
-from ..hardware import Machine
 from ..models import ModelSpec
 from ..sparsity import ActivationTrace, TraceConfig, generate_trace
 
-#: default shared-trace shape for executors created without a trace
+#: default shared-trace shape for backends created without a trace
 DEFAULT_TRACE_PROMPT = 64
 DEFAULT_TRACE_DECODE = 64
 
@@ -58,347 +42,3 @@ def default_serving_trace(
     instance instead of re-sampling it every run.
     """
     return _default_trace_cached(model, granularity, seed)
-
-
-def max_union_batch_under_cap(
-    mean_union: typing.Callable[[int], float],
-    union_cap: float,
-    limit: int,
-    cache: dict[tuple[float, int], int],
-) -> int:
-    """Largest batch whose ``mean_union`` stays under ``union_cap``.
-
-    The one spelling of the batching-cap search every backend shares:
-    the union factor is monotone in the batch size and depends only on
-    immutable trace frequencies, so the answer is memoised per
-    (cap, limit) in the caller-owned ``cache``; at least batch 1 is
-    always admitted.
-    """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    key = (union_cap, limit)
-    if key not in cache:
-        best = 1
-        for b in range(2, limit + 1):
-            if mean_union(b) > union_cap:
-                break
-            best = b
-        cache[key] = best
-    return cache[key]
-
-
-def _clone_partition(partition: OfflinePartition) -> OfflinePartition:
-    """A private mutable copy of a solved partition.
-
-    Window scheduling remaps ``dimm_of`` in place, so cached pristine
-    solutions must be cloned per serving run — the machines *within* one
-    run keep sharing a single copy, as before.
-    """
-    return OfflinePartition(
-        hot_masks=[mask.copy() for mask in partition.hot_masks],
-        dimm_of=[row.copy() for row in partition.dimm_of],
-        strategy=partition.strategy,
-    )
-
-
-def _partition_cache(trace: ActivationTrace) -> dict:
-    """Per-trace memo of solved offline partitions.
-
-    Stored on the trace object itself (like its lazy ``_stacked`` view)
-    so the cache's lifetime — and the identity component of the key —
-    is exactly the trace.  The partition is otherwise deterministic in
-    (machine, model, config, batch), which forms the key.
-    """
-    cache = getattr(trace, "_partition_cache", None)
-    if cache is None:
-        cache = {}
-        trace._partition_cache = cache
-    return cache
-
-
-class MachineExecutor:
-    """One Hermes machine serving a stream of requests.
-
-    The ``hermes`` entry of the serving-backend registry
-    (:mod:`repro.serving.backends`): the reference implementation of the
-    :class:`~repro.serving.backends.ServingBackend` surface, backed by a
-    long-lived :class:`~repro.core.HermesSession` whose control plane
-    (predictor table, hot/cold residency, window scheduler) evolves
-    across requests.
-    """
-
-    name = "hermes"
-    #: preempted requests keep their KV state resident — re-admission is
-    #: free, exactly what the deadline preemptor assumes
-    supports_preemption = True
-    #: batched sparse GEMV moves the *union* of the batch's activations,
-    #: so union-capped batching meaningfully bounds the step latency
-    supports_union_batching = True
-
-    def __init__(
-        self,
-        machine: Machine,
-        model: ModelSpec,
-        config: HermesConfig | None = None,
-        *,
-        trace: ActivationTrace | None = None,
-        nominal_batch: int = 8,
-        partition: OfflinePartition | None = None,
-        granularity: int = 64,
-        seed: int = 7,
-        probe_store: dict | None = None,
-    ) -> None:
-        if nominal_batch < 1:
-            raise ValueError("nominal_batch must be >= 1")
-        self.machine = machine
-        #: the pristine hardware — degrades always derate from this, so
-        #: cumulative degrade state stays idempotent to re-apply
-        self._base_machine = machine
-        self.model = model
-        self.system = HermesSystem(machine, model, config)
-        if trace is None:
-            trace = default_serving_trace(
-                model, granularity=granularity, seed=seed
-            )
-        self.trace = trace
-        #: the offline partition is solved for this expected batch size
-        self.nominal_batch = nominal_batch
-        if partition is None:
-            # reuse (a clone of) an already-solved partition for this
-            # exact (trace, machine, model, config, batch) — repeated
-            # runs over one trace skip the solver entirely
-            cache = _partition_cache(trace)
-            key = (machine, model.name, self.system.config, nominal_batch)
-            pristine = cache.get(key)
-            if pristine is not None:
-                partition = _clone_partition(pristine)
-            self.session = self.system.session(
-                trace, nominal_batch, wrap=True, partition=partition
-            )
-            if pristine is None:
-                cache[key] = _clone_partition(self.session.partition)
-        else:
-            self.session = self.system.session(
-                trace, nominal_batch, wrap=True, partition=partition
-            )
-        self._union_batch_cache: dict[tuple[float, int], int] = {}
-        self._prefill_cache: dict[tuple[int, int], tuple[float, float]] = {}
-        self._span_probe_cache: dict[
-            tuple[int, int], tuple[float, float, float]
-        ] = {}
-        #: fast-fidelity probe memo shared by identical machines; the
-        #: serving simulator passes one per run (see :meth:`_span_probe`)
-        self._probe_store = {} if probe_store is None else probe_store
-        self._estimated_step: float | None = None
-
-    # ------------------------------------------------------------------
-    def prefill_cost(self, prompt_len: int,
-                     batch: int = 1) -> tuple[float, float]:
-        """(GPU compute, PCIe transfer) seconds to prefill one request.
-
-        The hot set stays GPU-resident between requests on a serving
-        machine, so this charges prompt compute plus the KV-cache push
-        only (``reload_hot=False``).  Pure cost query, deterministic in
-        (prompt_len, batch) for the session's lifetime, so it is
-        memoised — admission and deadline checks hit the same prompt
-        lengths over and over.
-        """
-        if prompt_len < 1:
-            raise ValueError("prompt_len must be >= 1")
-        key = (prompt_len, batch)
-        cost = self._prefill_cache.get(key)
-        if cost is None:
-            cost = self.session.prefill_cost(
-                prompt_len, batch, reload_hot=False
-            )
-            self._prefill_cache[key] = cost
-        return cost
-
-    def prefill_seconds(self, prompt_len: int, batch: int = 1) -> float:
-        """Total latency of prefilling one joining request."""
-        compute, transfer = self.prefill_cost(prompt_len, batch)
-        return compute + transfer
-
-    def decode_step(self, batch: int, context: int) -> StepCost:
-        """One continuous-batching decode iteration over ``batch`` seqs."""
-        return self.session.decode_step(batch=batch, context=context)
-
-    def _span_probe(
-        self, batch: int, context: int
-    ) -> tuple[float, float, float]:
-        """One memoised ``decode_step`` cost probe for ``span_estimate``.
-
-        The live engine's step cost at a (batch, context) point drifts
-        slightly as predictor/window state evolves; fast fidelity
-        freezes each point at its first probe so a megafleet run pays
-        the ~half-millisecond engine step once per distinct point
-        instead of twice per span.  The frozen value is shared through
-        the probe store by every machine with identical (machine, model,
-        config, nominal_batch), so a 1000-machine homogeneous fleet
-        probes each point once.  The serving simulator hands its
-        executors one store per run, so a run's values depend only on
-        that run.  Part of fast mode's documented approximation; the
-        degrade path clears the memo because a renegotiated machine
-        quotes genuinely different costs.
-        """
-        key = (batch, context)
-        hit = self._span_probe_cache.get(key)
-        if hit is None:
-            store = self._probe_store
-            skey = (
-                self.machine, self.model.name, self.system.config,
-                self.nominal_batch, batch, context,
-            )
-            hit = store.get(skey)
-            if hit is None:
-                cost = self.decode_step(batch, context)
-                hit = (cost.seconds, cost.gpu_busy, cost.dimm_busy)
-                store[skey] = hit
-            self._span_probe_cache[key] = hit
-        return hit
-
-    def span_estimate(
-        self, batch: int, start_context: float, steps: int
-    ) -> tuple[float, float, float]:
-        """Trapezoid span aggregation for ``fidelity: fast``.
-
-        Probes the session at the context ramp's two ends and charges
-        ``steps * mean`` — the Hermes step cost is monotone and
-        near-affine in the context, so the trapezoid is tight.  Probes
-        are memoised per (batch, context) point (see
-        :meth:`_span_probe`); that engine-state freezing is part of
-        fast fidelity's documented approximation.
-        """
-        first = self._span_probe(batch, max(1, round(start_context)))
-        if steps == 1:
-            return first
-        last = self._span_probe(
-            batch, max(1, round(start_context + steps - 1))
-        )
-        half = steps / 2.0
-        return (
-            (first[0] + last[0]) * half,
-            (first[1] + last[1]) * half,
-            (first[2] + last[2]) * half,
-        )
-
-    def estimated_step_seconds(self) -> float:
-        """One decode iteration at the nominal batch, without mutating
-        this executor's live engine state.
-
-        Probes a *throwaway* sibling session (same trace, machine and
-        config — its partition comes from the per-trace cache, so the
-        solver never reruns) and memoises the result.  Deterministic,
-        so throughput-normalizing routers stay replayable.
-        """
-        if self._estimated_step is None:
-            probe = MachineExecutor(
-                self.machine,
-                self.model,
-                self.system.config,
-                trace=self.trace,
-                nominal_batch=self.nominal_batch,
-            )
-            self._estimated_step = probe.session.decode_step(
-                self.nominal_batch).seconds
-        return self._estimated_step
-
-    def estimated_tokens_per_second(self) -> float:
-        """Pure, deterministic decode-throughput estimate."""
-        return self.nominal_batch / self.estimated_step_seconds()
-
-    def reset(self) -> None:
-        """Restart the machine cold: fresh session, pristine engine state.
-
-        Fault injection calls this when a crashed machine comes back up.
-        The predictor table, hot/cold residency, window-scheduler remaps
-        and trace cursor all return to their just-booted values (the
-        partition comes from the per-trace cache, so the solver never
-        reruns).  The prefill memo survives — it is pure in
-        (prompt_len, batch) — and the span-probe memo is re-read from
-        the probe store.
-        """
-        self._span_probe_cache.clear()
-        cache = _partition_cache(self.trace)
-        key = (
-            self.machine, self.model.name, self.system.config,
-            self.nominal_batch,
-        )
-        pristine = cache.get(key)
-        partition = (
-            _clone_partition(pristine) if pristine is not None else None
-        )
-        self.session = self.system.session(
-            self.trace, self.nominal_batch, wrap=True, partition=partition
-        )
-        if pristine is None:
-            cache[key] = _clone_partition(self.session.partition)
-
-    # ------------------------------------------------------------------
-    def degrade(
-        self, surviving_dimm_fraction: float, bandwidth_factor: float
-    ) -> None:
-        """Renegotiate this machine over partially failed hardware.
-
-        ``surviving_dimm_fraction`` of the *pristine* DIMM pool remains
-        (at least one DIMM always survives — total loss is a crash, not
-        a degrade) and the PCIe link is derated to ``bandwidth_factor``
-        of nominal.  The offline partition is re-planned over the
-        surviving DIMMs via the per-trace partition cache (a degraded
-        machine is a different cache key, so the first degrade solves
-        once and every later run reuses it) and the engine restarts
-        over it — discarding accelerator state exactly like a crash
-        restart, so the renegotiated engine's evolution depends only on
-        its new hardware.  Cost memos are invalidated: a degraded
-        machine quotes degraded prefill/step costs from its next
-        admission onwards.  If the surviving pool can no longer hold
-        the sparse weights, engine construction raises — a scenario
-        that shrinks a machine below its model is a spec bug, reported
-        loudly rather than served slowly.
-        """
-        base = self._base_machine
-        dimms = max(1, int(base.num_dimms * surviving_dimm_fraction))
-        pcie = dataclasses.replace(
-            base.pcie, bandwidth=base.pcie.bandwidth * bandwidth_factor
-        )
-        machine = dataclasses.replace(base, num_dimms=dimms, pcie=pcie)
-        if machine == self.machine:
-            return
-        self.machine = machine
-        self.system = HermesSystem(machine, self.model, self.system.config)
-        self._prefill_cache.clear()
-        self._union_batch_cache.clear()
-        self._span_probe_cache.clear()
-        self._estimated_step = None
-        self.reset()
-
-    def kv_capacity_tokens(self) -> float:
-        """Resident KV tokens the DIMM pool can hold beside the sparse
-        weights.
-
-        Hermes stripes the KV cache across the NDP-DIMM pool (attention
-        runs near-memory), so capacity is whatever the pool has left
-        after the sparse weights — the quantity a DIMM degrade shrinks.
-        The serving loop uses this to decide which residents must be
-        evicted (re-queued with a re-prefill) after a degrade.
-        """
-        weights = self.model.total_weight_bytes - self.model.embedding_bytes
-        free = self.machine.dimm_capacity_total - weights
-        return max(0.0, free / self.model.kv_bytes_total(1, 1))
-
-    # ------------------------------------------------------------------
-    def mean_union(self, batch: int) -> float:
-        """Mean per-layer batch-union inflation at ``batch`` sequences.
-
-        One reduction over the session's cached per-layer union column —
-        the former per-layer ``union_factor`` loop, vectorized with
-        identical float results.
-        """
-        return float(self.session.union_factors(batch).mean())
-
-    def max_union_batch(self, union_cap: float, limit: int) -> int:
-        """Largest batch whose mean union factor stays under the cap
-        (see :func:`max_union_batch_under_cap`)."""
-        return max_union_batch_under_cap(
-            self.mean_union, union_cap, limit, self._union_batch_cache
-        )

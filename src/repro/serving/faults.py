@@ -796,7 +796,9 @@ def merge_sampled(
 # dump -> load round-trips a sampled schedule to an *equal* object
 # (replay == sampled, pinned by tests).
 
-_TRACE_KEYS: dict[str, tuple[str, ...]] = {
+#: the fields of each event kind, shared with the scenario ``faults:``
+#: section
+FAULT_EVENT_KEYS: dict[str, tuple[str, ...]] = {
     "schedule": ("seed", "restart_warmup"),
     "domain": ("name", "machines"),
     "crash": ("machine", "at", "restart_after"),
@@ -874,12 +876,12 @@ def load_fault_trace(path) -> FaultSchedule:
                     f"object with a 'kind' field"
                 )
             kind = data.pop("kind")
-            allowed = _TRACE_KEYS.get(kind)
+            allowed = FAULT_EVENT_KEYS.get(kind)
             if allowed is None:
                 raise ValueError(
                     f"fault trace {where}: unknown event kind "
                     f"{kind!r} (expected one of "
-                    f"{sorted(_TRACE_KEYS)})"
+                    f"{sorted(FAULT_EVENT_KEYS)})"
                 )
             unknown = sorted(set(data) - set(allowed))
             if unknown:
@@ -947,6 +949,7 @@ __all__: typing.Sequence[str] = [
     "DegradeSpec",
     "SampleSpec",
     "FaultSchedule",
+    "FAULT_EVENT_KEYS",
     "sample_faults",
     "merge_sampled",
     "dump_fault_trace",

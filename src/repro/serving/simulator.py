@@ -568,7 +568,7 @@ class ServingSimulator:
     @property
     def machine_backends(self) -> list[str]:
         """Per-machine backend names (index = machine id)."""
-        return [getattr(e, "name", "hermes") for e in self.executors]
+        return [e.name for e in self.executors]
 
     # ---- override points for the cluster layer -----------------------
     def _build_state(self, workload: list[Request]) -> _RunState:
@@ -655,6 +655,7 @@ class ServingSimulator:
         self._ran = True
         if self.config.faults is not None:
             self.config.faults.validate_fleet(self.config.num_machines)
+            self._check_degrades(self.config.faults)
         sim = Simulator()
         state = self._build_state(workload)
         state.sim = sim
@@ -673,6 +674,27 @@ class ServingSimulator:
         if state.tracer.enabled:
             state.tracer.emit(RunEnded(time=makespan, makespan=makespan))
         return self._make_report(state, makespan)
+
+    def _check_degrades(self, faults: FaultSchedule) -> None:
+        """Raise before the run when a degrade shrinks a machine below
+        its model.  Degrades only compound, so a machine's final state
+        is its worst: its backend tries that state and is restored to a
+        freshly reset one, which is what the run starts from anyway."""
+        for m in sorted({d.machine for d in faults.degrades}):
+            executor = self.executors[m]
+            try:
+                executor.degrade(*faults.degrade_state(m, math.inf))
+            except ValueError as err:
+                hw, model = executor.machine, executor.model
+                needed = model.total_weight_bytes - model.embedding_bytes
+                raise ValueError(
+                    f"faults.degrades leaves machine {m} with "
+                    f"{hw.num_dimms} DIMM(s) holding "
+                    f"{hw.dimm_capacity_total} bytes, but {model.name} "
+                    f"needs {needed} bytes of DIMM capacity"
+                ) from err
+            finally:
+                executor.degrade(1.0, 1.0)
 
     # ------------------------------------------------------------------
     def _machine_proc(self, sim: Simulator, state: _RunState, m: int,

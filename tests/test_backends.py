@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.baselines import DejaVu, FlexGen, TensorRTLLM
@@ -67,13 +69,6 @@ class TestRegistry:
             hermes_config=HermesConfig(oracle=True),
         )
         assert executor.system.config.oracle
-
-    def test_capability_flags(self, backends):
-        assert backends["hermes"].supports_union_batching
-        assert backends["dejavu"].supports_union_batching
-        assert not backends["dense"].supports_union_batching
-        for backend in backends.values():
-            assert backend.supports_preemption
 
 
 class TestSteppableSurface:
@@ -167,6 +162,69 @@ class TestSteppableSurface:
     def test_dejavu_rejects_mismatched_trace(self, machine, tiny_trace):
         with pytest.raises(ValueError, match="trace"):
             DejaVuBackend(machine, get_model("OPT-13B"), trace=tiny_trace)
+
+
+class TestInheritedSurface:
+    """The surface every backend inherits from :class:`ServingBackend`."""
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_one_step_span_is_one_decode_step(
+        self, machine, tiny_model, tiny_trace, name
+    ):
+        backend, twin = (
+            make_backend(name, machine, tiny_model, trace=tiny_trace)
+            for _ in range(2)
+        )
+        step = twin.decode_step(2, 40)
+        assert backend.span_estimate(2, 40, 1) == (
+            step.seconds, step.gpu_busy, step.dimm_busy
+        )
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_degrade_round_trip_restores_costs(
+        self, machine, tiny_model, tiny_trace, name
+    ):
+        backend = make_backend(name, machine, tiny_model, trace=tiny_trace)
+        prefill = backend.prefill_cost(16)
+        throughput = backend.estimated_tokens_per_second()
+        backend.degrade(0.5, 0.5)
+        backend.degrade(1.0, 1.0)
+        assert backend.prefill_cost(16) == prefill
+        assert backend.estimated_tokens_per_second() == throughput
+
+    @pytest.mark.parametrize("name", sorted(BACKENDS))
+    def test_kv_capacity_lives_on_the_dimm_pool(
+        self, machine, tiny_model, tiny_trace, name
+    ):
+        backend = make_backend(name, machine, tiny_model, trace=tiny_trace)
+        pristine = backend.kv_capacity_tokens()
+        backend.degrade(0.5, 1.0)
+        if name == "hermes":
+            assert backend.kv_capacity_tokens() < pristine < math.inf
+        else:
+            assert backend.kv_capacity_tokens() == pristine == math.inf
+
+    def test_hermes_span_probes_shared_per_hardware(
+        self, machine, tiny_model, tiny_trace
+    ):
+        store: dict = {}
+        a, b = (
+            MachineExecutor(
+                machine, tiny_model, trace=tiny_trace, probe_store=store
+            )
+            for _ in range(2)
+        )
+        quote = a.span_estimate(2, 40.0, 8)
+        steps = b.session.steps_done
+        assert b.span_estimate(2, 40.0, 8) == quote
+        assert b.session.steps_done == steps  # read from a's probes
+        b.degrade(0.5, 0.5)
+        fresh = MachineExecutor(b.machine, tiny_model, trace=tiny_trace)
+        degraded = b.span_estimate(2, 40.0, 8)
+        assert degraded == fresh.span_estimate(2, 40.0, 8)
+        assert degraded != quote
+        b.degrade(1.0, 1.0)
+        assert b.span_estimate(2, 40.0, 8) == quote
 
 
 class TestMachineGroup:

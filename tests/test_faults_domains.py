@@ -239,6 +239,26 @@ class TestDegradation:
         assert report.migrations >= degrades[0].evicted
         assert not report.unfinished  # evicted work finishes eventually
 
+    def test_degrade_below_the_model_fails_before_the_run(self):
+        faults = FaultSchedule(degrades=(
+            DegradeSpec(0, 0.001, dimm_fraction=0.75),))
+        tracer = RecordingTracer()
+        simulator = ServingSimulator(
+            "tiny-test", "fcfs",
+            ServingConfig(max_batch=6, num_machines=1, faults=faults),
+            machine=_tight_machine(), trace=_trace())
+        model = get_model("tiny-test")
+        needed = model.total_weight_bytes - model.embedding_bytes
+        # a quarter of the 8 DIMMs survives
+        match = (rf"faults\.degrades leaves machine 0 with 2 DIMM\(s\) "
+                 rf"holding {2 * 1_613_824} bytes, but tiny-test needs "
+                 rf"{needed} bytes")
+        with pytest.raises(ValueError, match=match):
+            simulator.run(list(_workload(24)), tracer=tracer)
+        assert tracer.events == []
+        # the trial renegotiation is undone
+        assert simulator.executors[0].machine == _tight_machine()
+
 
 # ----------------------------------------------------------------------
 # preemption: health gating

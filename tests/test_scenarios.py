@@ -77,6 +77,21 @@ class TestParsing:
             ):
                 parse_scenario(data)
 
+    @pytest.mark.parametrize("section, event", [
+        ("crashes", {"machine": 0, "at": 0.1}),
+        ("stragglers", {"machine": 0, "start": 0.1, "end": 0.2,
+                        "slowdown": 2.0}),
+        ("partitions", {"machine": 0, "start": 0.1, "end": 0.2}),
+        ("domain_crashes", {"domain": "rack", "at": 0.1}),
+        ("degrades", {"machine": 0, "at": 0.1, "dimm_fraction": 0.5}),
+    ])
+    def test_unknown_fault_event_key_names_its_path(self, section, event):
+        data = copy.deepcopy(MINIMAL)
+        data["faults"] = {section: [dict(event, oops=1)]}
+        with pytest.raises(ValueError, match=re.escape(
+                f"faults.{section}[0]: unknown keys ['oops']")):
+            parse_scenario(data)
+
     def test_missing_model_or_tenants(self):
         with pytest.raises(ValueError, match="model"):
             parse_scenario({"tenants": MINIMAL["tenants"]})
