@@ -225,9 +225,17 @@ class NeuronMapper:
         return int(self.layout.group_bytes[self.resident[layer]].sum())
 
     def check_invariants(self) -> None:
-        """Internal consistency: byte counter matches the masks and the
-        budget holds (used by property tests)."""
-        total = sum(self.residency_bytes(l) for l in range(len(self.resident)))
+        """Internal consistency: the total and per-layer byte counters
+        match the masks, and the GPU and per-layer budgets hold (used by
+        property tests)."""
+        total = 0
+        for l in range(len(self.resident)):
+            used = self.residency_bytes(l)
+            if self._layer_used[l] != used:
+                raise AssertionError(f"layer {l} byte counter out of sync")
+            if used > self.layer_budget[l]:
+                raise AssertionError(f"layer {l} budget exceeded")
+            total += used
         if total != self.resident_bytes:
             raise AssertionError("resident byte counter out of sync")
         if total > self.gpu_budget_bytes:

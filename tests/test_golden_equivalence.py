@@ -70,19 +70,37 @@ def golden_trace(golden):
     return generate_trace(model, config, seed=spec["seed"])
 
 
-@pytest.mark.parametrize("config_name", sorted(CONFIGS))
-@pytest.mark.parametrize("batch", (1, 4))
-def test_engine_matches_seed_goldens(golden, golden_trace, config_name, batch):
+@pytest.fixture(scope="module")
+def opt13b_trace():
+    from tools.capture_goldens import opt13b_trace
+
+    return opt13b_trace()
+
+
+@pytest.mark.parametrize(
+    "batch, config_name",
+    [(batch, name) for batch in (1, 4) for name in sorted(CONFIGS)]
+    + [(8, "opt13b/default")])
+def test_engine_matches_seed_goldens(golden, golden_trace, opt13b_trace,
+                                     config_name, batch):
+    """Every engine entry, down to each step's swapped and resident bytes.
+
+    ``opt13b/default`` runs OPT-13B at granularity 128 (40 layers x 200
+    groups): the regime of the benchmark's exact workload, where most
+    layer adjustments evict.
+    """
     key = f"{config_name}/batch{batch}"
     want = golden["engine"][key]
-    model = get_model(golden["trace"]["model"])
+    if config_name.startswith("opt13b/"):
+        model, trace = get_model("OPT-13B"), opt13b_trace
+        config_name = config_name.removeprefix("opt13b/")
+    else:
+        model, trace = get_model(golden["trace"]["model"]), golden_trace
     session = HermesSystem(Machine(), model, CONFIGS[config_name]).session(
-        golden_trace, batch
+        trace, batch
     )
     session.prefill()
-    steps = [
-        session.decode_step() for _ in range(golden_trace.n_decode_tokens)
-    ]
+    steps = [session.decode_step() for _ in range(trace.n_decode_tokens)]
     result = session.finish()
 
     assert result.prefill_time == want["prefill_time"]
@@ -98,6 +116,8 @@ def test_engine_matches_seed_goldens(golden, golden_trace, config_name, batch):
     assert [s.seconds for s in steps] == want["step_seconds"]
     assert [s.gpu_busy for s in steps] == want["step_gpu_busy"]
     assert [s.dimm_busy for s in steps] == want["step_dimm_busy"]
+    assert [s.swap_bytes for s in steps] == want["step_swap_bytes"]
+    assert [s.resident_bytes for s in steps] == want["step_resident_bytes"]
 
 
 @pytest.mark.parametrize("rate", (50.0, 2000.0))

@@ -7,13 +7,153 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import NeuronMapper, WindowScheduler
+from repro.core.mapper import AdjustmentResult
 from repro.core.partition import OfflinePartition
+from repro.core.predictor import STATE_MAX
+from repro.models import get_model
 from repro.sparsity import NeuronLayout
 
 
 @pytest.fixture(scope="session")
 def layout(tiny_model):
     return NeuronLayout.build(tiny_model, granularity=4)
+
+
+#: layouts the reference tests run on: tiny-test (4 layers x 320 groups)
+#: and OPT-13B at granularity 128 (40 layers x 200 groups)
+REFERENCE_LAYOUTS = {"tiny-test": 4, "OPT-13B": 128}
+
+
+@pytest.fixture(scope="module")
+def reference_layouts():
+    return {name: NeuronLayout.build(get_model(name), granularity=g)
+            for name, g in REFERENCE_LAYOUTS.items()}
+
+
+# The per-layer greedy adjustment as it stood before the engine's
+# per-token swap core, copied verbatim (its argsort tie order included):
+# the loop reference ``NeuronMapper.adjust`` must match exactly.
+def reference_adjust(self, layer: int, states: np.ndarray, *,
+                     hot_threshold: int = 10,
+                     max_bytes: int | None = None,
+                     coldest_state: int | None = None,
+                     wanted_row: np.ndarray | None = None,
+                     hottest_wanted: int | None = None,
+                     min_wanted_bytes: int | None = None) -> AdjustmentResult:
+    """Swap newly-hot groups in and cold residents out for one layer.
+
+    ``states`` is the predictor's state table for the layer.  At most
+    ``max_bytes`` may be transferred (the projection-window budget);
+    remaining candidates wait for the next opportunity, exactly like
+    the deferred copies of the paper's instruction queue.
+
+    The keyword hints let a caller that already computed them (the
+    engine does, for all layers at once, in a few matrix ops per
+    token) skip the per-layer reductions: ``coldest_state`` is
+    ``states[resident].min()`` (anything above the maximum state when
+    nothing is resident), ``wanted_row`` the ``(states >
+    hot_threshold) & ~resident`` mask, ``hottest_wanted`` /
+    ``min_wanted_bytes`` the max state and min byte size over that
+    mask.
+    """
+    resident = self.resident[layer]
+    if states.shape != resident.shape:
+        raise ValueError("states mask has wrong shape")
+    result = AdjustmentResult()
+    budget = max_bytes if max_bytes is not None else np.inf
+
+    if wanted_row is None:
+        wanted_row = (states > hot_threshold) & ~resident
+        if not wanted_row.any():
+            return result
+    if budget <= 0:
+        # every group weighs at least one neuron's bytes, so a
+        # non-positive budget admits nothing (the unguarded loop would
+        # break on its first candidate with an empty result anyway)
+        return result
+
+    # Fast paths for the dominant steady-state outcomes — the same
+    # stuck candidates re-present every token.  Both conditions force
+    # the greedy loop to exit on its first probe with nothing moved,
+    # independent of how argsort breaks state ties: if even the
+    # smallest candidate exceeds the transfer budget, the first
+    # (whichever it is) breaks immediately; and if no resident group
+    # is colder than the hottest candidate, the eviction guard
+    # refuses the very first victim for every candidate, so only
+    # eviction-free admission could act — impossible when the
+    # headroom cannot fit the smallest candidate either.
+    group_bytes = self._group_bytes_list
+    layer_used = self._layer_used[layer]
+    if coldest_state is None or hottest_wanted is None \
+            or min_wanted_bytes is None:
+        wanted_idx = np.flatnonzero(wanted_row)
+        if wanted_idx.size == 0:
+            return result
+        if coldest_state is None:
+            coldest_state = (int(states[resident].min())
+                             if resident.any() else STATE_MAX + 1)
+        if hottest_wanted is None:
+            hottest_wanted = int(states[wanted_idx].max())
+        if min_wanted_bytes is None:
+            min_wanted_bytes = int(
+                self.layout.group_bytes[wanted_idx].min()
+            )
+    if min_wanted_bytes > budget:
+        return result
+    free0 = min(
+        self.gpu_budget_bytes - self.resident_bytes,
+        self.layer_budget[layer] - layer_used,
+    )
+    if coldest_state >= hottest_wanted and free0 < min_wanted_bytes:
+        return result
+
+    # hottest candidates first
+    wanted = np.flatnonzero(wanted_row)
+    wanted = wanted[np.argsort(states[wanted])[::-1]]
+
+    # eviction candidates: coldest residents first.  The candidate set
+    # is the residency at entry (groups admitted *during* this call are
+    # never eviction victims), but the sort is done lazily because most
+    # adjustments that get this far have headroom and never evict.
+    entry_resident = resident.copy()
+    evictable: np.ndarray | None = None
+    evict_pos = 0
+    for idx in wanted:
+        b = group_bytes[idx]
+        if b > budget:
+            break
+        free = min(
+            self.gpu_budget_bytes - self.resident_bytes,
+            self.layer_budget[layer] - layer_used,
+        )
+        if free < b and evictable is None:
+            evictable = np.flatnonzero(entry_resident)
+            evictable = evictable[np.argsort(states[evictable])]
+        # evict until the newcomer fits; never evict hotter than it
+        while (free < b and evictable is not None
+               and evict_pos < evictable.size):
+            victim = evictable[evict_pos]
+            if states[victim] >= states[idx]:
+                break
+            resident[victim] = False
+            freed = group_bytes[victim]
+            self.resident_bytes -= freed
+            layer_used -= freed
+            free += freed
+            result.swapped_out += 1
+            evict_pos += 1
+        if free < b:
+            break
+        resident[idx] = True
+        self.resident_bytes += b
+        layer_used += b
+        budget -= b
+        result.swapped_in += 1
+        result.bytes_in += b
+    self._layer_used[layer] = layer_used
+    if result.swapped_in or result.swapped_out:
+        self.version += 1
+    return result
 
 
 def make_mapper(layout, budget_groups=50):
@@ -140,6 +280,62 @@ class TestMapper:
             mapper.check_invariants()
 
 
+class TestAdjustReference:
+    @given(model=st.sampled_from(sorted(REFERENCE_LAYOUTS)),
+           dtype=st.sampled_from([np.int8, np.int16]),
+           k=st.integers(1, 6),
+           initialized=st.booleans(),
+           binding=st.sampled_from(["global", "layer"]),
+           calls=st.lists(st.sampled_from(["none", "zero", "random"]),
+                          min_size=1, max_size=6),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_adjust_matches_reference(self, reference_layouts, model, dtype,
+                                      k, initialized, binding, calls, seed):
+        """``adjust`` equals the verbatim loop reference on tie-heavy
+        states (drawn from ``0..k``), initialized or not, under a GPU
+        budget that binds globally or per layer, over several calls."""
+        layout = reference_layouts[model]
+        rng = np.random.default_rng(seed)
+        num_layers, groups = layout.model.num_layers, layout.groups_per_layer
+        gbytes = layout.group_bytes
+        hot = rng.random((num_layers, groups)) < rng.uniform(0.0, 0.6)
+        if initialized and binding == "global":
+            budget = int((hot * gbytes).sum()
+                         + gbytes[:rng.integers(0, 8)].sum())
+        elif binding == "global":
+            budget = int(gbytes[:rng.integers(0, 40)].sum())
+        else:
+            budget = int(gbytes.sum()) * num_layers
+        mapper, ref = NeuronMapper(layout, budget), NeuronMapper(layout, budget)
+        if initialized:
+            partition = OfflinePartition(
+                hot_masks=list(hot),
+                dimm_of=list(np.zeros((num_layers, groups), dtype=np.int64)),
+                strategy="greedy")
+            mapper.initialize(partition)
+            ref.initialize(partition)
+        hot_threshold = int(rng.integers(0, k))
+        for kind in calls:
+            layer = int(rng.integers(0, num_layers))
+            states = rng.integers(0, k + 1, groups).astype(dtype)
+            max_bytes = {"none": None, "zero": 0,
+                         "random": int(rng.integers(0, 40 * gbytes.max()))
+                         }[kind]
+            got = mapper.adjust(layer, states, hot_threshold=hot_threshold,
+                                max_bytes=max_bytes)
+            want = reference_adjust(ref, layer, states,
+                                    hot_threshold=hot_threshold,
+                                    max_bytes=max_bytes)
+            assert got == want
+            assert np.array_equal(mapper.resident_matrix,
+                                  ref.resident_matrix)
+            assert mapper.resident_bytes == ref.resident_bytes
+            assert mapper._layer_used == ref._layer_used
+            assert mapper.version == ref.version
+            mapper.check_invariants()
+
+
 class TestWindowScheduler:
     def make(self, layout, num_dimms=4, window=5):
         return WindowScheduler(layout, num_dimms, window=window)
@@ -245,3 +441,37 @@ class TestWindowScheduler:
         before = scheduler.dimm_loads(1, dimm_of).max()
         scheduler.rebalance_layer(1, dimm_of)
         assert scheduler.dimm_loads(1, dimm_of).max() <= before + 1e-9
+
+    @given(model=st.sampled_from(sorted(REFERENCE_LAYOUTS)),
+           num_dimms=st.sampled_from([1, 2, 3, 4, 8, 16]),
+           use_exclude=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_matrix_rebalance_matches_list_form(
+            self, reference_layouts, model, num_dimms, use_exclude, seed):
+        """The matrix form of ``rebalance_all`` equals its list form,
+        which runs ``rebalance_layer`` per layer (the reference), on
+        tie-heavy windowed activity over skewed DIMM mappings."""
+        layout = reference_layouts[model]
+        rng = np.random.default_rng(seed)
+        shape = (layout.model.num_layers, layout.groups_per_layer)
+        matrix_form = self.make(layout, num_dimms=num_dimms)
+        list_form = self.make(layout, num_dimms=num_dimms)
+        density = rng.uniform(0.05, 0.7, (shape[0], 1))
+        for _ in range(matrix_form.window):
+            masks = rng.random(shape) < density
+            matrix_form.observe_token(masks)
+            list_form.observe_token(list(masks))
+        weights = rng.random(num_dimms) ** 3 + 1e-3
+        dimm_of = rng.choice(num_dimms, size=shape, p=weights / weights.sum())
+        rows = [row.copy() for row in dimm_of]
+        exclude = (rng.random(shape) < rng.uniform(0.0, 0.5)
+                   if use_exclude else None)
+        got = matrix_form.rebalance_all(dimm_of, exclude=exclude)
+        want = list_form.rebalance_all(
+            rows, exclude=None if exclude is None else list(exclude))
+        assert np.array_equal(dimm_of, np.stack(rows))
+        assert got.moved_groups == want.moved_groups
+        assert got.moved_bytes == want.moved_bytes
+        assert got.pair_bytes == want.pair_bytes
+        assert not matrix_form.window_full and not list_form.window_full

@@ -134,6 +134,33 @@ class TestPrediction:
         assert not p.predict(1, ~prev).any()
 
 
+class TestPredictAll:
+    @pytest.mark.parametrize("mode", ["both", "token-only", "layer-only"])
+    @pytest.mark.parametrize("correlation", ["profiled", "sampled"])
+    @pytest.mark.parametrize("hole", [False, True])
+    @pytest.mark.parametrize("trace_name", ["tiny_trace", "small_opt_trace"])
+    def test_rows_match_per_layer_predict(self, request, trace_name, mode,
+                                          correlation, hole):
+        """Row ``l`` of ``predict_all`` equals ``predict(l, actuals[l-1])``
+        (``None`` for layer 0) over several tokens, for both table
+        sources, each prediction mode, and a stack with one layer's table
+        missing."""
+        trace = request.getfixturevalue(trace_name)
+        p = ActivationPredictor(trace.layout, PredictorConfig(
+            use_token_prediction=mode != "layer-only",
+            use_layer_prediction=mode != "token-only"))
+        p.initialize(trace, correlation=correlation)
+        if hole and p.correlation is not None:
+            p.correlation.parents[2] = None
+        for t in list(trace.decode_tokens())[:6]:
+            actuals = trace.active_matrix(t)
+            rows = p.predict_all(actuals)
+            for l in range(trace.num_layers):
+                prev = actuals[l - 1] if l else None
+                assert np.array_equal(rows[l], p.predict(l, prev))
+            p.observe_all(actuals, rows)
+
+
 class TestAccuracy:
     def test_accuracy_on_calibrated_trace(self, predictor, tiny_trace):
         """Replay: accuracy should land near the paper's ~98% claim."""

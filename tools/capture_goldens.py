@@ -7,6 +7,12 @@ Run once against a known-good engine to (re)generate
 reproduces every recorded number exactly.  JSON float serialisation
 round-trips (repr-based), so equality checks are bit-for-bit.
 
+The engine section pins every step's cost, swapped bytes and resident
+bytes for the default config and the Fig. 13 ablations on ``tiny-test``,
+plus one OPT-13B entry at granularity 128 and batch 8: the 40-layer
+regime the benchmark's exact workload runs in, where most online
+adjustments evict.
+
 The second file pins the *offline baseline systems* (FlexGen, Deja Vu,
 Accelerate, TensorRT-LLM): their ``run()`` byte accounting backs the
 paper's comparative figures (fig09/fig17) and the steppable serving
@@ -90,6 +96,10 @@ CONFIGS: dict[str, HermesConfig] = {
     "no-window": HermesConfig(window_scheduling=False),
 }
 BATCHES = (1, 4)
+#: the regime perfbench's ``slo_exact`` runs the engine in — OPT-13B at
+#: 40 layers x 200 groups, batch 8 — where most layer calls evict
+OPT13B_TRACE_CONFIG = dict(prompt_len=64, decode_len=64, granularity=128)
+OPT13B_BATCH = 8
 
 SERVING_RATES = (50.0, 2000.0)
 SERVING_POLICIES = ("fcfs", "hermes-union")
@@ -125,35 +135,49 @@ ROUTED_DEGRADES = FaultSchedule(
 SMALL_DIMM_BYTES = 1_613_824
 
 
+def engine_run(machine: Machine, model, config: HermesConfig, trace,
+               batch: int) -> dict:
+    """One engine session over ``trace`` down to every step's cost."""
+    session = HermesSystem(machine, model, config).session(trace, batch)
+    session.prefill()
+    steps = [session.decode_step() for _ in range(trace.n_decode_tokens)]
+    result = session.finish()
+    return {
+        "prefill_time": result.prefill_time,
+        "decode_time": result.decode_time,
+        "breakdown": dict(result.breakdown),
+        "predictor_accuracy": result.metadata["predictor_accuracy"],
+        "predictor_recall": result.metadata["predictor_recall"],
+        "remap_bytes": result.metadata["remap_bytes"],
+        "remap_groups": result.metadata["remap_groups"],
+        "swap_bytes": result.metadata["swap_bytes"],
+        "hot_bytes": result.metadata["hot_bytes"],
+        "step_seconds": [s.seconds for s in steps],
+        "step_gpu_busy": [s.gpu_busy for s in steps],
+        "step_dimm_busy": [s.dimm_busy for s in steps],
+        "step_swap_bytes": [s.swap_bytes for s in steps],
+        "step_resident_bytes": [s.resident_bytes for s in steps],
+    }
+
+
+def opt13b_trace():
+    """The OPT-13B trace of the ``opt13b/default/batch8`` engine entry."""
+    return generate_trace(get_model("OPT-13B"),
+                          TraceConfig(**OPT13B_TRACE_CONFIG), seed=TRACE_SEED)
+
+
 def engine_goldens() -> dict:
     machine = Machine()
     model = get_model("tiny-test")
     trace = generate_trace(model, TraceConfig(**TRACE_CONFIG), seed=TRACE_SEED)
-    runs = {}
-    for name, config in CONFIGS.items():
-        for batch in BATCHES:
-            session = HermesSystem(machine, model, config).session(
-                trace, batch
-            )
-            session.prefill()
-            steps = [
-                session.decode_step() for _ in range(trace.n_decode_tokens)
-            ]
-            result = session.finish()
-            runs[f"{name}/batch{batch}"] = {
-                "prefill_time": result.prefill_time,
-                "decode_time": result.decode_time,
-                "breakdown": dict(result.breakdown),
-                "predictor_accuracy": result.metadata["predictor_accuracy"],
-                "predictor_recall": result.metadata["predictor_recall"],
-                "remap_bytes": result.metadata["remap_bytes"],
-                "remap_groups": result.metadata["remap_groups"],
-                "swap_bytes": result.metadata["swap_bytes"],
-                "hot_bytes": result.metadata["hot_bytes"],
-                "step_seconds": [s.seconds for s in steps],
-                "step_gpu_busy": [s.gpu_busy for s in steps],
-                "step_dimm_busy": [s.dimm_busy for s in steps],
-            }
+    runs = {
+        f"{name}/batch{batch}": engine_run(machine, model, config, trace,
+                                           batch)
+        for name, config in CONFIGS.items() for batch in BATCHES
+    }
+    runs[f"opt13b/default/batch{OPT13B_BATCH}"] = engine_run(
+        machine, get_model("OPT-13B"), HermesConfig(), opt13b_trace(),
+        OPT13B_BATCH)
     return runs
 
 
