@@ -523,37 +523,6 @@ class HermesSession:
         return self.result.prefill_time
 
     # ------------------------------------------------------------------
-    def _maybe_adjust(self, layer: int, states_row, budget: int,
-                      wanted_matrix, coldest: int, hottest_wanted: int,
-                      min_wanted_bytes: int) -> int:
-        """One layer's hot/cold adjustment behind its no-op fast paths.
-
-        The gate mirrors :meth:`NeuronMapper.adjust`'s early returns
-        exactly (budget exhausted; smallest candidate over budget; no
-        colder resident and no headroom), so a skipped call moves no
-        bytes and leaves the projection-window budget untouched — the
-        single shared spelling every decode path uses.  Returns the
-        bytes swapped in (0 when gated or when nothing moved).
-        """
-        mapper = self.mapper
-        if (budget <= 0
-                or min_wanted_bytes > budget
-                or (coldest >= hottest_wanted
-                    and mapper.free_bytes(layer) < min_wanted_bytes)):
-            return 0
-        adjust = mapper.adjust(
-            layer,
-            states_row,
-            hot_threshold=self.system.config.hot_threshold,
-            max_bytes=budget,
-            coldest_state=coldest,
-            wanted_row=wanted_matrix[layer],
-            hottest_wanted=hottest_wanted,
-            min_wanted_bytes=min_wanted_bytes,
-        )
-        self._swap_bytes_total += adjust.bytes_in
-        return adjust.bytes_in
-
     def decode_step(
         self, batch: int | None = None, context: int | None = None
     ) -> StepCost:
@@ -592,11 +561,18 @@ class HermesSession:
     ) -> tuple[float, float, float]:
         """One decode token through the per-token control-plane path.
 
-        The core of :meth:`decode_step`: per-token predictor entry
-        points (``predict_all`` / ``observe_all``), scalar attention,
-        and the session's cached work views.  Returns ``(seconds,
-        gpu_busy, dimm_busy)``; the caller handles validation and
-        packaging.
+        The core of :meth:`decode_step`.  Every layer's prediction (two
+        flat parent gathers in ``predict_all``), FC byte loads and times
+        are a few matrix ops over the whole token.  The layer loop then
+        sums the per-layer costs and runs the online swap: a no-op gate
+        built from three per-token reductions skips every layer whose
+        swap could move nothing; the first layer that passes it takes
+        one snapshot of every layer's wanted and resident groups with
+        their states, and :meth:`NeuronMapper.swap` runs on that layer's
+        slices.  ``observe_all`` folds the token into the state table
+        after the loop, and a full window pairs every layer's DIMMs in
+        one pass.  Returns ``(seconds, gpu_busy, dimm_busy)``; the
+        caller handles validation and packaging.
         """
         (gpu, dimm, n_dimms, group_bytes, two_sync, pcie_bandwidth,
          oracle, online, window_scheduling, hot_threshold, num_layers,
@@ -682,6 +658,7 @@ class HermesSession:
                 min_wanted_bytes = np.where(
                     wanted_matrix, group_bytes,
                     _INT64_MAX).min(axis=1).tolist()
+            w_bounds = None
         breakdown = result.breakdown
         bd_fc = breakdown.get("fc", 0.0)
         bd_attn = breakdown.get("attention", 0.0)
@@ -692,7 +669,6 @@ class HermesSession:
         gpu_busy = 0.0
         dimm_busy = 0.0
         proj_window_pcie = 0.0
-        states = predictor.states
         for l in range(num_layers):
             fc_time = fc_times[l]
             bd_fc += fc_time
@@ -709,20 +685,41 @@ class HermesSession:
             bd_pred += t_pred
             dimm_busy += t_merge
             token_time += (fc_time + t_attn + t_proj + t_merge + t_pred)
-            if online and adjust_rows[l]:
-                bytes_in = self._maybe_adjust(
-                    l,
-                    states[l],
-                    int(proj_window_pcie * pcie_bandwidth),
-                    wanted_matrix,
-                    coldest[l],
-                    hottest_wanted[l],
-                    min_wanted_bytes[l],
+            if not (online and adjust_rows[l]):
+                continue
+            # The no-op gate: budget spent, smallest candidate over
+            # budget, or no colder resident and no headroom.  Each forces
+            # the greedy core's first probe to stop with nothing moved.
+            budget = int(proj_window_pcie * pcie_bandwidth)
+            min_bytes = min_wanted_bytes[l]
+            if (budget <= 0 or min_bytes > budget
+                    or (coldest[l] >= hottest_wanted[l]
+                        and mapper.free_bytes(l) < min_bytes)):
+                continue
+            if w_bounds is None:
+                # every layer's wanted and resident groups with their
+                # states, snapshot once per token: a layer's swap writes
+                # only its own residency row and the states change only
+                # in observe_all, so this is each layer's entry state
+                groups = wanted_matrix.shape[1]
+                edges = np.arange(0, (num_layers + 1) * groups, groups)
+                w_flat = np.flatnonzero(wanted_matrix)
+                w_group, w_states = w_flat % groups, state_matrix.take(w_flat)
+                w_bounds = np.searchsorted(w_flat, edges).tolist()
+                r_flat = np.flatnonzero(resident_all)
+                r_group, r_states = r_flat % groups, state_matrix.take(r_flat)
+                r_bounds = np.searchsorted(r_flat, edges).tolist()
+            w0, w1 = w_bounds[l], w_bounds[l + 1]
+            r0, r1 = r_bounds[l], r_bounds[l + 1]
+            bytes_in = mapper.swap(
+                l, w_group[w0:w1], w_states[w0:w1],
+                r_group[r0:r1], r_states[r0:r1], budget,
+            ).bytes_in
+            if bytes_in:
+                self._swap_bytes_total += bytes_in
+                proj_window_pcie = max(
+                    0.0, proj_window_pcie - bytes_in / pcie_bandwidth
                 )
-                if bytes_in:
-                    proj_window_pcie = max(
-                        0.0, proj_window_pcie - bytes_in / pcie_bandwidth
-                    )
         breakdown["fc"] = bd_fc
         breakdown["attention"] = bd_attn
         breakdown["projection"] = bd_proj

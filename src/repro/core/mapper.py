@@ -17,7 +17,6 @@ import numpy as np
 
 from ..sparsity import NeuronLayout
 from .partition import OfflinePartition
-from .predictor import STATE_MAX
 
 
 @dataclasses.dataclass
@@ -58,7 +57,7 @@ class NeuronMapper:
         #: Python list beats per-element ndarray item extraction)
         self._group_bytes_list: list[int] = layout.group_bytes.tolist()
         #: per-layer resident bytes, maintained incrementally by
-        #: :meth:`initialize`/:meth:`adjust` so the hot path never re-sums
+        #: :meth:`initialize`/:meth:`swap` so the hot path never re-sums
         self._layer_used: list[int] = [0] * layout.model.num_layers
         # Per-layer residency ceiling, fixed by the offline partition:
         # online adjustment is membership churn (paired swap-in/swap-out,
@@ -88,133 +87,90 @@ class NeuronMapper:
     # ------------------------------------------------------------------
     def adjust(self, layer: int, states: np.ndarray, *,
                hot_threshold: int = 10,
-               max_bytes: int | None = None,
-               coldest_state: int | None = None,
-               wanted_row: np.ndarray | None = None,
-               hottest_wanted: int | None = None,
-               min_wanted_bytes: int | None = None) -> AdjustmentResult:
+               max_bytes: int | None = None) -> AdjustmentResult:
         """Swap newly-hot groups in and cold residents out for one layer.
 
         ``states`` is the predictor's state table for the layer.  At most
         ``max_bytes`` may be transferred (the projection-window budget);
         remaining candidates wait for the next opportunity, exactly like
-        the deferred copies of the paper's instruction queue.
-
-        The keyword hints let a caller that already computed them (the
-        engine does, for all layers at once, in a few matrix ops per
-        token) skip the per-layer reductions: ``coldest_state`` is
-        ``states[resident].min()`` (anything above the maximum state when
-        nothing is resident), ``wanted_row`` the ``(states >
-        hot_threshold) & ~resident`` mask, ``hottest_wanted`` /
-        ``min_wanted_bytes`` the max state and min byte size over that
-        mask.
+        the deferred copies of the paper's instruction queue.  The
+        per-layer entry point over :meth:`swap`, which the engine calls
+        directly with candidates it extracted for the whole token.
         """
         resident = self.resident[layer]
         if states.shape != resident.shape:
             raise ValueError("states mask has wrong shape")
-        result = AdjustmentResult()
-        budget = max_bytes if max_bytes is not None else np.inf
+        wanted = np.flatnonzero((states > hot_threshold) & ~resident)
+        if wanted.size == 0:
+            return AdjustmentResult()
+        held = np.flatnonzero(resident)
+        return self.swap(layer, wanted, states[wanted], held, states[held],
+                         np.inf if max_bytes is None else max_bytes)
 
-        if wanted_row is None:
-            wanted_row = (states > hot_threshold) & ~resident
-            if not wanted_row.any():
-                return result
-        if budget <= 0:
-            # every group weighs at least one neuron's bytes, so a
-            # non-positive budget admits nothing (the unguarded loop would
-            # break on its first candidate with an empty result anyway)
-            return result
+    def swap(self, layer: int, wanted: np.ndarray, wanted_states: np.ndarray,
+             held: np.ndarray, held_states: np.ndarray,
+             budget: float) -> AdjustmentResult:
+        """The greedy core of one layer's adjustment.
 
-        # Fast paths for the dominant steady-state outcomes — the same
-        # stuck candidates re-present every token.  Both conditions force
-        # the greedy loop to exit on its first probe with nothing moved,
-        # independent of how argsort breaks state ties: if even the
-        # smallest candidate exceeds the transfer budget, the first
-        # (whichever it is) breaks immediately; and if no resident group
-        # is colder than the hottest candidate, the eviction guard
-        # refuses the very first victim for every candidate, so only
-        # eviction-free admission could act — impossible when the
-        # headroom cannot fit the smallest candidate either.
+        ``wanted`` are the layer's non-resident groups above the hot
+        threshold and ``held`` its resident groups, both in group order,
+        with their predictor states beside them.  Candidates are admitted
+        hottest first while they fit ``budget`` bytes; one that does not
+        fit the free GPU space evicts the coldest held groups first, but
+        never one at least as hot as itself, and groups admitted during
+        the call are never victims.  The two ``argsort`` calls (default
+        kind, on group-ordered states) fix how state ties are broken.
+        The loop runs on plain-int copies and keeps the free space by
+        arithmetic: the tighter of the global and per-layer headroom
+        moves by exactly the bytes admitted or evicted.
+        """
         group_bytes = self._group_bytes_list
-        layer_used = self._layer_used[layer]
-        if coldest_state is None or hottest_wanted is None \
-                or min_wanted_bytes is None:
-            wanted_idx = np.flatnonzero(wanted_row)
-            if wanted_idx.size == 0:
-                return result
-            if coldest_state is None:
-                coldest_state = (int(states[resident].min())
-                                 if resident.any() else STATE_MAX + 1)
-            if hottest_wanted is None:
-                hottest_wanted = int(states[wanted_idx].max())
-            if min_wanted_bytes is None:
-                min_wanted_bytes = int(
-                    self.layout.group_bytes[wanted_idx].min()
-                )
-        if min_wanted_bytes > budget:
-            return result
-        free0 = min(
-            self.gpu_budget_bytes - self.resident_bytes,
-            self.layer_budget[layer] - layer_used,
-        )
-        if coldest_state >= hottest_wanted and free0 < min_wanted_bytes:
-            return result
-
-        # hottest candidates first
-        wanted = np.flatnonzero(wanted_row)
-        wanted = wanted[np.argsort(states[wanted])[::-1]]
-
-        # eviction candidates: coldest residents first.  The candidate set
-        # is the residency at entry (groups admitted *during* this call are
-        # never eviction victims), but the sort is done lazily because most
-        # adjustments that get this far have headroom and never evict.
-        entry_resident = resident.copy()
-        evictable: np.ndarray | None = None
-        evict_pos = 0
-        for idx in wanted:
+        order = wanted_states.argsort()[::-1]  # hottest first
+        candidates = wanted[order].tolist()
+        free = self.free_bytes(layer)
+        victims: list[int] | None = None
+        n_in = n_out = bytes_in = bytes_out = 0
+        for idx, state in zip(candidates, wanted_states[order].tolist()):
             b = group_bytes[idx]
             if b > budget:
                 break
-            free = min(
-                self.gpu_budget_bytes - self.resident_bytes,
-                self.layer_budget[layer] - layer_used,
-            )
-            if free < b and evictable is None:
-                evictable = np.flatnonzero(entry_resident)
-                evictable = evictable[np.argsort(states[evictable])]
-            # evict until the newcomer fits; never evict hotter than it
-            while (free < b and evictable is not None
-                   and evict_pos < evictable.size):
-                victim = evictable[evict_pos]
-                if states[victim] >= states[idx]:
-                    break
-                resident[victim] = False
-                freed = group_bytes[victim]
-                self.resident_bytes -= freed
-                layer_used -= freed
-                free += freed
-                result.swapped_out += 1
-                evict_pos += 1
             if free < b:
-                break
-            resident[idx] = True
-            self.resident_bytes += b
-            layer_used += b
+                if victims is None:
+                    coldest = held_states.argsort()
+                    victims = held[coldest].tolist()
+                    victim_states = held_states[coldest].tolist()
+                while (free < b and n_out < len(victims)
+                       and victim_states[n_out] < state):
+                    freed = group_bytes[victims[n_out]]
+                    free += freed
+                    bytes_out += freed
+                    n_out += 1
+                if free < b:
+                    break
+            free -= b
             budget -= b
-            result.swapped_in += 1
-            result.bytes_in += b
-        self._layer_used[layer] = layer_used
-        if result.swapped_in or result.swapped_out:
+            bytes_in += b
+            n_in += 1
+        if n_in or n_out:
+            resident = self.resident[layer]
+            if n_out:
+                for victim in victims[:n_out]:
+                    resident[victim] = False
+            for idx in candidates[:n_in]:
+                resident[idx] = True
+            delta = bytes_in - bytes_out
+            self.resident_bytes += delta
+            self._layer_used[layer] += delta
             self.version += 1
-        return result
+        return AdjustmentResult(n_in, n_out, bytes_in)
 
     # ------------------------------------------------------------------
     def free_bytes(self, layer: int) -> int:
         """Headroom a swap-in to ``layer`` may use without evicting.
 
         The tighter of the global GPU budget slack and the layer's frozen
-        residency ceiling — the same quantity :meth:`adjust` computes
-        internally, exposed so the engine can skip no-op adjust calls.
+        residency ceiling — the free space :meth:`swap` starts from, also
+        read by the engine's gate that skips no-op adjustments.
         """
         return min(
             self.gpu_budget_bytes - self.resident_bytes,

@@ -187,8 +187,8 @@ class ActivationPredictor:
             (self.num_layers, layout.groups_per_layer), dtype=np.int16)
         self.states = list(self.state_matrix)
         self.correlation: CorrelationTable | None = None
-        self._parents_stack: tuple[np.ndarray, np.ndarray, np.ndarray,
-                                   bool] | None = None
+        self._parents_stack: tuple[np.ndarray, np.ndarray,
+                                   np.ndarray] | None = None
         self.stats = PredictionStats()
 
     # ------------------------------------------------------------------
@@ -246,48 +246,53 @@ class ActivationPredictor:
         # permanently-active neuron with silent parents.
         return score >= cfg.threshold
 
-    def _stacked_parents(
-        self
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-        """(layer indices, gather rows, stacked top-2 parent table,
-        indices-are-contiguous flag) for the vectorized layer-wise term;
-        layers without a table are absent from the stack."""
+    def _stacked_parents(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(layers with a table, flat first-parent indices, flat
+        second-parent indices) for the vectorized layer-wise term.
+
+        Layers without a table are absent.  The flat indices address the
+        raveled ``actuals[layers - 1]``: row ``r`` holds the previous
+        layer of ``layers[r]``, so child ``g``'s parent ``p`` sits at
+        ``r * groups + p``.  Built on the first :meth:`predict_all`.
+        """
         if self._parents_stack is None:
             parents = (self.correlation.parents
                        if self.correlation is not None else [])
             layers = [l for l in range(1, self.num_layers)
                       if l < len(parents) and parents[l] is not None]
-            idx = np.asarray(layers, dtype=np.intp)
-            stack = (np.stack([parents[l] for l in layers]) if layers
-                     else np.zeros((0, self.layout.groups_per_layer, 2),
-                                   dtype=np.intp))
-            rows = np.arange(idx.size)[:, None, None]
-            contiguous = bool(idx.size == self.num_layers - 1
-                              and (idx == np.arange(1, self.num_layers)).all())
-            self._parents_stack = (idx, rows, stack, contiguous)
+            groups = self.layout.groups_per_layer
+            flat = [parents[l].astype(np.intp) + r * groups
+                    for r, l in enumerate(layers)]
+            stack = (np.stack(flat) if flat
+                     else np.zeros((0, groups, 2), dtype=np.intp))
+            self._parents_stack = (np.asarray(layers, dtype=np.intp),
+                                   stack[:, :, 0].ravel(),
+                                   stack[:, :, 1].ravel())
         return self._parents_stack
 
     def predict_all(self, actuals: np.ndarray) -> np.ndarray:
         """Predicted masks for every layer of one token, vectorized.
 
-        ``actuals`` is the token's (num_layers, groups) ground-truth
-        activation matrix; row ``l-1`` supplies the realised previous-layer
-        activations feeding layer ``l``'s layer-wise term (layers execute
-        sequentially, so those are known by the time layer ``l`` runs).
-        Row ``l`` equals ``predict(l, actuals[l-1])`` bit-for-bit — one
-        call replaces the per-layer loop on the decode fast path.
+        ``actuals`` is the token's (num_layers, groups) boolean
+        ground-truth activation matrix; row ``l-1`` supplies the realised
+        previous-layer activations feeding layer ``l``'s layer-wise term
+        (layers execute sequentially, so those are known by the time
+        layer ``l`` runs).  Row ``l`` equals ``predict(l, actuals[l-1])``
+        bit-for-bit — one call replaces the per-layer loop on the decode
+        fast path.  The parent counts are two flat ``uint8`` gathers over
+        a contiguous copy of the previous-layer rows; they land in the
+        same ``float64`` ``s2`` as :meth:`predict` computes.
         """
         if actuals.shape != self.state_matrix.shape:
             raise ValueError("actuals matrix has wrong shape")
         cfg = self.config
         s2 = np.zeros(self.state_matrix.shape)
         if cfg.use_layer_prediction and self.correlation is not None:
-            idx, rows, parents, contiguous = self._stacked_parents()
-            if idx.size:
-                # every layer past the first has a table in the common
-                # case, so the previous-layer rows are just a slice
-                prev = actuals[:-1] if contiguous else actuals[idx - 1]
-                s2[idx] = prev[rows, parents].sum(axis=2)
+            layers, first, second = self._stacked_parents()
+            if layers.size:
+                prev = actuals[layers - 1].view(np.uint8).ravel()
+                s2[layers] = (prev[first] + prev[second]).reshape(
+                    layers.size, -1)
         if not cfg.use_token_prediction:
             # layer-only mode: both sampled parents must fire (see predict)
             return s2 >= 2.0

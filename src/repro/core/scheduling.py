@@ -136,17 +136,8 @@ class WindowScheduler:
         dimm_of: np.ndarray,
         activity: np.ndarray,
         loads: np.ndarray,
-        peak: np.ndarray | None = None,
     ) -> RemapResult:
-        """Pair heaviest/lightest DIMMs and drain each pair (lines 2-6).
-
-        ``peak`` optionally carries each DIMM's hottest member activity
-        (a scatter-max the matrix caller computes for all layers at
-        once); a pair whose heaviest member cannot move — inactive, or
-        the move would overshoot the balance point — is skipped without
-        touching the membership arrays, which is the common
-        near-balanced outcome.
-        """
+        """Pair heaviest/lightest DIMMs and drain each pair (lines 2-6)."""
         result = RemapResult()
         order = np.argsort(loads)[::-1]  # heaviest first (line 2)
         for pos in range(self.num_dimms // 2):
@@ -156,12 +147,6 @@ class WindowScheduler:
                 # already balanced: any positive move would overshoot, so
                 # the drain loop could only break on its first candidate
                 continue
-            if peak is not None:
-                amax = peak[heavy]
-                # the drain probes its hottest member first; this is its
-                # first-probe exit, decided without gathering members
-                if amax <= 0 or loads[heavy] - amax < loads[light] + amax:
-                    continue
             moved = self._drain_pair(
                 layer, dimm_of, activity, loads, heavy, light
             )
@@ -232,40 +217,54 @@ class WindowScheduler:
         """Rebalance every layer and reset the window.
 
         ``dimm_of`` and ``exclude`` may be per-layer lists or dense
-        (num_layers, groups) matrices; the matrix form computes every
-        layer's masked activity and per-DIMM loads in a few vectorized
-        ops (one flat segmented bincount) before running the per-pair
-        drains, with identical results.  ``keys`` optionally supplies
-        the flattened ``layer * num_dimms + dimm_of`` bin keys — a
-        caller that tracks remaps (the engine, via the partition's
+        (num_layers, groups) matrices.  The list form runs
+        :meth:`rebalance_layer` per layer and is the reference.  The
+        matrix form equals it in one pass: one flat segmented bincount
+        gives every layer's per-DIMM loads, one scatter-max each DIMM's
+        hottest member, and one row-wise ``argsort`` pairs every layer's
+        DIMMs.  Both first-probe exits of every pair — already balanced,
+        or its hottest member inactive or overshooting — are array
+        comparisons, and only pairs that move reach :meth:`_drain_pair`.
+        A layer's pairs are disjoint, so no drain changes the loads
+        another pair's check reads.  ``keys`` optionally supplies the
+        flattened ``layer * num_dimms + dimm_of`` bin keys — a caller
+        that tracks remaps (the engine, via the partition's
         ``remap_version``) can cache them between moves.
         """
         total = RemapResult()
         if isinstance(dimm_of, np.ndarray) and dimm_of.ndim == 2 \
                 and self.num_dimms > 1:
             num_layers = dimm_of.shape[0]
+            n_dimms = self.num_dimms
             activity = self._activity_matrix.astype(np.float64)
             if exclude is not None:
                 ex = (exclude if isinstance(exclude, np.ndarray)
                       else np.stack(list(exclude)))
                 activity = np.where(ex, 0.0, activity)
             if keys is None:
-                keys = dimm_of + (
-                    np.arange(num_layers)[:, None] * self.num_dimms
-                )
+                keys = dimm_of + np.arange(num_layers)[:, None] * n_dimms
             flat_keys = keys.ravel()
             loads = np.bincount(
                 flat_keys, weights=activity.ravel(),
-                minlength=num_layers * self.num_dimms,
-            ).reshape(num_layers, self.num_dimms)
-            # hottest member per (layer, DIMM) — one scatter-max feeding
-            # the per-pair first-probe exits of every layer's drain
-            peak = np.zeros(num_layers * self.num_dimms)
+                minlength=num_layers * n_dimms,
+            ).reshape(num_layers, n_dimms)
+            peak = np.zeros(num_layers * n_dimms)
             np.maximum.at(peak, flat_keys, activity.ravel())
-            peak = peak.reshape(num_layers, self.num_dimms)
-            for l in range(num_layers):
-                total.merge(self._rebalance_pairs(
-                    l, dimm_of[l], activity[l], loads[l], peak[l]))
+            peak = peak.reshape(num_layers, n_dimms)
+            # rows equal the per-layer sort; pair pos matches the
+            # pos-th heaviest DIMM with the pos-th lightest (line 2)
+            order = np.argsort(loads, axis=1)
+            light = order[:, :n_dimms // 2]
+            heavy = order[:, ::-1][:, :n_dimms // 2]
+            h_load = np.take_along_axis(loads, heavy, axis=1)
+            l_load = np.take_along_axis(loads, light, axis=1)
+            amax = np.take_along_axis(peak, heavy, axis=1)
+            moves = (h_load > l_load) & (amax > 0) \
+                & ~(h_load - amax < l_load + amax)
+            for l, pos in zip(*np.nonzero(moves)):
+                total.merge(self._drain_pair(
+                    l, dimm_of[l], activity[l], loads[l],
+                    int(heavy[l, pos]), int(light[l, pos])))
         else:
             rows = list(dimm_of)
             for l in range(len(rows)):

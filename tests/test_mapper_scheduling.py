@@ -307,7 +307,8 @@ class TestAdjustReference:
             budget = int(gbytes[:rng.integers(0, 40)].sum())
         else:
             budget = int(gbytes.sum()) * num_layers
-        mapper, ref = NeuronMapper(layout, budget), NeuronMapper(layout, budget)
+        mapper = NeuronMapper(layout, budget)
+        ref = NeuronMapper(layout, budget)
         if initialized:
             partition = OfflinePartition(
                 hot_masks=list(hot),
