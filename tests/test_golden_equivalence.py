@@ -184,15 +184,18 @@ def routed_runs():
 @pytest.mark.parametrize(
     "key", ("routed4/round-robin", "routed-mixed/round-robin",
             "routed4/session-affinity-crash", "routed4/fast-round-robin",
-            "routed4/least-loaded-degrade")
+            "routed4/least-loaded-degrade",
+            "routed4/fast-session-affinity-crash")
 )
 def test_routed_fleets_match_goldens(golden, routed_runs, key):
     """Routed cluster fleets are pinned to every token and migration.
 
     Round-robin on a hermes fleet and on a dense/dejavu mix,
     session-affinity routing whose crash drill re-routes refugees, the
-    round-robin fleet at fast fidelity, and a least-loaded fleet whose
-    degrade evicts residents while a peer straggles: the router's
+    round-robin fleet at fast fidelity, a least-loaded fleet whose
+    degrade evicts residents while a peer straggles, and the crash
+    drill at fast fidelity, where a crash cuts a span after some of its
+    tokens finished and the span keeps that prefix: the router's
     decisions, each request's machine, token timestamps and migration
     count, and the per-machine busy time pin the cluster front door
     absolutely.
@@ -203,6 +206,27 @@ def test_routed_fleets_match_goldens(golden, routed_runs, key):
     report = simulator.run(list(workload))
     assert json.loads(json.dumps(routed_outputs(report))) == \
         golden["serving"][key]
+
+
+@pytest.mark.parametrize(
+    "key", ("fleet3/fcfs", "fleet3/sjf", "fleet3/hermes-union", "trio/fcfs",
+            "routed4/round-robin", "routed-mixed/round-robin",
+            "routed4/session-affinity-crash", "routed4/fast-round-robin",
+            "routed4/least-loaded-degrade",
+            "routed4/fast-session-affinity-crash")
+)
+def test_fleet_telemetry_matches_goldens(golden, fleet_runs, routed_runs,
+                                         key):
+    """Every fleet's telemetry stream is pinned by count and digest.
+
+    The report goldens above pin no event field; the SHA-256 of the
+    canonical stream pins them all, a ``DecodeStep``'s seconds, busy
+    times, swap and resident bytes and ``req_ids`` included.
+    """
+    from tools.capture_goldens import telemetry_digest
+
+    simulator, workload = {**fleet_runs, **routed_runs}[key]
+    assert telemetry_digest(simulator, workload) == golden["telemetry"][key]
 
 
 @pytest.fixture(scope="module")

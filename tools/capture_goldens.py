@@ -28,6 +28,16 @@ session-affinity under two crash/restart windows) are pinned the same
 way, plus every request's migration count.  Two more routed entries pin
 the fault-free fast-fidelity span loop and a least-loaded fleet whose
 small-DIMM machines straggle and degrade, so a degrade evicts residents.
+The crash drill also runs at fast fidelity with its crashes moved to
+instants that land inside a decode span after some of its tokens
+finished, so a span keeps its finished prefix.
+
+The telemetry section re-runs every shared-queue and routed fleet under a
+:class:`~repro.telemetry.RecordingTracer` and pins the count of each
+event type and the SHA-256 of the whole stream (canonical JSON of
+``[type name, fields]`` per event), so every event field — a
+``DecodeStep``'s seconds, busy times, swap and resident bytes and
+``req_ids`` included — is pinned without storing its values.
 
 ``--verify`` instead *recomputes* every golden and diffs it against the
 committed files without writing anything — the CI golden-drift gate.  It
@@ -44,7 +54,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import collections
 import dataclasses
+import hashlib
 import json
 import pathlib
 import sys
@@ -76,6 +88,7 @@ from repro.serving.faults import (
 )
 from repro.serving.workload import merge_workloads
 from repro.sparsity import TraceConfig, generate_trace
+from repro.telemetry import RecordingTracer
 
 #: mirrors tests/conftest.py's ``tiny_trace``
 TRACE_CONFIG = dict(prompt_len=32, decode_len=64, granularity=4)
@@ -123,6 +136,13 @@ ROUTED_TENANTS = 4
 ROUTED_CRASHES = (
     CrashSpec(machine=1, at=0.05, restart_after=0.1),
     CrashSpec(machine=2, at=0.12, restart_after=0.15),
+)
+#: the crash drill's fast-fidelity twin: a crash at 0.03 s lands inside
+#: a span after some of its tokens finished (the drill's own instants
+#: fall on span boundaries at fast fidelity)
+FAST_ROUTED_CRASHES = (
+    CrashSpec(machine=1, at=0.03, restart_after=0.1),
+    CrashSpec(machine=2, at=0.07, restart_after=0.15),
 )
 #: a straggler window and a half-DIMM degrade on a least-loaded fleet of
 #: small-DIMM machines, where the degrade's shrunken KV pool evicts
@@ -291,6 +311,13 @@ def routed_runs() -> dict:
             ClusterSimulator("tiny-test", "fcfs", degrade,
                              machine=_small_dimm_machine()),
             _tenant_workload(per=25, rate=300.0, seed=13)),
+        "routed4/fast-session-affinity-crash": (
+            ClusterSimulator(
+                "tiny-test", "fcfs",
+                dataclasses.replace(
+                    chaos, fidelity="fast",
+                    faults=FaultSchedule(crashes=FAST_ROUTED_CRASHES))),
+            _tenant_workload(per=25, rate=300.0, seed=13)),
     }
 
 
@@ -300,6 +327,27 @@ def routed_outputs(report) -> dict:
     for r in report.records:
         out["records"][str(r.request.req_id)]["migrations"] = r.migrations
     return out
+
+
+def telemetry_digest(simulator, workload) -> dict:
+    """A traced run's event count per type and the SHA-256 of its
+    stream, serialised as canonical JSON of ``[type name, fields]`` per
+    event."""
+    tracer = RecordingTracer()
+    simulator.run(list(workload), tracer=tracer)
+    stream = json.dumps(
+        [[type(e).__name__, dataclasses.asdict(e)] for e in tracer.events],
+        sort_keys=True, allow_nan=False, separators=(",", ":"))
+    counts = collections.Counter(type(e).__name__ for e in tracer.events)
+    return {"counts": dict(sorted(counts.items())),
+            "sha256": hashlib.sha256(stream.encode()).hexdigest()}
+
+
+def telemetry_goldens() -> dict:
+    """Every shared-queue and routed fleet's :func:`telemetry_digest`."""
+    return {key: telemetry_digest(simulator, workload)
+            for key, (simulator, workload)
+            in {**fleet_runs(), **routed_runs()}.items()}
 
 
 def serving_goldens() -> dict:
@@ -427,6 +475,7 @@ def main(argv: list[str] | None = None) -> int:
             "trace": trace_spec,
             "engine": engine_goldens(),
             "serving": serving_goldens(),
+            "telemetry": telemetry_goldens(),
         },
         out.parent / "golden_baselines_tiny.json": {
             "trace": trace_spec,
