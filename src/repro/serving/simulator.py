@@ -17,26 +17,32 @@ loop is the canonical iteration-level scheduler:
 3. admit queued requests in policy order while the effective batch cap
    (``min(max_batch, policy.batch_limit)``) has room, charging each
    admission's prefill on the machine;
-4. run one decode iteration for the whole resident batch (every request
-   gains one token; the engine sees the batch's mean context length);
+4. run one decode iteration for the whole resident batch: quote ``k``
+   tokens and their cost (the engine sees the batch's mean context
+   length), wait for them, and commit the granted tokens to every
+   resident at once — one busy charge, one health observation, one
+   ``DecodeStep`` event;
 5. retire finished requests and repeat — or, when fully idle, wait on
    its wake signal.
 
-With ``fidelity: "exact"`` (the default) step 4 is one engine call and
-one calendar event per token: every token re-predicts hot and cold
-neurons and may remap cold neurons across the NDP-DIMMs, exactly as the
-engine decodes, and the golden files pin the result bit for bit.
-``fidelity: "fast"`` is the scale path: it collapses a whole decode span
-into one closed-form ``span_estimate`` call with uniform token spacing.
-A span is planned up to the preemptor's trigger and the machine's own
-next fault transition and waits on the machine's wake signal, so an
-arrival for that machine cuts it at the step in flight; it is validated
-against exact by distribution-level tolerances.
+Both fidelities share that iteration; they differ only in how they quote
+``k`` tokens and how they wait for them.  With ``fidelity: "exact"``
+(the default) the quote is one engine step, ``k = 1``, and one calendar
+event per token: every token re-predicts hot and cold neurons and may
+remap cold neurons across the NDP-DIMMs, exactly as the engine decodes,
+and the golden files pin the result bit for bit.  ``fidelity: "fast"``
+is the scale path: it quotes a whole decode span through one closed-form
+``span_estimate`` call with uniform token spacing.  A span is planned up
+to the preemptor's trigger and the machine's own next fault transition
+and waits on the machine's wake signal, so an arrival for that machine
+cuts it at the step in flight; it is validated against exact by
+distribution-level tolerances.
 
 Faults reach a machine only through its own timeline and its wake
 signal: every wait (prefill, exact step, fast span, idle park) ends at
 its work's end clamped to the machine's own next crash, one check on
-waking aborts the work in flight, and a peer's crash hands the machine
+waking aborts the work in flight (a decode keeps only the tokens that
+completed before the crash), and a peer's crash hands the machine
 migrated work through the signal.
 
 Prefill blocks decode on the same machine (no chunked prefill), which is
@@ -437,8 +443,22 @@ class _RunState:
         if self.tracer.enabled:
             self.tracer.emit(QueueDepth(time=now, depth=depth))
 
-    def note_batch(self, now: float) -> None:
+    def note_batch(self, m: int, delta: int, now: float) -> None:
+        """Grow machine ``m``'s batch by ``delta`` residents (negative to
+        shrink it) and sample the fleet's batch size.  The only writer of
+        ``total_active`` and ``active_counts``."""
+        self.total_active += delta
+        self.active_counts[m] += delta
         self.batch_samples.append((now, float(self.total_active)))
+
+    def evacuate(self, m: int, entries: list[ActiveEntry], now: float,
+                 onto: int | None = None) -> None:
+        """Take ``entries`` out of machine ``m``'s batch and
+        :meth:`migrate` each one: a crash leaves ``onto`` unset, so they
+        are re-routed; a degrade eviction re-queues them on ``onto=m``."""
+        self.note_batch(m, -len(entries), now)
+        for entry in entries:
+            self.migrate(entry.request, m, now, onto)
 
 
 def _span_cost(executor: ServingBackend, batch: int, start_context: float,
@@ -742,11 +762,7 @@ class ServingSimulator:
                     state.queue_of(m).clear()
                     state.queued_count -= len(pending)
                 if active:
-                    state.total_active -= len(active)
-                    state.active_counts[m] -= len(active)
-                    state.note_batch(now)
-                    for entry in active:
-                        state.migrate(entry.request, m, now)
+                    state.evacuate(m, active, now)
                     active = []
                 for request in pending:
                     state.migrate(request, m, now)
@@ -793,11 +809,7 @@ class ServingSimulator:
                     if overflow:
                         active = kept
                         evicted = len(overflow)
-                        state.total_active -= evicted
-                        state.active_counts[m] -= evicted
-                        state.note_batch(sim.now)
-                        for entry in overflow:
-                            state.migrate(entry.request, m, sim.now, onto=m)
+                        state.evacuate(m, overflow, sim.now, onto=m)
                 if tracing:
                     tracer.emit(MachineDegraded(
                         time=sim.now,
@@ -835,9 +847,7 @@ class ServingSimulator:
                 if victim is not None:
                     active.remove(victim)
                     victim.record.preemptions += 1
-                    state.total_active -= 1
-                    state.active_counts[m] -= 1
-                    state.note_batch(sim.now)
+                    state.note_batch(m, -1, sim.now)
                     if tracing:
                         tracer.emit(RequestPreempted(
                             time=sim.now,
@@ -902,9 +912,7 @@ class ServingSimulator:
                         ))
                 active.append(ActiveEntry(request, record,
                                           admitted_at=sim.now))
-                state.total_active += 1
-                state.active_counts[m] += 1
-                state.note_batch(sim.now)
+                state.note_batch(m, 1, sim.now)
 
             h = fh.at(sim.now)
             # a crash that landed during an admission prefill parks the
@@ -926,30 +934,34 @@ class ServingSimulator:
                 yield WaitSignal(wake, until=h.next_down)
                 continue
 
+            # ---- decode: quote k tokens, wait, commit the granted ----
+            # The fidelities differ only in the quote and the wait: exact
+            # quotes one engine step (k = 1), fast a whole span through
+            # one closed-form estimate with uniform token spacing —
+            # close to exact in distribution (pinned by tolerance
+            # tests), never bit-equal to it.  A straggler stretches the
+            # whole quote; read at its start, work straddling a window
+            # boundary completes at its quoted cost, like work
+            # straddling an arrival.
+            batch = len(active)
+            ctx_sum = sum(a.next_context for a in active)
+            factor = h.slowdown
+            start = sim.now
             if fast:
-                # ---- fast fidelity: closed-form span aggregation ----
-                # One engine estimate and one calendar event per span,
-                # with uniform token spacing across it — distributionally
-                # close to exact (pinned by tolerance tests), never
-                # bit-equal to it.  Preemption/admission decisions happen
-                # only at span boundaries: the span is planned up to the
-                # preemptor trigger and this machine's next exec
-                # transition, and an arrival for this machine cuts it at
-                # the step in flight — the instants at which a decision
-                # could change.
-                batch = len(active)
-                ctx_sum = sum(a.next_context for a in active)
+                # Preemption/admission decisions happen only at span
+                # boundaries: the span is planned up to the preemptor
+                # trigger and this machine's next exec transition, and
+                # an arrival for this machine cuts it at the step in
+                # flight — the instants at which a decision could change.
                 k = min(a.request.output_len - len(a.record.token_times)
                         for a in active)
                 until = h.exec_transition
                 if preemptor is not None and queue:
-                    trigger = preemptor.next_trigger(sim.now, queue, active,
+                    trigger = preemptor.next_trigger(start, queue, active,
                                                      executor)
                     if trigger is not None and (until is None
                                                 or trigger < until):
                         until = trigger
-                factor = h.slowdown
-                start = sim.now
                 start_context = ctx_sum / batch
                 seconds, gpu_cost, dimm_cost = _span_cost(
                     executor, batch, start_context, k, factor)
@@ -962,6 +974,7 @@ class ServingSimulator:
                                    + 1))
                     seconds, gpu_cost, dimm_cost = _span_cost(
                         executor, batch, start_context, k, factor)
+                swap_bytes = resident_bytes = 0.0
                 stop = h.stop(start + seconds)
                 yield WaitSignal(wake, until=stop)
                 if sim.now < stop:
@@ -973,91 +986,62 @@ class ServingSimulator:
                         sim.now, seconds / k)
                     stop = h.stop(start + seconds)
                     yield WaitUntil(stop)
-                mean_step = seconds / k
-                granted = k
-                if fh.at(sim.now).down_now:
-                    # the span stopped at the crash: only tokens
-                    # completing before it are granted, and the machine
-                    # parks at the crash instant
-                    granted = min(k, int(max(0.0, stop - start)
-                                         / mean_step))
-                    while (granted > 0
-                           and start + mean_step * granted >= stop):
-                        granted -= 1
-                if granted:
-                    frac = granted / k
-                    state.machine_gpu_busy[m] += gpu_cost * frac
-                    state.machine_dimm_busy[m] += dimm_cost * frac
-                    times = [start + mean_step * (i + 1)
-                             for i in range(granted)]
-                    for entry in active:
-                        entry.record.token_times.extend(times)
-                    if observe is not None:
-                        observe(m, mean_step, batch)
-                    if tracing:
-                        # one aggregate DecodeStep per span — fast mode
-                        # coarsens telemetry granularity by design
-                        tracer.emit(DecodeStep(
-                            time=times[-1],
-                            machine=m,
-                            batch=batch,
-                            seconds=mean_step * granted,
-                            gpu_busy=gpu_cost * frac,
-                            dimm_busy=dimm_cost * frac,
-                            swap_bytes=0.0,
-                            resident_bytes=0.0,
-                            req_ids=tuple(
-                                a.request.req_id for a in active),
-                        ))
             else:
-                # ---- exact: one engine step per token ----
-                batch = len(active)
-                context = max(
-                    1, round(sum(a.next_context for a in active) / batch)
-                )
-                cost = executor.decode_step(batch, context)
-                # a straggler stretches the whole step; the cost is
-                # quoted at the step's start, so a step straddling a
-                # window boundary completes at its quoted cost — exactly
-                # like a step straddling an arrival
-                factor = h.slowdown
+                # an arrival never cuts an exact step but waits for the
+                # token boundary (a signal wait would add a calendar
+                # event per arrival landing mid-step)
+                k = 1
+                cost = executor.decode_step(batch,
+                                            max(1, round(ctx_sum / batch)))
                 seconds = cost.seconds * factor
                 gpu_cost = cost.gpu_busy * factor
                 dimm_cost = cost.dimm_busy * factor
-                yield WaitUntil(h.stop(sim.now + seconds))
-                if fh.at(sim.now).down_now:
-                    # the crash landed mid-step: abort — no token
-                    # granted, no busy time charged
-                    continue
-                state.machine_gpu_busy[m] += gpu_cost
-                state.machine_dimm_busy[m] += dimm_cost
+                swap_bytes = cost.swap_bytes
+                resident_bytes = cost.resident_bytes
+                stop = h.stop(start + seconds)
+                yield WaitUntil(stop)
+            # With k = 1 every factor below is exact in IEEE arithmetic
+            # (``x / 1``, ``x * 1.0``), so an exact token lands on
+            # ``start + seconds``, the instant the wait ended.
+            mean_step = seconds / k
+            granted = k
+            if fh.at(sim.now).down_now:
+                # the wait stopped at the crash: only tokens completing
+                # before it are granted (none of a crashed exact step),
+                # no busy time is charged for the rest, and the machine
+                # parks at the crash instant
+                granted = min(k, int(max(0.0, stop - start) / mean_step))
+                while granted > 0 and start + mean_step * granted >= stop:
+                    granted -= 1
+            if granted:
+                frac = granted / k
+                state.machine_gpu_busy[m] += gpu_cost * frac
+                state.machine_dimm_busy[m] += dimm_cost * frac
+                times = [start + mean_step * (i + 1) for i in range(granted)]
+                for entry in active:
+                    entry.record.token_times.extend(times)
                 if observe is not None:
-                    observe(m, seconds, batch)
-                now = sim.now
+                    observe(m, mean_step, batch)
                 if tracing:
+                    # one DecodeStep per commit: per token when exact,
+                    # per span when fast (coarser telemetry by design)
                     tracer.emit(DecodeStep(
-                        time=now,
+                        time=times[-1],
                         machine=m,
                         batch=batch,
-                        seconds=seconds,
-                        gpu_busy=gpu_cost,
-                        dimm_busy=dimm_cost,
-                        swap_bytes=cost.swap_bytes,
-                        resident_bytes=cost.resident_bytes,
-                        req_ids=tuple(
-                            a.request.req_id for a in active
-                        ),
+                        seconds=mean_step * granted,
+                        gpu_busy=gpu_cost * frac,
+                        dimm_busy=dimm_cost * frac,
+                        swap_bytes=swap_bytes,
+                        resident_bytes=resident_bytes,
+                        req_ids=tuple(a.request.req_id for a in active),
                     ))
-                for entry in active:
-                    entry.record.token_times.append(now)
             # ---- retire finished requests ----
             now = sim.now
             finished = [a for a in active if a.record.finished]
             if finished:
                 active = [a for a in active if not a.record.finished]
-                state.total_active -= len(finished)
-                state.active_counts[m] -= len(finished)
-                state.note_batch(now)
+                state.note_batch(m, -len(finished), now)
                 if tracing:
                     for entry in finished:
                         tracer.emit(RequestCompleted(
