@@ -301,7 +301,6 @@ class HermesSession:
                 self.costs,
                 strategy=cfg.partition_strategy,
                 seed=trace.seed,
-                balanced_dimms=cfg.partition_strategy != "random",
             )
         self.mapper = NeuronMapper(self.layout, self.costs.gpu_budget_bytes)
         self.mapper.initialize(self.partition)

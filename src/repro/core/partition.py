@@ -251,7 +251,6 @@ def _lp_hot_masks(
 # ----------------------------------------------------------------------
 def assign_dimms(frequencies: list[np.ndarray], hot_masks: list[np.ndarray],
                  layout: NeuronLayout, costs: PartitionCosts, *,
-                 rng: np.random.Generator | None = None,
                  balanced: bool = True) -> list[np.ndarray]:
     """Assign every group of every layer to a DIMM.
 
@@ -307,13 +306,13 @@ def assign_dimms(frequencies: list[np.ndarray], hot_masks: list[np.ndarray],
 # ----------------------------------------------------------------------
 def solve_partition(frequencies: list[np.ndarray], layout: NeuronLayout,
                     costs: PartitionCosts, *, strategy: str = "greedy",
-                    seed: int = 0,
-                    balanced_dimms: bool = True) -> OfflinePartition:
+                    seed: int = 0) -> OfflinePartition:
     """Solve the offline neuron mapping from profiled frequencies.
 
     ``frequencies[l]`` is the profiled activation frequency of each group
     in layer ``l`` (the paper profiles 128 samples of C4/Pile; the engine
-    passes prefill-window frequencies).
+    passes prefill-window frequencies).  The random strategy also places
+    groups on DIMMs round-robin; the others pack them by LPT.
     """
     if len(frequencies) != layout.model.num_layers:
         raise ValueError("one frequency vector per layer required")
@@ -322,23 +321,17 @@ def solve_partition(frequencies: list[np.ndarray], layout: NeuronLayout,
             raise ValueError("frequency vector has wrong shape")
         if (freq < 0).any() or (freq > 1).any():
             raise ValueError("frequencies must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
     if strategy == "greedy":
         hot = _greedy_hot_masks(frequencies, layout, costs)
     elif strategy == "ilp":
         hot = _lp_hot_masks(frequencies, layout, costs)
     elif strategy == "random":
-        hot = _random_hot_masks(frequencies, layout, costs, rng)
+        hot = _random_hot_masks(frequencies, layout, costs,
+                                np.random.default_rng(seed))
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    dimm_of = assign_dimms(
-        frequencies,
-        hot,
-        layout,
-        costs,
-        rng=rng,
-        balanced=balanced_dimms and strategy != "random",
-    )
+    dimm_of = assign_dimms(frequencies, hot, layout, costs,
+                           balanced=strategy != "random")
     partition = OfflinePartition(
         hot_masks=hot, dimm_of=dimm_of, strategy=strategy
     )
