@@ -92,9 +92,8 @@ class ClusterSimulator(ServingSimulator):
     def _make_router(self) -> Router:
         spec = self._router_spec
         if spec is None:
-            spec = getattr(self.config, "router", "round-robin")
-        seed = getattr(self.config, "router_seed", 0)
-        return get_router(spec, seed=seed)
+            spec = self.config.router
+        return get_router(spec, seed=self.config.router_seed)
 
     def _build_state(self, workload: list[Request]) -> _RunState:
         machines = self.config.num_machines
@@ -105,8 +104,7 @@ class ClusterSimulator(ServingSimulator):
         #: time parameter, so ``assign`` stamps it before delegating
         clock = [0.0]
         monitor: HealthMonitor | None = None
-        if faults is not None and getattr(self.config, "health_aware",
-                                          False):
+        if faults is not None and self.config.health_aware:
             monitor = HealthMonitor()
 
             def unhealthy(m: int) -> bool:
@@ -117,26 +115,25 @@ class ClusterSimulator(ServingSimulator):
 
             router = HealthAwareRouter(router, unhealthy)
             state.observe_step = monitor.observe
-        if getattr(router, "needs_throughputs", False):
-            router.bind_fleet([
-                executor.estimated_tokens_per_second()
-                for executor in self.executors
-            ])
+
+        def bind_throughputs() -> None:
+            if router.needs_throughputs:
+                router.bind_fleet([
+                    executor.estimated_tokens_per_second()
+                    for executor in self.executors
+                ])
+
+        bind_throughputs()
         if faults is not None and faults.degrades:
-            bound_monitor = monitor
 
             def on_degrade(machine: int) -> None:
                 # a renegotiated machine is legitimately slower: relearn
                 # its straggler baseline, and re-feed throughput-aware
                 # routers the degraded tokens/sec estimates so "least
                 # drain time" stays true on the diminished fleet
-                if bound_monitor is not None:
-                    bound_monitor.rebaseline(machine)
-                if getattr(router, "needs_throughputs", False):
-                    router.bind_fleet([
-                        executor.estimated_tokens_per_second()
-                        for executor in self.executors
-                    ])
+                if monitor is not None:
+                    monitor.rebaseline(machine)
+                bind_throughputs()
 
             state.on_degrade = on_degrade
 
