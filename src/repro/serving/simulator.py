@@ -18,25 +18,22 @@ loop is the canonical iteration-level scheduler:
    (``min(max_batch, policy.batch_limit)``) has room, charging each
    admission's prefill on the machine;
 4. run one decode iteration for the whole resident batch: quote ``k``
-   tokens and their cost (the engine sees the batch's mean context
-   length), wait for them, and commit the granted tokens to every
-   resident at once — one busy charge, one health observation, one
-   ``DecodeStep`` event;
+   tokens at the batch's mean context length, wait for them, and commit
+   the granted tokens to every resident at once;
 5. retire finished requests and repeat — or, when fully idle, wait on
    its wake signal.
 
-Both fidelities share that iteration; they differ only in how they quote
-``k`` tokens and how they wait for them.  With ``fidelity: "exact"``
-(the default) the quote is one engine step, ``k = 1``, and one calendar
-event per token: every token re-predicts hot and cold neurons and may
-remap cold neurons across the NDP-DIMMs, exactly as the engine decodes,
-and the golden files pin the result bit for bit.  ``fidelity: "fast"``
-is the scale path: it quotes a whole decode span through one closed-form
-``span_estimate`` call with uniform token spacing.  A span is planned up
-to the preemptor's trigger and the machine's own next fault transition
-and waits on the machine's wake signal, so an arrival for that machine
-cuts it at the step in flight; it is validated against exact by
-distribution-level tolerances.
+The two fidelities share that iteration and differ only in the quote
+and the wait.  ``fidelity: "exact"`` (the default) quotes one engine
+step, ``k = 1``, and one calendar event per token: every token
+re-predicts hot and cold neurons and may remap cold neurons across the
+NDP-DIMMs, exactly as the engine decodes, and the golden files pin the
+result bit for bit.  ``fidelity: "fast"`` is the scale path: it quotes a
+whole decode span through one closed-form ``span_estimate`` call with
+uniform token spacing.  A span is planned up to the preemptor's trigger
+and the machine's own next fault transition and waits on the machine's
+wake signal, so an arrival for that machine cuts it at the step in
+flight; it is validated against exact by distribution-level tolerances.
 
 Faults reach a machine only through its own timeline and its wake
 signal: every wait (prefill, exact step, fast span, idle park) ends at
@@ -453,9 +450,8 @@ class _RunState:
 
     def evacuate(self, m: int, entries: list[ActiveEntry], now: float,
                  onto: int | None = None) -> None:
-        """Take ``entries`` out of machine ``m``'s batch and
-        :meth:`migrate` each one: a crash leaves ``onto`` unset, so they
-        are re-routed; a degrade eviction re-queues them on ``onto=m``."""
+        """Take ``entries`` out of machine ``m``'s batch and :meth:`migrate`
+        each one (a crash leaves ``onto`` unset, a degrade passes ``m``)."""
         self.note_batch(m, -len(entries), now)
         for entry in entries:
             self.migrate(entry.request, m, now, onto)
@@ -935,24 +931,18 @@ class ServingSimulator:
                 continue
 
             # ---- decode: quote k tokens, wait, commit the granted ----
-            # The fidelities differ only in the quote and the wait: exact
-            # quotes one engine step (k = 1), fast a whole span through
-            # one closed-form estimate with uniform token spacing —
-            # close to exact in distribution (pinned by tolerance
-            # tests), never bit-equal to it.  A straggler stretches the
-            # whole quote; read at its start, work straddling a window
-            # boundary completes at its quoted cost, like work
-            # straddling an arrival.
+            # exact quotes one engine step (k = 1), fast a closed-form
+            # span with uniform token spacing.  A straggler stretches the
+            # quote, read at its start: work straddling a window boundary
+            # completes at its quoted cost, like work straddling an arrival
             batch = len(active)
             ctx_sum = sum(a.next_context for a in active)
             factor = h.slowdown
             start = sim.now
             if fast:
-                # Preemption/admission decisions happen only at span
-                # boundaries: the span is planned up to the preemptor
-                # trigger and this machine's next exec transition, and
-                # an arrival for this machine cuts it at the step in
-                # flight — the instants at which a decision could change.
+                # admission and preemption decide only between spans: a
+                # span is planned up to the preemptor trigger and the next
+                # exec transition, and an arrival for this machine cuts it
                 k = min(a.request.output_len - len(a.record.token_times)
                         for a in active)
                 until = h.exec_transition
@@ -987,9 +977,8 @@ class ServingSimulator:
                     stop = h.stop(start + seconds)
                     yield WaitUntil(stop)
             else:
-                # an arrival never cuts an exact step but waits for the
-                # token boundary (a signal wait would add a calendar
-                # event per arrival landing mid-step)
+                # an arrival waits for the token boundary: a signal wait
+                # would add a calendar event per arrival landing mid-step
                 k = 1
                 cost = executor.decode_step(batch,
                                             max(1, round(ctx_sum / batch)))
@@ -1000,16 +989,14 @@ class ServingSimulator:
                 resident_bytes = cost.resident_bytes
                 stop = h.stop(start + seconds)
                 yield WaitUntil(stop)
-            # With k = 1 every factor below is exact in IEEE arithmetic
-            # (``x / 1``, ``x * 1.0``), so an exact token lands on
-            # ``start + seconds``, the instant the wait ended.
+            # with k = 1, ``x / 1`` and ``x * 1.0`` are exact, so an exact
+            # token lands on ``start + seconds``, where the wait ended
             mean_step = seconds / k
             granted = k
             if fh.at(sim.now).down_now:
                 # the wait stopped at the crash: only tokens completing
-                # before it are granted (none of a crashed exact step),
-                # no busy time is charged for the rest, and the machine
-                # parks at the crash instant
+                # before it are granted and charged (none of an exact
+                # step), and the machine parks at the crash instant
                 granted = min(k, int(max(0.0, stop - start) / mean_step))
                 while granted > 0 and start + mean_step * granted >= stop:
                     granted -= 1
@@ -1023,8 +1010,7 @@ class ServingSimulator:
                 if observe is not None:
                     observe(m, mean_step, batch)
                 if tracing:
-                    # one DecodeStep per commit: per token when exact,
-                    # per span when fast (coarser telemetry by design)
+                    # one event per commit: per token exact, per span fast
                     tracer.emit(DecodeStep(
                         time=times[-1],
                         machine=m,
