@@ -53,6 +53,14 @@ CONFIGS = {
 }
 
 
+SHARED_QUEUE_KEYS = ("fleet3/fcfs", "fleet3/sjf", "fleet3/hermes-union",
+                     "trio/fcfs")
+ROUTED_KEYS = ("routed4/round-robin", "routed-mixed/round-robin",
+               "routed4/session-affinity-crash", "routed4/fast-round-robin",
+               "routed4/least-loaded-degrade",
+               "routed4/fast-session-affinity-crash")
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(GOLDEN_PATH.read_text())
@@ -154,9 +162,7 @@ def fleet_runs():
     return fleet_runs()
 
 
-@pytest.mark.parametrize(
-    "key", ("fleet3/fcfs", "fleet3/sjf", "fleet3/hermes-union", "trio/fcfs")
-)
+@pytest.mark.parametrize("key", SHARED_QUEUE_KEYS)
 def test_shared_queue_fleets_match_goldens(golden, fleet_runs, key):
     """Multi-machine shared-queue fleets are pinned to every token.
 
@@ -181,12 +187,7 @@ def routed_runs():
     return routed_runs()
 
 
-@pytest.mark.parametrize(
-    "key", ("routed4/round-robin", "routed-mixed/round-robin",
-            "routed4/session-affinity-crash", "routed4/fast-round-robin",
-            "routed4/least-loaded-degrade",
-            "routed4/fast-session-affinity-crash")
-)
+@pytest.mark.parametrize("key", ROUTED_KEYS)
 def test_routed_fleets_match_goldens(golden, routed_runs, key):
     """Routed cluster fleets are pinned to every token and migration.
 
@@ -208,13 +209,7 @@ def test_routed_fleets_match_goldens(golden, routed_runs, key):
         golden["serving"][key]
 
 
-@pytest.mark.parametrize(
-    "key", ("fleet3/fcfs", "fleet3/sjf", "fleet3/hermes-union", "trio/fcfs",
-            "routed4/round-robin", "routed-mixed/round-robin",
-            "routed4/session-affinity-crash", "routed4/fast-round-robin",
-            "routed4/least-loaded-degrade",
-            "routed4/fast-session-affinity-crash")
-)
+@pytest.mark.parametrize("key", SHARED_QUEUE_KEYS + ROUTED_KEYS)
 def test_fleet_telemetry_matches_goldens(golden, fleet_runs, routed_runs,
                                          key):
     """Every fleet's telemetry stream is pinned by count and digest.
