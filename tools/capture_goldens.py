@@ -137,9 +137,9 @@ ROUTED_CRASHES = (
     CrashSpec(machine=1, at=0.05, restart_after=0.1),
     CrashSpec(machine=2, at=0.12, restart_after=0.15),
 )
-#: the crash drill's fast-fidelity twin: a crash at 0.03 s lands inside
-#: a span after some of its tokens finished (the drill's own instants
-#: fall on span boundaries at fast fidelity)
+#: the crash drill's fast-fidelity twin: the crash at 0.03 s lands
+#: inside a span after some of its tokens finished (at the drill's own
+#: instants fast fidelity makes no partial grant)
 FAST_ROUTED_CRASHES = (
     CrashSpec(machine=1, at=0.03, restart_after=0.1),
     CrashSpec(machine=2, at=0.07, restart_after=0.15),
