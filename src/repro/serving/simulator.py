@@ -25,7 +25,7 @@ loop is the canonical iteration-level scheduler:
 
 The two fidelities share that iteration and differ only in the quote
 and the wait.  ``fidelity: "exact"`` (the default) quotes one engine
-step, ``k = 1``, and one calendar event per token: every token
+step, ``k = 1``, so it spends one calendar event per token: every token
 re-predicts hot and cold neurons and may remap cold neurons across the
 NDP-DIMMs, exactly as the engine decodes, and the golden files pin the
 result bit for bit.  ``fidelity: "fast"`` is the scale path: it quotes a
