@@ -44,9 +44,11 @@ from repro.serving import (
     DomainCrashSpec,
     DomainSpec,
     FaultSchedule,
+    PartitionSpec,
     SampleSpec,
     ServingConfig,
     ServingSimulator,
+    StragglerSpec,
     dump_fault_trace,
     load_fault_trace,
     sample_faults,
@@ -64,6 +66,20 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 DOMAINS_SPEC = REPO / "scenarios" / "chaos_domains_tiny.json"
 
 RACKS = (DomainSpec("rack0", (0, 1)), DomainSpec("rack1", (2, 3)))
+
+#: the JSONL failure-trace format, one event of every kind in line order
+TRACE_TEXT = """\
+{"kind": "schedule", "seed": 42, "restart_warmup": 0.001}
+{"kind": "domain", "name": "rack1", "machines": [2, 3]}
+{"kind": "crash", "machine": 0, "at": 0.004, "restart_after": null}
+{"kind": "domain-crash", "domain": "rack1", "at": 0.01, "restart_after": \
+0.005}
+{"kind": "straggler", "machine": 1, "start": 0.002, "end": null, \
+"slowdown": 8.0}
+{"kind": "partition", "machine": 2, "start": 0.001, "end": 0.004}
+{"kind": "degrade", "machine": 3, "at": 0.02, "dimm_fraction": 0.5, \
+"bandwidth_factor": 1.0}
+"""
 
 
 def _tight_machine(per_dimm_bytes: int = 1_613_824) -> Machine:
@@ -317,6 +333,56 @@ class TestTraceReplay:
         # every line is strict JSON with a kind tag
         for line in path.read_text().splitlines():
             assert "kind" in json.loads(line)
+
+    def test_dump_format_is_pinned(self, tmp_path):
+        # one event of every kind: line order, key order and nulls
+        schedule = FaultSchedule(
+            crashes=(CrashSpec(0, 0.004),),
+            stragglers=(StragglerSpec(1, 0.002, None, 8.0),),
+            partitions=(PartitionSpec(2, 0.001, 0.004),),
+            seed=42,
+            restart_warmup=0.001,
+            domains=(DomainSpec("rack1", (2, 3)),),
+            domain_crashes=(DomainCrashSpec("rack1", 0.01, 0.005),),
+            degrades=(DegradeSpec(3, 0.02, 0.5),),
+        )
+        path = tmp_path / "faults.jsonl"
+        dump_fault_trace(schedule, path)
+        assert path.read_text() == TRACE_TEXT
+        assert load_fault_trace(path) == schedule
+
+    @pytest.mark.parametrize("line, needles", [
+        ("{not json", ["malformed JSON"]),
+        ("[1, 2]", ["'kind'"]),
+        ('{"machine": 0, "at": 0.1}', ["'kind'"]),
+        ('{"kind": "reboot", "machine": 0}', ["'reboot'"]),
+        ('{"kind": "schedule", "seed": 1, "oops": 2}',
+         ["schedule", "'oops'"]),
+        ('{"kind": "crash", "machine": 0, "at": 0.1, "oops": 2}',
+         ["crash", "'oops'"]),
+        ('{"kind": "crash", "machine": 0}', ["crash", "'at'"]),
+        ('{"kind": "crash", "machine": 0, "at": -1.0}', ["crash", "'at'"]),
+        ('{"kind": "domain", "name": "rack9"}', ["domain", "'machines'"]),
+        ('{"kind": "domain-crash", "at": 0.1}', ["domain-crash", "'domain'"]),
+        ('{"kind": "straggler", "machine": 0, "start": 0.1, "end": 0.2}',
+         ["straggler", "'slowdown'"]),
+        ('{"kind": "straggler", "machine": 0, "start": 0.2, "end": 0.1, '
+         '"slowdown": 2.0}', ["straggler", "end must be after start"]),
+        ('{"kind": "partition", "machine": 0, "start": 0.1, "stop": 0.2}',
+         ["partition", "'stop'"]),
+        ('{"kind": "degrade", "machine": 0, "at": 0.1, '
+         '"dimm_fraction": 1.5}', ["degrade", "dimm_fraction"]),
+    ])
+    def test_load_rejection_names_line_kind_and_key(
+            self, tmp_path, line, needles):
+        path = tmp_path / "faults.jsonl"
+        path.write_text(TRACE_TEXT.splitlines()[0] + "\n\n" + line + "\n")
+        with pytest.raises(ValueError) as info:
+            load_fault_trace(path)
+        message = str(info.value)
+        # the blank second line still counts: the bad event is line 3
+        for needle in [f"{path}:3", *needles]:
+            assert needle in message
 
     def test_replay_reproduces_sampled_run(self, tmp_path):
         from tools.gen_fault_trace import main as gen_main
