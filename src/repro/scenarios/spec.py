@@ -33,18 +33,13 @@ from ..models import get_model
 from ..serving import (
     BACKENDS,
     BatchingPolicy,
-    CrashSpec,
-    DegradeSpec,
-    DomainCrashSpec,
     DomainSpec,
     FaultSchedule,
     HermesUnionPolicy,
     LengthDistribution,
     MachineGroup,
-    PartitionSpec,
     Request,
     SampleSpec,
-    StragglerSpec,
     WorkloadConfig,
     generate_workload,
     get_policy,
@@ -53,7 +48,7 @@ from ..serving import (
     merge_workloads,
 )
 from ..serving.executor import DEFAULT_TRACE_DECODE, DEFAULT_TRACE_PROMPT
-from ..serving.faults import FAULT_EVENT_KEYS
+from ..serving.faults import FAULT_EVENT_KINDS, fault_event
 from ..sparsity import ActivationTrace, TraceConfig, generate_trace
 from ..telemetry import TelemetrySpec, Tracer
 
@@ -87,10 +82,19 @@ def _take(data: dict, allowed: typing.Iterable[str], context: str) -> dict:
     return data
 
 
+def _fields(
+    cls: type, *extra: str, drop: typing.Container[str] = ()
+) -> tuple[str, ...]:
+    """The keys of a section that builds ``cls``: its fields, less
+    ``drop``, plus the ``extra`` keys the parser consumes itself."""
+    names = tuple(f.name for f in dataclasses.fields(cls))
+    return tuple(n for n in names if n not in drop) + extra
+
+
 def _lengths(data: dict | None, context: str) -> LengthDistribution:
     if data is None:
         return LengthDistribution()
-    _take(data, ("kind", "mean", "low", "high", "sigma"), context)
+    _take(data, _fields(LengthDistribution), context)
     return LengthDistribution(**data)
 
 
@@ -261,28 +265,9 @@ _TOP_KEYS = (
     "faults",
     "planner",
 )
-_TENANT_KEYS = (
-    "name",
-    "class",
-    "arrival",
-    "rate",
-    "num_requests",
-    "prompt_lens",
-    "output_lens",
-    "seed",
-    "burst_factor",
-    "burst_fraction",
-    "burst_period",
-)
-#: tenant keys forwarded verbatim to :class:`WorkloadConfig`
-_WORKLOAD_KEYS = (
-    "arrival",
-    "rate",
-    "num_requests",
-    "burst_factor",
-    "burst_fraction",
-    "burst_period",
-)
+#: machine-hardware keys, shared by the ``machine`` table and every
+#: fleet group's overrides
+_MACHINE_KEYS = ("gpu", "num_dimms", "multipliers", "sync_latency")
 
 
 def _parse_machine(
@@ -293,11 +278,7 @@ def _parse_machine(
     machine = base if base is not None else Machine()
     if not data:
         return machine
-    _take(
-        data,
-        ("gpu", "num_dimms", "multipliers", "sync_latency"),
-        context,
-    )
+    _take(data, _MACHINE_KEYS, context)
     if "gpu" in data:
         machine = machine.with_gpu(get_gpu(data["gpu"]))
     if "num_dimms" in data:
@@ -309,21 +290,6 @@ def _parse_machine(
             machine, sync_latency=float(data["sync_latency"])
         )
     return machine
-
-
-#: per-group fleet keys: machine-hardware overrides ride along with the
-#: group shape, backend choice, and model override
-_FLEET_KEYS = (
-    "count",
-    "backend",
-    "gpu",
-    "num_dimms",
-    "multipliers",
-    "sync_latency",
-    "model",
-    "nominal_batch",
-)
-_FLEET_MACHINE_KEYS = ("gpu", "num_dimms", "multipliers", "sync_latency")
 
 
 def _parse_fleet(
@@ -344,7 +310,10 @@ def _parse_fleet(
         context = f"fleet[{index}]"
         if not isinstance(entry, dict):
             raise ValueError(f"{context}: each machine group is a mapping")
-        _take(entry, _FLEET_KEYS, context)
+        # machine-hardware overrides ride along with the group shape,
+        # backend choice, and model override
+        keys = _fields(MachineGroup, *_MACHINE_KEYS, drop=("machine",))
+        _take(entry, keys, context)
         backend = str(entry.get("backend", "hermes"))
         if backend.lower() not in BACKENDS:
             known = ", ".join(sorted(BACKENDS))
@@ -355,7 +324,7 @@ def _parse_fleet(
         if model is not None:
             get_model(model)  # fail at parse time with the known-model list
         machine_overrides = {
-            key: entry[key] for key in _FLEET_MACHINE_KEYS if key in entry
+            key: entry[key] for key in _MACHINE_KEYS if key in entry
         }
         machine = (
             _parse_machine(machine_overrides, base_machine, context)
@@ -380,16 +349,7 @@ def _parse_cluster(data: dict | None) -> tuple[ClusterConfig, str, dict]:
     data = dict(data or {})
     _take(
         data,
-        (
-            "num_machines",
-            "max_batch",
-            "fidelity",
-            "router",
-            "router_seed",
-            "health_aware",
-            "policy",
-            "union_cap",
-        ),
+        _fields(ClusterConfig, "policy", "union_cap", drop=("faults",)),
         "cluster",
     )
     policy = data.pop("policy", "fcfs")
@@ -403,32 +363,6 @@ def _parse_cluster(data: dict | None) -> tuple[ClusterConfig, str, dict]:
             f"cluster.router: unknown router {router!r}; known: {known}"
         )
     return ClusterConfig(**data), policy, policy_kwargs
-
-
-_FAULT_KEYS = (
-    "seed",
-    "restart_warmup",
-    "crashes",
-    "stragglers",
-    "partitions",
-    "domains",
-    "domain_crashes",
-    "degrades",
-    "sample",
-    "trace",
-)
-_SAMPLE_KEYS = (
-    "horizon",
-    "crashes_per_machine",
-    "mean_downtime",
-    "restart_fraction",
-    "stragglers_per_machine",
-    "mean_straggle",
-    "slowdown",
-    "partitions_per_machine",
-    "mean_partition",
-    "crashes_per_domain",
-)
 
 
 def _parse_domains(data: dict) -> tuple:
@@ -457,10 +391,11 @@ def _parse_faults(
     """The ``faults:`` section: explicit events plus seeded sampled chaos.
 
     Absent section means ``None`` — every machine of the serving loop
-    runs against a pristine fault timeline.  Explicit events and the
-    ``sample`` table are validated with the same unknown-key strictness
-    as the rest of the spec, and the merged schedule is checked against
-    the fleet size.
+    runs against a pristine fault timeline.  Each explicit event and the
+    ``sample`` table are built by :func:`~repro.serving.faults.fault_event`
+    from their spec class's fields, so an unknown key, a missing one or
+    a bad value names its path (``faults.crashes[0]``), and the merged
+    schedule is checked against the fleet size.
 
     ``trace: FILE`` replays a recorded JSONL failure log instead (path
     relative to the scenario file); the trace carries the *complete*
@@ -470,7 +405,7 @@ def _parse_faults(
     if data is None:
         return None
     data = dict(data)
-    _take(data, _FAULT_KEYS, "faults")
+    _take(data, _fields(FaultSchedule, "sample", "trace"), "faults")
     trace = data.pop("trace", None)
     if trace is not None:
         if data:
@@ -486,38 +421,36 @@ def _parse_faults(
         schedule.validate_fleet(num_machines)
         return schedule
 
-    def _events(key: str, kind: str, factory) -> tuple:
-        entries = data.get(key)
+    def _events(field: str, cls: type) -> tuple:
+        entries = data.get(field)
         if entries is None:
             return ()
         if not isinstance(entries, list):
-            raise ValueError(f"faults.{key}: must be a list of mappings")
+            raise ValueError(f"faults.{field}: must be a list of mappings")
         out = []
         for index, entry in enumerate(entries):
-            context = f"faults.{key}[{index}]"
+            context = f"faults.{field}[{index}]"
             if not isinstance(entry, dict):
                 raise ValueError(f"{context}: each event is a mapping")
-            _take(entry, FAULT_EVENT_KEYS[kind], context)
-            out.append(factory(**entry))
+            out.append(fault_event(cls, entry, context))
         return tuple(out)
 
     schedule = FaultSchedule(
-        crashes=_events("crashes", "crash", CrashSpec),
-        stragglers=_events("stragglers", "straggler", StragglerSpec),
-        partitions=_events("partitions", "partition", PartitionSpec),
         seed=int(data.get("seed", 0)),
         restart_warmup=float(data.get("restart_warmup", 0.0)),
         domains=_parse_domains(data),
-        domain_crashes=_events(
-            "domain_crashes", "domain-crash", DomainCrashSpec
-        ),
-        degrades=_events("degrades", "degrade", DegradeSpec),
+        **{
+            field: _events(field, cls)
+            for _, cls, field in FAULT_EVENT_KINDS
+            if field != "domains"
+        },
     )
     sample = data.get("sample")
     if sample is not None:
-        _take(sample, _SAMPLE_KEYS, "faults.sample")
         schedule = merge_sampled(
-            schedule, SampleSpec(**sample), num_machines
+            schedule,
+            fault_event(SampleSpec, sample, "faults.sample"),
+            num_machines,
         )
     schedule.validate_fleet(num_machines)
     return schedule
@@ -535,10 +468,11 @@ def _parse_policy(name: str, kwargs: dict) -> BatchingPolicy:
 
 def _parse_classes(classes: dict | None, slo_table: dict | None) -> SLOPolicy:
     slo_table = dict(slo_table or {})
-    _take(slo_table, ("preemptive", "headroom"), "slo")
+    _take(slo_table, _fields(SLOPolicy, drop=("classes",)), "slo")
     parsed: list[PriorityClass] = []
     for name, fields in (classes or {}).items():
-        _take(fields, ("priority", "ttft_slo", "tbt_slo"), f"classes.{name}")
+        _take(fields, _fields(PriorityClass, drop=("name",)),
+              f"classes.{name}")
         parsed.append(
             PriorityClass(
                 name=name,
@@ -554,9 +488,7 @@ def _parse_classes(classes: dict | None, slo_table: dict | None) -> SLOPolicy:
 
 def _parse_telemetry(data: dict | None) -> TelemetrySpec:
     data = dict(data or {})
-    _take(
-        data, ("sample_interval", "stream", "chrome_trace"), "telemetry"
-    )
+    _take(data, _fields(TelemetrySpec), "telemetry")
     kwargs: dict = {}
     if "sample_interval" in data:
         kwargs["sample_interval"] = float(data["sample_interval"])
@@ -566,22 +498,9 @@ def _parse_telemetry(data: dict | None) -> TelemetrySpec:
     return TelemetrySpec(**kwargs)
 
 
-_PLANNER_KEYS = (
-    "budget",
-    "backends",
-    "gpus",
-    "models",
-    "nominal_batches",
-    "counts",
-    "target_attainment",
-    "optimism",
-    "max_cost_usd",
-)
-
-
 def _parse_planner(data: dict | None) -> PlannerSpec:
     data = dict(data or {})
-    _take(data, _PLANNER_KEYS, "planner")
+    _take(data, _fields(PlannerSpec), "planner")
     kwargs: dict = {}
     if "budget" in data:
         kwargs["budget"] = int(data["budget"])
@@ -611,7 +530,7 @@ def _parse_tenant(
     data: dict, index: int, base_seed: int, slo: SLOPolicy
 ) -> TenantSpec:
     context = f"tenants[{index}]"
-    _take(data, _TENANT_KEYS, context)
+    _take(data, _fields(WorkloadConfig, "name", "class", "seed"), context)
     name = data.get("name", f"tenant-{index}")
     class_name = data.get("class", "default")
     if class_name not in {c.name for c in slo.classes}:
@@ -620,23 +539,17 @@ def _parse_tenant(
             f"{context}: class {class_name!r} is not declared "
             f"(declared: {declared})"
         )
-    workload_kwargs = {}
-    for key in _WORKLOAD_KEYS:
-        if key in data:
-            workload_kwargs[key] = data[key]
-    workload = WorkloadConfig(
-        prompt_lens=_lengths(
-            data.get("prompt_lens"), f"{context}.prompt_lens"
-        ),
-        output_lens=_lengths(
-            data.get("output_lens"), f"{context}.output_lens"
-        ),
-        **workload_kwargs,
-    )
+    # every other key is a WorkloadConfig field, forwarded verbatim
+    # except the two length distributions
+    workload = {
+        k: v for k, v in data.items() if k not in ("name", "class", "seed")
+    }
+    for key in ("prompt_lens", "output_lens"):
+        workload[key] = _lengths(data.get(key), f"{context}.{key}")
     return TenantSpec(
         name=name,
         class_name=class_name,
-        workload=workload,
+        workload=WorkloadConfig(**workload),
         seed=int(data.get("seed", base_seed + index)),
     )
 

@@ -77,6 +77,7 @@ import difflib
 import functools
 import json
 import math
+import operator
 import random
 import typing
 
@@ -87,6 +88,22 @@ def _check_time(value: float, label: str) -> float:
         raise ValueError(f"{label} must be a finite non-negative time, "
                          f"got {value!r}")
     return value
+
+
+def _check_restart(after: float | None) -> None:
+    if after is not None:
+        after = float(after)
+        if not math.isfinite(after) or after <= 0:
+            raise ValueError("restart_after must be a positive time "
+                             "(or null for no restart)")
+
+
+def _check_window(spec: StragglerSpec | PartitionSpec, label: str) -> None:
+    if spec.machine < 0:
+        raise ValueError(f"{label} machine index must be >= 0")
+    _check_time(spec.start, f"{label} start")
+    if spec.end is not None and float(spec.end) <= spec.start:
+        raise ValueError(f"{label} end must be after start")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -105,11 +122,7 @@ class CrashSpec:
         if self.machine < 0:
             raise ValueError("crash machine index must be >= 0")
         _check_time(self.at, "crash time 'at'")
-        if self.restart_after is not None:
-            after = float(self.restart_after)
-            if not math.isfinite(after) or after <= 0:
-                raise ValueError("restart_after must be a positive time "
-                                 "(or null for no restart)")
+        _check_restart(self.restart_after)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -122,11 +135,7 @@ class StragglerSpec:
     slowdown: float
 
     def __post_init__(self) -> None:
-        if self.machine < 0:
-            raise ValueError("straggler machine index must be >= 0")
-        _check_time(self.start, "straggler start")
-        if self.end is not None and float(self.end) <= self.start:
-            raise ValueError("straggler end must be after start")
+        _check_window(self, "straggler")
         if not self.slowdown >= 1.0:
             raise ValueError("slowdown must be >= 1 (a straggler cannot "
                              "speed a machine up)")
@@ -141,11 +150,7 @@ class PartitionSpec:
     end: float | None
 
     def __post_init__(self) -> None:
-        if self.machine < 0:
-            raise ValueError("partition machine index must be >= 0")
-        _check_time(self.start, "partition start")
-        if self.end is not None and float(self.end) <= self.start:
-            raise ValueError("partition end must be after start")
+        _check_window(self, "partition")
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -185,11 +190,7 @@ class DomainCrashSpec:
         if not self.domain:
             raise ValueError("domain crash must name a domain")
         _check_time(self.at, "domain crash time 'at'")
-        if self.restart_after is not None:
-            after = float(self.restart_after)
-            if not math.isfinite(after) or after <= 0:
-                raise ValueError("restart_after must be a positive time "
-                                 "(or null for no restart)")
+        _check_restart(self.restart_after)
 
 
 @dataclasses.dataclass(frozen=True, slots=True)
@@ -255,6 +256,43 @@ class SampleSpec:
             raise ValueError("sampled slowdown must be >= 1")
 
 
+#: every fault-event kind, in failure-trace line order: its trace
+#: ``kind`` tag, the spec class whose fields are its keys, and the
+#: :class:`FaultSchedule` field that holds its events
+FAULT_EVENT_KINDS: tuple[tuple[str, type, str], ...] = (
+    ("domain", DomainSpec, "domains"),
+    ("crash", CrashSpec, "crashes"),
+    ("domain-crash", DomainCrashSpec, "domain_crashes"),
+    ("straggler", StragglerSpec, "stragglers"),
+    ("partition", PartitionSpec, "partitions"),
+    ("degrade", DegradeSpec, "degrades"),
+)
+#: the kinds whose events name one machine, checked against the fleet
+_MACHINE_FIELDS = tuple(
+    field for _, cls, field in FAULT_EVENT_KINDS
+    if "machine" in {f.name for f in dataclasses.fields(cls)}
+)
+
+
+def _check_keys(data: dict, allowed: typing.Iterable[str],
+                context: str) -> None:
+    unknown = sorted(set(data) - set(allowed))
+    if unknown:
+        raise ValueError(f"{context}: unknown keys {unknown}; "
+                         f"allowed: {sorted(allowed)}")
+
+
+def fault_event(cls: type, data: dict, context: str):
+    """``cls(**data)`` for a scenario or trace mapping whose keys are
+    ``cls``'s fields.  An unknown key, a missing one, or a value the
+    spec rejects raises :class:`ValueError` naming ``context``."""
+    _check_keys(data, [f.name for f in dataclasses.fields(cls)], context)
+    try:
+        return cls(**data)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{context}: {exc}") from None
+
+
 @dataclasses.dataclass(frozen=True)
 class FaultSchedule:
     """The immutable fault timeline one run executes against.
@@ -300,7 +338,7 @@ class FaultSchedule:
                     f"{crash.domain!r}; declared domains: "
                     f"{sorted(names) if names else 'none'}{suggest}"
                 )
-        for machine, intervals in self._down_by_machine().items():
+        for machine, intervals in self._down.items():
             for (s0, e0), (s1, _) in zip(intervals, intervals[1:]):
                 if e0 is None or s1 < e0:
                     raise ValueError(
@@ -327,21 +365,13 @@ class FaultSchedule:
             )
         return tuple(sorted(out, key=lambda c: (c.at, c.machine)))
 
-    def domain_of(self, machine: int) -> str | None:
-        """The declared domain ``machine`` belongs to (None: none)."""
-        for domain in self.domains:
-            if machine in domain.machines:
-                return domain.name
-        return None
-
     @property
     def machines(self) -> frozenset[int]:
         """Every machine index named by any fault or domain."""
         named = {
             spec.machine
-            for group in (self.crashes, self.stragglers,
-                          self.partitions, self.degrades)
-            for spec in group
+            for field in _MACHINE_FIELDS
+            for spec in getattr(self, field)
         }
         named.update(m for d in self.domains for m in d.machines)
         return frozenset(named)
@@ -353,10 +383,9 @@ class FaultSchedule:
         index range, so a fat-fingered spec is a one-glance fix.
         """
         sources: list[tuple[str, typing.Iterable[int]]] = [
-            ("faults.crashes", (c.machine for c in self.crashes)),
-            ("faults.stragglers", (s.machine for s in self.stragglers)),
-            ("faults.partitions", (p.machine for p in self.partitions)),
-            ("faults.degrades", (d.machine for d in self.degrades)),
+            (f"faults.{field}",
+             (spec.machine for spec in getattr(self, field)))
+            for field in _MACHINE_FIELDS
         ]
         sources.extend(
             (f"faults.domains[{d.name!r}]", d.machines)
@@ -374,9 +403,6 @@ class FaultSchedule:
     # ------------------------------------------------------------------
     @functools.cached_property
     def _down(self) -> dict[int, list[tuple[float, float | None]]]:
-        return self._down_by_machine()
-
-    def _down_by_machine(self) -> dict[int, list[tuple[float, float | None]]]:
         out: dict[int, list[tuple[float, float | None]]] = {}
         for crash in self.expanded_crashes:
             if crash.restart_after is None:
@@ -390,27 +416,15 @@ class FaultSchedule:
 
     @functools.cached_property
     def _slow(self) -> dict[int, list[StragglerSpec]]:
-        out: dict[int, list[StragglerSpec]] = {}
-        for spec in sorted(self.stragglers,
-                           key=lambda s: (s.start, s.machine)):
-            out.setdefault(spec.machine, []).append(spec)
-        return out
+        return _by_machine(self.stragglers, "start")
 
     @functools.cached_property
     def _part(self) -> dict[int, list[PartitionSpec]]:
-        out: dict[int, list[PartitionSpec]] = {}
-        for spec in sorted(self.partitions,
-                           key=lambda s: (s.start, s.machine)):
-            out.setdefault(spec.machine, []).append(spec)
-        return out
+        return _by_machine(self.partitions, "start")
 
     @functools.cached_property
     def _degrade(self) -> dict[int, list[DegradeSpec]]:
-        out: dict[int, list[DegradeSpec]] = {}
-        for spec in sorted(self.degrades,
-                           key=lambda s: (s.at, s.machine)):
-            out.setdefault(spec.machine, []).append(spec)
-        return out
+        return _by_machine(self.degrades, "at")
 
     # ------------------------------------------------------------------
     def is_down(self, machine: int, time: float) -> bool:
@@ -573,6 +587,35 @@ class FaultSchedule:
         return total
 
 
+def _by_machine(specs: typing.Iterable, start: str) -> dict[int, list]:
+    """``specs`` grouped per machine, each group in ``start`` order."""
+    out: dict[int, list] = {}
+    for spec in sorted(specs, key=operator.attrgetter(start, "machine")):
+        out.setdefault(spec.machine, []).append(spec)
+    return out
+
+
+def _fits(
+    crashes: typing.Sequence[CrashSpec],
+    domain_crashes: typing.Sequence[DomainCrashSpec],
+    domains: tuple[DomainSpec, ...],
+    restart_warmup: float,
+) -> bool:
+    """Whether no two outages overlap on one machine: the trial
+    construction reuses the schedule's own overlap validation over the
+    *expanded* (domain crashes included) timeline."""
+    try:
+        FaultSchedule(
+            crashes=tuple(crashes),
+            domains=domains,
+            domain_crashes=tuple(domain_crashes),
+            restart_warmup=restart_warmup,
+        )
+    except ValueError:
+        return False
+    return True
+
+
 # ----------------------------------------------------------------------
 def _poisson(rng: random.Random, mean: float) -> int:
     """Knuth's poisson sampler — tiny means only, which is all we need."""
@@ -691,20 +734,12 @@ def sample_faults(
             domain_crashes.append(DomainCrashSpec(domain.name, at, after))
     if domain_crashes:
         # a per-machine crash landing inside a domain outage on that
-        # machine is dropped (correlated events win); the trial
-        # construction reuses the schedule's own overlap validation
+        # machine is dropped (correlated events win)
         kept: list[CrashSpec] = []
         for crash in crashes:
-            try:
-                FaultSchedule(
-                    crashes=tuple(kept) + (crash,),
-                    domains=domains,
-                    domain_crashes=tuple(domain_crashes),
-                    restart_warmup=restart_warmup,
-                )
-            except ValueError:
-                continue
-            kept.append(crash)
+            if _fits(kept + [crash], domain_crashes, domains,
+                     restart_warmup):
+                kept.append(crash)
         crashes = kept
     return FaultSchedule(
         crashes=tuple(crashes),
@@ -729,22 +764,6 @@ def merge_sampled(
     """
     if spec is None:
         return schedule
-
-    def fits(crashes: typing.Sequence[CrashSpec],
-             domain_crashes: typing.Sequence[DomainCrashSpec]) -> bool:
-        try:
-            # construction validates per-machine outage overlap over
-            # the *expanded* (domain crashes included) timeline
-            FaultSchedule(
-                crashes=tuple(crashes),
-                domains=schedule.domains,
-                domain_crashes=tuple(domain_crashes),
-                restart_warmup=schedule.restart_warmup,
-            )
-        except ValueError:
-            return False
-        return True
-
     sampled = sample_faults(
         spec,
         num_machines,
@@ -754,11 +773,14 @@ def merge_sampled(
     )
     crashes = list(schedule.crashes)
     domain_crashes = list(schedule.domain_crashes)
+    warmup = schedule.restart_warmup
     for dcrash in sampled.domain_crashes:
-        if fits(crashes, domain_crashes + [dcrash]):
+        if _fits(crashes, domain_crashes + [dcrash], schedule.domains,
+                 warmup):
             domain_crashes.append(dcrash)
     for crash in sampled.crashes:
-        if fits(crashes + [crash], domain_crashes):
+        if _fits(crashes + [crash], domain_crashes, schedule.domains,
+                 warmup):
             crashes.append(crash)
     return dataclasses.replace(
         schedule,
@@ -791,22 +813,11 @@ def merge_sampled(
 #   {"kind": "degrade", "machine": 3, "at": 0.01, "dimm_fraction": 0.5,
 #    "bandwidth_factor": 1.0}
 #
-# ``restart_after``/``end`` may be null (never restarts / never ends);
-# the optional "schedule" header restores seed + warmup so that
-# dump -> load round-trips a sampled schedule to an *equal* object
-# (replay == sampled, pinned by tests).
-
-#: the fields of each event kind, shared with the scenario ``faults:``
-#: section
-FAULT_EVENT_KEYS: dict[str, tuple[str, ...]] = {
-    "schedule": ("seed", "restart_warmup"),
-    "domain": ("name", "machines"),
-    "crash": ("machine", "at", "restart_after"),
-    "domain-crash": ("domain", "at", "restart_after"),
-    "straggler": ("machine", "start", "end", "slowdown"),
-    "partition": ("machine", "start", "end"),
-    "degrade": ("machine", "at", "dimm_fraction", "bandwidth_factor"),
-}
+# An event line's keys are the fields of its kind's spec class (see
+# ``FAULT_EVENT_KINDS``); ``restart_after``/``end`` may be null (never
+# restarts / never ends).  The optional "schedule" header restores seed
+# + warmup so that dump -> load round-trips a sampled schedule to an
+# *equal* object (replay == sampled, pinned by tests).
 
 
 def dump_fault_trace(schedule: FaultSchedule, path) -> None:
@@ -816,26 +827,9 @@ def dump_fault_trace(schedule: FaultSchedule, path) -> None:
         "seed": schedule.seed,
         "restart_warmup": schedule.restart_warmup,
     }]
-    for d in schedule.domains:
-        lines.append({"kind": "domain", "name": d.name,
-                      "machines": list(d.machines)})
-    for c in schedule.crashes:
-        lines.append({"kind": "crash", "machine": c.machine, "at": c.at,
-                      "restart_after": c.restart_after})
-    for dc in schedule.domain_crashes:
-        lines.append({"kind": "domain-crash", "domain": dc.domain,
-                      "at": dc.at, "restart_after": dc.restart_after})
-    for s in schedule.stragglers:
-        lines.append({"kind": "straggler", "machine": s.machine,
-                      "start": s.start, "end": s.end,
-                      "slowdown": s.slowdown})
-    for p in schedule.partitions:
-        lines.append({"kind": "partition", "machine": p.machine,
-                      "start": p.start, "end": p.end})
-    for g in schedule.degrades:
-        lines.append({"kind": "degrade", "machine": g.machine,
-                      "at": g.at, "dimm_fraction": g.dimm_fraction,
-                      "bandwidth_factor": g.bandwidth_factor})
+    for tag, _, field in FAULT_EVENT_KINDS:
+        lines.extend({"kind": tag, **dataclasses.asdict(spec)}
+                     for spec in getattr(schedule, field))
     with open(path, "w", encoding="utf-8") as fh:
         for line in lines:
             fh.write(json.dumps(line, allow_nan=False) + "\n")
@@ -844,99 +838,56 @@ def dump_fault_trace(schedule: FaultSchedule, path) -> None:
 def load_fault_trace(path) -> FaultSchedule:
     """Load a JSONL failure log back into a :class:`FaultSchedule`.
 
-    Every line must be a strict-JSON object whose ``kind`` is one of
-    the documented event kinds; unknown kinds and malformed lines
-    raise naming the offending ``path:line``.  Spec-level validation
-    (times, overlaps, domain names) is the same as for hand-written
-    schedules — a trace is not a backdoor around it.
+    Every line must be a strict-JSON object whose ``kind`` is
+    ``schedule`` or one of the :data:`FAULT_EVENT_KINDS` tags, and
+    whose other keys are fields of that kind's spec class.  Every
+    rejection names the offending ``path:line`` (and the kind, once
+    known).  Spec-level validation (times, overlaps, domain names) is
+    the same as for hand-written schedules — a trace is not a backdoor
+    around it.
     """
+    kinds = {tag: (cls, field) for tag, cls, field in FAULT_EVENT_KINDS}
+    events: dict[str, list] = {field: [] for _, field in kinds.values()}
     seed = 0
     restart_warmup = 0.0
-    domains: list[DomainSpec] = []
-    crashes: list[CrashSpec] = []
-    domain_crashes: list[DomainCrashSpec] = []
-    stragglers: list[StragglerSpec] = []
-    partitions: list[PartitionSpec] = []
-    degrades: list[DegradeSpec] = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             raw = raw.strip()
             if not raw:
                 continue
-            where = f"{path}:{lineno}"
+            where = f"fault trace {path}:{lineno}"
             try:
                 data = json.loads(raw)
             except json.JSONDecodeError as exc:
-                raise ValueError(
-                    f"fault trace {where}: malformed JSON ({exc})"
-                ) from None
+                raise ValueError(f"{where}: malformed JSON ({exc})") from None
             if not isinstance(data, dict) or "kind" not in data:
                 raise ValueError(
-                    f"fault trace {where}: every line must be an "
-                    f"object with a 'kind' field"
+                    f"{where}: every line must be an object with a "
+                    f"'kind' field"
                 )
             kind = data.pop("kind")
-            allowed = FAULT_EVENT_KEYS.get(kind)
-            if allowed is None:
-                raise ValueError(
-                    f"fault trace {where}: unknown event kind "
-                    f"{kind!r} (expected one of "
-                    f"{sorted(FAULT_EVENT_KEYS)})"
-                )
-            unknown = sorted(set(data) - set(allowed))
-            if unknown:
-                raise ValueError(
-                    f"fault trace {where}: unknown {kind} fields "
-                    f"{unknown} (allowed: {list(allowed)})"
-                )
-            try:
-                if kind == "schedule":
+            context = f"{where} ({kind})"
+            if kind == "schedule":
+                _check_keys(data, ("seed", "restart_warmup"), context)
+                try:
                     seed = int(data.get("seed", seed))
                     restart_warmup = float(
                         data.get("restart_warmup", restart_warmup)
                     )
-                elif kind == "domain":
-                    domains.append(DomainSpec(
-                        data["name"], tuple(data["machines"])
-                    ))
-                elif kind == "crash":
-                    crashes.append(CrashSpec(
-                        data["machine"], data["at"],
-                        data.get("restart_after"),
-                    ))
-                elif kind == "domain-crash":
-                    domain_crashes.append(DomainCrashSpec(
-                        data["domain"], data["at"],
-                        data.get("restart_after"),
-                    ))
-                elif kind == "straggler":
-                    stragglers.append(StragglerSpec(
-                        data["machine"], data["start"], data["end"],
-                        data["slowdown"],
-                    ))
-                elif kind == "partition":
-                    partitions.append(PartitionSpec(
-                        data["machine"], data["start"], data["end"],
-                    ))
-                else:  # degrade
-                    degrades.append(DegradeSpec(
-                        data["machine"], data["at"],
-                        data.get("dimm_fraction", 0.0),
-                        data.get("bandwidth_factor", 1.0),
-                    ))
-            except (KeyError, TypeError, ValueError) as exc:
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{context}: {exc}") from None
+            elif kind in kinds:
+                cls, field = kinds[kind]
+                events[field].append(fault_event(cls, data, context))
+            else:
                 raise ValueError(
-                    f"fault trace {where}: bad {kind} event: {exc}"
-                ) from None
+                    f"{where}: unknown event kind {kind!r} (expected one "
+                    f"of {sorted([*kinds, 'schedule'])})"
+                )
     return FaultSchedule(
-        crashes=tuple(crashes),
-        stragglers=tuple(stragglers),
-        partitions=tuple(partitions),
         seed=seed,
         restart_warmup=restart_warmup,
-        domains=tuple(domains),
-        domain_crashes=tuple(domain_crashes),
-        degrades=tuple(degrades),
+        **{field: tuple(specs) for field, specs in events.items()},
     )
 
 
@@ -949,7 +900,8 @@ __all__: typing.Sequence[str] = [
     "DegradeSpec",
     "SampleSpec",
     "FaultSchedule",
-    "FAULT_EVENT_KEYS",
+    "FAULT_EVENT_KINDS",
+    "fault_event",
     "sample_faults",
     "merge_sampled",
     "dump_fault_trace",

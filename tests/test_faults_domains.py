@@ -53,6 +53,7 @@ from repro.serving import (
     load_fault_trace,
     sample_faults,
 )
+from repro.serving.faults import FAULT_EVENT_KINDS
 from repro.telemetry import MachineDegraded, RecordingTracer, RequestMigrated
 
 from tests.test_faults import (
@@ -350,6 +351,11 @@ class TestTraceReplay:
         dump_fault_trace(schedule, path)
         assert path.read_text() == TRACE_TEXT
         assert load_fault_trace(path) == schedule
+
+    def test_event_kinds_cover_the_schedule(self):
+        fields = {f.name for f in dataclasses.fields(FaultSchedule)}
+        assert sorted(f for _, _, f in FAULT_EVENT_KINDS) == sorted(
+            fields - {"seed", "restart_warmup"})
 
     @pytest.mark.parametrize("line, needles", [
         ("{not json", ["malformed JSON"]),

@@ -45,6 +45,16 @@ TWO_CLASS = {
     ],
 }
 
+#: per fault-event section, a required key to drop and a (key, bad value)
+#: pair the spec class rejects
+BAD_FAULT_EVENTS = {
+    "crashes": ("at", ("at", -1.0)),
+    "stragglers": ("slowdown", ("end", 0.05)),
+    "partitions": ("end", ("start", -1.0)),
+    "domain_crashes": ("domain", ("restart_after", 0.0)),
+    "degrades": ("machine", ("bandwidth_factor", 0.0)),
+}
+
 
 class TestParsing:
     def test_minimal_defaults(self):
@@ -91,6 +101,18 @@ class TestParsing:
         with pytest.raises(ValueError, match=re.escape(
                 f"faults.{section}[0]: unknown keys ['oops']")):
             parse_scenario(data)
+        # a missing key and a bad value name the event's path and key too
+        missing, (key, value) = BAD_FAULT_EVENTS[section]
+        for bad_event, named in (
+            ({k: v for k, v in event.items() if k != missing}, missing),
+            (dict(event, **{key: value}), key),
+        ):
+            data["faults"] = {section: [bad_event]}
+            with pytest.raises(ValueError) as info:
+                parse_scenario(data)
+            message = str(info.value)
+            assert message.startswith(f"faults.{section}[0]: ")
+            assert named in message
 
     def test_missing_model_or_tenants(self):
         with pytest.raises(ValueError, match="model"):
