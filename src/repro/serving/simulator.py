@@ -1021,6 +1021,7 @@ class ServingSimulator:
                         swap_bytes=swap_bytes,
                         resident_bytes=resident_bytes,
                         req_ids=tuple(a.request.req_id for a in active),
+                        steps=granted,
                     ))
             # ---- retire finished requests ----
             now = sim.now

@@ -176,6 +176,7 @@ class _Exporter:
             event.machine + 1,
             args={
                 "batch": event.batch,
+                "steps": event.steps,
                 "gpu_busy": event.gpu_busy,
                 "dimm_busy": event.dimm_busy,
                 "swap_bytes": event.swap_bytes,

@@ -123,11 +123,13 @@ class RequestResumed:
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class DecodeStep:
-    """One continuous-batching decode iteration ended on a machine.
+    """Continuous-batching decode iterations ended on a machine.
 
     Emitted once per token boundary in exact fidelity, carrying that
-    engine step's costs; ``fidelity: fast`` emits one aggregate event
-    per closed-form span instead.
+    engine step's costs (``steps`` is 1); ``fidelity: fast`` emits one
+    aggregate event per closed-form span instead, whose ``steps``
+    iterations are evenly spaced over ``seconds``, the last ending at
+    ``time``.
     """
 
     time: float
@@ -140,8 +142,11 @@ class DecodeStep:
     swap_bytes: int
     #: GPU-resident sparse-weight bytes at the end of this step
     resident_bytes: int
-    #: requests that gained a token at this boundary (batch order)
+    #: requests that gained a token at each boundary (batch order)
     req_ids: tuple[int, ...]
+    #: decode iterations covered: each request in ``req_ids`` gains one
+    #: token per iteration (1 exact; the span's granted tokens fast)
+    steps: int
 
 
 @dataclasses.dataclass(frozen=True, slots=True)

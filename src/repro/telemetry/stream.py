@@ -392,22 +392,30 @@ class MetricStreamTracer:
         self._m_swap[m] += event.swap_bytes
         self._m_resident[m] = float(event.resident_bytes)
         self._m_batch[m] = float(event.batch)
-        self._cluster_tokens += event.batch
-        self._registries[f"machine/{m}"].counter("tokens").inc(event.batch)
+        steps = event.steps
+        tokens = event.batch * steps
+        self._cluster_tokens += tokens
+        self._registries[f"machine/{m}"].counter("tokens").inc(tokens)
+        # a fast span's tokens are evenly spaced, the last at ``time``
+        step = event.seconds / steps
+        first = event.time - step * (steps - 1)
         for rid in event.req_ids:
             request = self._requests.get(rid)
             if request is None:
                 continue
             if request.first is None:
-                request.first = event.time
+                request.first = first
+                gaps = [step] * (steps - 1)
             else:
-                gap = event.time - request.last
-                cls = self._classes.get(request.class_name)
-                if cls is not None:
-                    self._registries[
-                        f"class/{request.class_name}"
-                    ].histogram("tbt_ms").observe(gap * 1e3)
-                    slo = cls.info.tbt_slo
+                gaps = [first - request.last] + [step] * (steps - 1)
+            cls = self._classes.get(request.class_name)
+            if cls is not None and gaps:
+                histogram = self._registries[
+                    f"class/{request.class_name}"
+                ].histogram("tbt_ms")
+                slo = cls.info.tbt_slo
+                for gap in gaps:
+                    histogram.observe(gap * 1e3)
                     if slo is not None and not gap <= slo:
                         request.tbt_ok = False
             request.last = event.time

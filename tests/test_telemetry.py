@@ -12,6 +12,7 @@ schema.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import json
 import math
@@ -65,6 +66,12 @@ def recorded(scenario, trace):
     return recorder.events, report
 
 
+def _at(scenario, fidelity):
+    """``scenario`` served at ``fidelity`` (the bundled spec is exact)."""
+    config = dataclasses.replace(scenario.config, fidelity=fidelity)
+    return dataclasses.replace(scenario, config=config)
+
+
 # ----------------------------------------------------------------------
 class TestLoopEquivalence:
     """The serving loop behaves identically with and without a tracer."""
@@ -94,8 +101,14 @@ class TestRecordedStream:
         assert [c.name for c in first.classes] == report.class_names
         assert first.backends == ("hermes", "hermes")
 
-    def test_stream_matches_report(self, recorded):
-        events, report = recorded
+    @pytest.mark.parametrize("fidelity", ["exact", "fast"])
+    def test_stream_matches_report(self, scenario, trace, recorded,
+                                   fidelity):
+        if fidelity == "exact":
+            events, report = recorded
+        else:
+            recorder, report = _run(_at(scenario, fidelity), trace)
+            events = recorder.events
         completed = [e for e in events if isinstance(e, RequestCompleted)]
         assert len(completed) == len(report.completed)
         preempted = [e for e in events if isinstance(e, RequestPreempted)]
@@ -103,7 +116,8 @@ class TestRecordedStream:
         admitted = [e for e in events if isinstance(e, RequestAdmitted)]
         assert len(admitted) == len(report.records)
         tokens = sum(
-            len(e.req_ids) for e in events if isinstance(e, DecodeStep)
+            len(e.req_ids) * e.steps
+            for e in events if isinstance(e, DecodeStep)
         )
         assert tokens == report.total_tokens
 
@@ -246,9 +260,13 @@ class TestTopicStream:
         with pytest.raises(ValueError):
             MetricStreamTracer(io.StringIO(), sample_interval=0.0)
 
-    def test_final_sample_matches_report(self, scenario, trace):
+    @pytest.mark.parametrize("fidelity", ["exact", "fast"])
+    def test_final_sample_matches_report(self, scenario, trace, fidelity):
         """The last sample of every class topic carries exactly the
-        report's completion counts and SLO attainment."""
+        report's completion counts and SLO attainment, and the machine
+        token counters sum to the report's tokens, at either fidelity
+        (a fast span's event covers many tokens)."""
+        scenario = _at(scenario, fidelity)
         out = io.StringIO()
         tracer = MetricStreamTracer(out, source=scenario.name)
         _, report = _run(scenario, trace, tracer=tracer)
@@ -256,6 +274,10 @@ class TestTopicStream:
         for line in out.getvalue().splitlines():
             state.feed_line(line)
         assert state.ended
+        assert sum(
+            state.samples[f"machine/{m}"]["values"]["tokens"]
+            for m in range(report.num_machines)
+        ) == report.total_tokens
         for name in report.class_names:
             sample = state.samples.get(f"class/{name}")
             done = len([
