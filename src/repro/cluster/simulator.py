@@ -34,7 +34,7 @@ from ..serving import (
 from ..serving.simulator import Preemptor, _RunState
 from ..telemetry.events import ClassInfo, RunStarted
 from .report import ClusterReport
-from .routers import HealthAwareRouter, HealthMonitor, Router, get_router
+from .routers import HealthAwareRouter, HealthMonitor, get_router
 from .slo import DeadlinePreemptor, PriorityOrderedPolicy, SLOPolicy
 
 
@@ -64,7 +64,6 @@ class ClusterSimulator(ServingSimulator):
         config: ClusterConfig | None = None,
         *,
         slo: SLOPolicy | None = None,
-        router: Router | str | None = None,
         machine: Machine | None = None,
         hermes_config: HermesConfig | None = None,
         trace=None,
@@ -84,21 +83,12 @@ class ClusterSimulator(ServingSimulator):
             fleet=fleet,
         )
         self.slo = slo or SLOPolicy()
-        #: router override: an instance is reused as-is (caller owns its
-        #: state); a name is instantiated fresh per run
-        self._router_spec = router
 
     # ------------------------------------------------------------------
-    def _make_router(self) -> Router:
-        spec = self._router_spec
-        if spec is None:
-            spec = self.config.router
-        return get_router(spec, seed=self.config.router_seed)
-
     def _build_state(self, workload: list[Request]) -> _RunState:
         machines = self.config.num_machines
         state = _RunState(workload, machines, num_queues=machines)
-        router = self._make_router()
+        router = get_router(self.config.router, seed=self.config.router_seed)
         faults = self.config.faults
         #: routing-time clock for the health closure — ``route`` has no
         #: time parameter, so ``assign`` stamps it before delegating
