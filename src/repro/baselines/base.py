@@ -18,7 +18,7 @@ The byte accounting is exposed twice:
   each offline ``run()`` composes into a whole prefill+decode pass.
 
 Both layers share one spelling of every formula, so the offline figures
-(fig09/fig17) and the online serving backends cannot drift apart.
+(fig09) and the online serving backends cannot drift apart.
 """
 
 from __future__ import annotations

@@ -44,9 +44,9 @@ class FlexGen(OffloadingSystem):
 
         The steppable core: per layer, transfer(next layer) overlaps
         compute(this layer); attention scans the host-resident KV cache
-        on the CPU.  Pure function of (context, batch) — the serving
-        backend charges it per continuous-batching iteration and
-        ``run()`` composes it into the offline pass.
+        on the CPU.  Pure function of (context, batch) — ``run()``
+        composes it into the offline pass.  No FlexGen serving backend
+        is registered, so nothing else charges it.
         """
         machine = self.machine
         model = self.model

@@ -56,7 +56,7 @@ class TensorRTLLM:
         The steppable core: each GPU reads its local weight shard at HBM
         bandwidth, pays two all-reduces, and attends over its slice of
         the KV cache.  Pure function of (context, batch); the offline
-        ``run()`` loop and the dense serving backend charge exactly this.
+        ``run()`` loop charges exactly this (no serving backend does).
         """
         model = self.model
         shard = model.layer_bytes / self.num_gpus

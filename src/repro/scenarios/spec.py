@@ -6,8 +6,12 @@ the cluster front door (machine count, router, batching policy), the
 priority classes with their SLOs, and a list of tenant traffic streams —
 so opening a new workload means writing a spec under ``scenarios/``
 instead of touching code.  The schema (every key, with defaults) is
-documented in the README's "Scenario specs" section; unknown keys are
-rejected so typos fail loudly instead of silently meaning defaults.
+documented in the README's "Scenario spec schema" section; unknown
+keys are rejected so typos fail loudly instead of silently meaning
+defaults.  Each section that builds a config class takes its allowed
+keys from that class's fields, so the schema has one source; only the
+top-level, ``trace`` and ``machine`` tables, which build no single
+class, list their keys by hand.
 
 Determinism: every sampled quantity is seeded.  Tenants default to
 ``seed + tenant index`` so two tenants never share a stream, and the
@@ -71,7 +75,7 @@ def scenario_trace(model: str, granularity: int, seed: int) -> ActivationTrace:
     return generate_trace(get_model(model), config, seed=seed)
 
 
-def _take(data: dict, allowed: typing.Iterable[str], context: str) -> dict:
+def _take(data: dict, allowed: typing.Iterable[str], context: str) -> None:
     """Reject unknown keys so a typo'd spec fails with a clear error."""
     unknown = sorted(set(data) - set(allowed))
     if unknown:
@@ -79,7 +83,6 @@ def _take(data: dict, allowed: typing.Iterable[str], context: str) -> dict:
             f"{context}: unknown keys {unknown}; "
             f"allowed: {sorted(allowed)}"
         )
-    return data
 
 
 def _fields(
@@ -347,11 +350,8 @@ def _parse_fleet(
 def _parse_cluster(data: dict | None) -> tuple[ClusterConfig, str, dict]:
     """(config, policy name, policy kwargs) from the ``cluster`` table."""
     data = dict(data or {})
-    _take(
-        data,
-        _fields(ClusterConfig, "policy", "union_cap", drop=("faults",)),
-        "cluster",
-    )
+    keys = _fields(ClusterConfig, "policy", "union_cap", drop=("faults",))
+    _take(data, keys, "cluster")
     policy = data.pop("policy", "fcfs")
     policy_kwargs = {}
     if "union_cap" in data:

@@ -66,7 +66,11 @@ goldens.
 schedule to a JSONL failure log (one event per line, ``kind``
 discriminated) so real multi-day failure traces can be replayed via
 the scenario key ``faults.trace`` — and so a sampled schedule can be
-exported once and replayed bit-identically forever.
+exported once and replayed bit-identically forever.  A trace line's or
+a scenario event's keys are the fields of its kind's spec class
+(:data:`FAULT_EVENT_KINDS`), and both build events through
+:func:`fault_event`, which names ``path:line`` or ``faults.crashes[0]``
+in every rejection.
 """
 
 from __future__ import annotations
@@ -838,13 +842,11 @@ def dump_fault_trace(schedule: FaultSchedule, path) -> None:
 def load_fault_trace(path) -> FaultSchedule:
     """Load a JSONL failure log back into a :class:`FaultSchedule`.
 
-    Every line must be a strict-JSON object whose ``kind`` is
-    ``schedule`` or one of the :data:`FAULT_EVENT_KINDS` tags, and
-    whose other keys are fields of that kind's spec class.  Every
-    rejection names the offending ``path:line`` (and the kind, once
-    known).  Spec-level validation (times, overlaps, domain names) is
-    the same as for hand-written schedules — a trace is not a backdoor
-    around it.
+    Every line must be a strict-JSON object whose ``kind`` is one of
+    the documented event kinds; every rejection names the offending
+    ``path:line`` (and the kind, once known).  Spec-level validation
+    (times, overlaps, domain names) is the same as for hand-written
+    schedules — a trace is not a backdoor around it.
     """
     kinds = {tag: (cls, field) for tag, cls, field in FAULT_EVENT_KINDS}
     events: dict[str, list] = {field: [] for _, field in kinds.values()}

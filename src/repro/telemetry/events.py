@@ -126,10 +126,8 @@ class DecodeStep:
     """Continuous-batching decode iterations ended on a machine.
 
     Emitted once per token boundary in exact fidelity, carrying that
-    engine step's costs (``steps`` is 1); ``fidelity: fast`` emits one
-    aggregate event per closed-form span instead, whose ``steps``
-    iterations are evenly spaced over ``seconds``, the last ending at
-    ``time``.
+    engine step's costs; ``fidelity: fast`` emits one aggregate event
+    per closed-form span instead, its ``steps`` evenly spaced.
     """
 
     time: float
@@ -144,8 +142,7 @@ class DecodeStep:
     resident_bytes: int
     #: requests that gained a token at each boundary (batch order)
     req_ids: tuple[int, ...]
-    #: decode iterations covered: each request in ``req_ids`` gains one
-    #: token per iteration (1 exact; the span's granted tokens fast)
+    #: iterations covered, one token each per request (1 when exact)
     steps: int
 
 

@@ -137,7 +137,9 @@ class MetricStreamTracer:
     swap rate and residency, plus a string-valued ``health`` state under
     fault injection), and ``class/<name>`` (completions, cumulative
     TTFT/TBT/joint SLO attainment, windowed latency percentiles) per
-    declared class.
+    declared class.  A ``DecodeStep`` counts ``batch * steps`` tokens,
+    evenly spaced over its ``seconds`` per request, so the counters and
+    attainment agree with the report at either fidelity.
     """
 
     enabled = True
@@ -403,11 +405,11 @@ class MetricStreamTracer:
             request = self._requests.get(rid)
             if request is None:
                 continue
+            gaps = [step] * (steps - 1)
             if request.first is None:
                 request.first = first
-                gaps = [step] * (steps - 1)
             else:
-                gaps = [first - request.last] + [step] * (steps - 1)
+                gaps.insert(0, first - request.last)
             cls = self._classes.get(request.class_name)
             if cls is not None and gaps:
                 histogram = self._registries[
