@@ -52,7 +52,7 @@ from ..serving import (
     merge_workloads,
 )
 from ..serving.executor import DEFAULT_TRACE_DECODE, DEFAULT_TRACE_PROMPT
-from ..serving.faults import FAULT_EVENT_KINDS, fault_event
+from ..serving.faults import FAULT_EVENT_KINDS, _check_keys, fault_event
 from ..sparsity import ActivationTrace, TraceConfig, generate_trace
 from ..telemetry import TelemetrySpec, Tracer
 
@@ -75,16 +75,6 @@ def scenario_trace(model: str, granularity: int, seed: int) -> ActivationTrace:
     return generate_trace(get_model(model), config, seed=seed)
 
 
-def _take(data: dict, allowed: typing.Iterable[str], context: str) -> None:
-    """Reject unknown keys so a typo'd spec fails with a clear error."""
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ValueError(
-            f"{context}: unknown keys {unknown}; "
-            f"allowed: {sorted(allowed)}"
-        )
-
-
 def _fields(
     cls: type, *extra: str, drop: typing.Container[str] = ()
 ) -> tuple[str, ...]:
@@ -97,7 +87,7 @@ def _fields(
 def _lengths(data: dict | None, context: str) -> LengthDistribution:
     if data is None:
         return LengthDistribution()
-    _take(data, _fields(LengthDistribution), context)
+    _check_keys(data, _fields(LengthDistribution), context)
     return LengthDistribution(**data)
 
 
@@ -281,7 +271,7 @@ def _parse_machine(
     machine = base if base is not None else Machine()
     if not data:
         return machine
-    _take(data, _MACHINE_KEYS, context)
+    _check_keys(data, _MACHINE_KEYS, context)
     if "gpu" in data:
         machine = machine.with_gpu(get_gpu(data["gpu"]))
     if "num_dimms" in data:
@@ -316,7 +306,7 @@ def _parse_fleet(
         # machine-hardware overrides ride along with the group shape,
         # backend choice, and model override
         keys = _fields(MachineGroup, *_MACHINE_KEYS, drop=("machine",))
-        _take(entry, keys, context)
+        _check_keys(entry, keys, context)
         backend = str(entry.get("backend", "hermes"))
         if backend.lower() not in BACKENDS:
             known = ", ".join(sorted(BACKENDS))
@@ -351,7 +341,7 @@ def _parse_cluster(data: dict | None) -> tuple[ClusterConfig, str, dict]:
     """(config, policy name, policy kwargs) from the ``cluster`` table."""
     data = dict(data or {})
     keys = _fields(ClusterConfig, "policy", "union_cap", drop=("faults",))
-    _take(data, keys, "cluster")
+    _check_keys(data, keys, "cluster")
     policy = data.pop("policy", "fcfs")
     policy_kwargs = {}
     if "union_cap" in data:
@@ -405,7 +395,7 @@ def _parse_faults(
     if data is None:
         return None
     data = dict(data)
-    _take(data, _fields(FaultSchedule, "sample", "trace"), "faults")
+    _check_keys(data, _fields(FaultSchedule, "sample", "trace"), "faults")
     trace = data.pop("trace", None)
     if trace is not None:
         if data:
@@ -468,10 +458,10 @@ def _parse_policy(name: str, kwargs: dict) -> BatchingPolicy:
 
 def _parse_classes(classes: dict | None, slo_table: dict | None) -> SLOPolicy:
     slo_table = dict(slo_table or {})
-    _take(slo_table, _fields(SLOPolicy, drop=("classes",)), "slo")
+    _check_keys(slo_table, _fields(SLOPolicy, drop=("classes",)), "slo")
     parsed: list[PriorityClass] = []
     for name, fields in (classes or {}).items():
-        _take(fields, _fields(PriorityClass, drop=("name",)),
+        _check_keys(fields, _fields(PriorityClass, drop=("name",)),
               f"classes.{name}")
         parsed.append(
             PriorityClass(
@@ -488,7 +478,7 @@ def _parse_classes(classes: dict | None, slo_table: dict | None) -> SLOPolicy:
 
 def _parse_telemetry(data: dict | None) -> TelemetrySpec:
     data = dict(data or {})
-    _take(data, _fields(TelemetrySpec), "telemetry")
+    _check_keys(data, _fields(TelemetrySpec), "telemetry")
     kwargs: dict = {}
     if "sample_interval" in data:
         kwargs["sample_interval"] = float(data["sample_interval"])
@@ -500,7 +490,7 @@ def _parse_telemetry(data: dict | None) -> TelemetrySpec:
 
 def _parse_planner(data: dict | None) -> PlannerSpec:
     data = dict(data or {})
-    _take(data, _fields(PlannerSpec), "planner")
+    _check_keys(data, _fields(PlannerSpec), "planner")
     kwargs: dict = {}
     if "budget" in data:
         kwargs["budget"] = int(data["budget"])
@@ -530,7 +520,8 @@ def _parse_tenant(
     data: dict, index: int, base_seed: int, slo: SLOPolicy
 ) -> TenantSpec:
     context = f"tenants[{index}]"
-    _take(data, _fields(WorkloadConfig, "name", "class", "seed"), context)
+    keys = _fields(WorkloadConfig, "name", "class", "seed")
+    _check_keys(data, keys, context)
     name = data.get("name", f"tenant-{index}")
     class_name = data.get("class", "default")
     if class_name not in {c.name for c in slo.classes}:
@@ -568,7 +559,7 @@ def parse_scenario(
     """
     if base_dir is not None:
         base_dir = pathlib.Path(base_dir)
-    _take(data, _TOP_KEYS, name_hint)
+    _check_keys(data, _TOP_KEYS, name_hint)
     if "model" not in data:
         raise ValueError(f"{name_hint}: a scenario must name its model")
     tenants_data = data.get("tenants")
@@ -576,7 +567,7 @@ def parse_scenario(
         raise ValueError(f"{name_hint}: a scenario needs >= 1 tenant")
     base_seed = int(data.get("seed", 0))
     trace = dict(data.get("trace") or {})
-    _take(trace, ("granularity", "seed"), f"{name_hint}.trace")
+    _check_keys(trace, ("granularity", "seed"), f"{name_hint}.trace")
     config, policy_name, policy_kwargs = _parse_cluster(data.get("cluster"))
     slo = _parse_classes(data.get("classes"), data.get("slo"))
     machine = _parse_machine(data.get("machine"))

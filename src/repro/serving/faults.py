@@ -280,6 +280,8 @@ _MACHINE_FIELDS = tuple(
 
 def _check_keys(data: dict, allowed: typing.Iterable[str],
                 context: str) -> None:
+    """Reject unknown keys so a typo'd spec fails with a clear error
+    (the scenario parser checks every section with it too)."""
     unknown = sorted(set(data) - set(allowed))
     if unknown:
         raise ValueError(f"{context}: unknown keys {unknown}; "
