@@ -880,7 +880,7 @@ def load_fault_trace(path) -> FaultSchedule:
                     )
                 except (TypeError, ValueError) as exc:
                     raise ValueError(f"{context}: {exc}") from None
-            elif kind in kinds:
+            elif isinstance(kind, str) and kind in kinds:
                 cls, field = kinds[kind]
                 events[field].append(fault_event(cls, data, context))
             else:

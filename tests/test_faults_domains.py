@@ -362,6 +362,7 @@ class TestTraceReplay:
         ("[1, 2]", ["'kind'"]),
         ('{"machine": 0, "at": 0.1}', ["'kind'"]),
         ('{"kind": "reboot", "machine": 0}', ["'reboot'"]),
+        ('{"kind": ["crash"], "machine": 0}', ["['crash']"]),
         ('{"kind": "schedule", "seed": 1, "oops": 2}',
          ["schedule", "'oops'"]),
         ('{"kind": "crash", "machine": 0, "at": 0.1, "oops": 2}',
