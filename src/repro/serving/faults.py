@@ -888,11 +888,14 @@ def load_fault_trace(path) -> FaultSchedule:
                     f"{where}: unknown event kind {kind!r} (expected one "
                     f"of {sorted([*kinds, 'schedule'])})"
                 )
-    return FaultSchedule(
-        seed=seed,
-        restart_warmup=restart_warmup,
-        **{field: tuple(specs) for field, specs in events.items()},
-    )
+    try:
+        return FaultSchedule(
+            seed=seed,
+            restart_warmup=restart_warmup,
+            **{field: tuple(specs) for field, specs in events.items()},
+        )
+    except ValueError as exc:  # overlaps and domain names span lines
+        raise ValueError(f"fault trace {path}: {exc}") from None
 
 
 __all__: typing.Sequence[str] = [

@@ -391,6 +391,21 @@ class TestTraceReplay:
         for needle in [f"{path}:3", *needles]:
             assert needle in message
 
+    @pytest.mark.parametrize("events, needle", [
+        (['{"kind": "crash", "machine": 0, "at": 0.1}',
+          '{"kind": "crash", "machine": 0, "at": 0.2}'], "overlap"),
+        (['{"kind": "domain-crash", "domain": "rack9", "at": 0.1}'],
+         "'rack9'"),
+    ])
+    def test_schedule_rejection_names_the_trace(
+            self, tmp_path, events, needle):
+        path = tmp_path / "faults.jsonl"
+        path.write_text("\n".join(events) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_fault_trace(path)
+        assert f"fault trace {path}: " in str(info.value)
+        assert needle in str(info.value)
+
     def test_replay_reproduces_sampled_run(self, tmp_path):
         from tools.gen_fault_trace import main as gen_main
 
