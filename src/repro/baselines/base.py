@@ -18,7 +18,10 @@ The byte accounting is exposed twice:
   each offline ``run()`` composes into a whole prefill+decode pass.
 
 Both layers share one spelling of every formula, so the offline figures
-(fig09) and the online serving backends cannot drift apart.
+(fig09) and the online serving backends cannot drift apart.  Every
+kernel streams over the machine's own pinned PCIe link; the one system
+that copies from pageable memory (HuggingFace Accelerate) builds that
+slower link itself.
 """
 
 from __future__ import annotations
@@ -61,15 +64,12 @@ def zigzag_prefill_time(
     prompt_len: int,
     batch: int,
     resident_fraction: float,
-    *,
-    pinned: bool = True,
 ) -> float:
     """Prefill with layer-by-layer weight streaming over PCIe."""
-    pcie = machine.pcie if pinned else _pageable_pcie()
     transfer, compute = [], []
     for _ in range(model.num_layers):
         stream = model.layer_bytes * (1.0 - resident_fraction)
-        transfer.append(pcie.transfer_time(stream))
+        transfer.append(machine.pcie.transfer_time(stream))
         compute.append(
             machine.gpu.prefill_time(model.layer_bytes, prompt_len, batch)
         )
@@ -208,11 +208,6 @@ def trace_union_factors(trace: ActivationTrace, batch: int) -> np.ndarray:
     ])
 
 
-def _pageable_pcie():
-    from ..hardware.links import pcie4_x16
-    return pcie4_x16(pinned=False)
-
-
 class OffloadingSystem(abc.ABC):
     """Base class: a model deployed on a machine with host-memory backing."""
 
@@ -235,25 +230,12 @@ class OffloadingSystem(abc.ABC):
         )
 
     def gpu_prefill_time(
-        self,
-        prompt_len: int,
-        batch: int,
-        resident_fraction: float,
-        *,
-        pinned: bool = True,
+        self, prompt_len: int, batch: int, resident_fraction: float
     ) -> float:
         """Prefill with layer-by-layer weight streaming over PCIe."""
         return zigzag_prefill_time(
-            self.machine,
-            self.model,
-            prompt_len,
-            batch,
-            resident_fraction,
-            pinned=pinned,
+            self.machine, self.model, prompt_len, batch, resident_fraction
         )
-
-    def _pageable_pcie(self):
-        return _pageable_pcie()
 
     def gpu_attention_time(self, context: int, batch: int) -> float:
         """Decode attention over a GPU-resident KV cache."""

@@ -91,10 +91,6 @@ class ClusterReport(ServingReport):
         gaps = [g for r in self._class_completed(name) for g in r.tbts]
         return percentile_or_nan(gaps, p)
 
-    def class_e2e_percentile(self, name: str, p: float) -> float:
-        done = self._class_completed(name)
-        return percentile_or_nan([r.e2e_latency for r in done], p)
-
     def class_queue_wait_percentile(self, name: str, p: float) -> float:
         """Arrival -> prefill-start scheduling delay within one class."""
         done = self._class_completed(name)

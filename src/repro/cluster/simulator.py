@@ -21,7 +21,6 @@ import dataclasses
 import math
 import typing
 
-from ..core import HermesConfig
 from ..hardware import Machine
 from ..models import ModelSpec
 from ..serving import (
@@ -65,7 +64,6 @@ class ClusterSimulator(ServingSimulator):
         *,
         slo: SLOPolicy | None = None,
         machine: Machine | None = None,
-        hermes_config: HermesConfig | None = None,
         trace=None,
         granularity: int = 64,
         seed: int = 7,
@@ -76,7 +74,6 @@ class ClusterSimulator(ServingSimulator):
             policy,
             config or ClusterConfig(),
             machine=machine,
-            hermes_config=hermes_config,
             trace=trace,
             granularity=granularity,
             seed=seed,

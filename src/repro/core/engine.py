@@ -500,19 +500,6 @@ class HermesSession:
         kv_prompt = model.kv_bytes_total(prompt_len, batch)
         return prefill, machine.pcie.transfer_time(reload_bytes + kv_prompt)
 
-    def prefill_seconds(
-        self,
-        prompt_len: int | None = None,
-        batch: int | None = None,
-        *,
-        reload_hot: bool = False,
-    ) -> float:
-        """Total prompting-stage latency (see :meth:`prefill_cost`)."""
-        compute, transfer = self.prefill_cost(
-            prompt_len, batch, reload_hot=reload_hot
-        )
-        return compute + transfer
-
     def prefill(self) -> float:
         """Run the prompting stage; records it into :attr:`result`."""
         compute, load_time = self.prefill_cost(reload_hot=True)

@@ -58,7 +58,7 @@ class PredictorConfig:
 
 
 class CorrelationTable:
-    """Top-2 correlated predecessor groups per layer (offline sampled)."""
+    """Top-2 correlated predecessor groups per layer (offline profiled)."""
 
     def __init__(self, parents: list[np.ndarray | None]) -> None:
         self.parents = parents
@@ -77,40 +77,6 @@ class CorrelationTable:
         layer-only prediction (§V-C).
         """
         parents = [None if p is None else p.copy() for p in trace.parents]
-        return cls(parents)
-
-    @classmethod
-    def from_trace(
-        cls, trace: ActivationTrace, *, tokens: slice | None = None
-    ) -> "CorrelationTable":
-        """Estimate parent pairs statistically from a profiling window.
-
-        The data-driven alternative to :meth:`from_profiling` for traces
-        without recorded structure.  Estimation quality is bounded by the
-        window's effective sample count (token-wise similarity makes
-        consecutive tokens highly dependent)."""
-        if tokens is None:
-            tokens = slice(0, max(2, trace.prompt_len))
-        parents: list[np.ndarray | None] = [None]
-        for l in range(1, trace.num_layers):
-            prev = trace.layers[l - 1][tokens].astype(np.float64)
-            cur = trace.layers[l][tokens].astype(np.float64)
-            if prev.shape[0] < 2:
-                raise ValueError("profiling window too short")
-            # Pearson correlation rather than raw co-occurrence: always-on
-            # parents co-occur with everything, so conditional probability
-            # alone cannot separate the genuinely correlated predecessor
-            # from the merely hot one; centering removes that bias.
-            prev_c = prev - prev.mean(axis=0)
-            cur_c = cur - cur.mean(axis=0)
-            denom = np.outer(
-                np.linalg.norm(prev_c, axis=0), np.linalg.norm(cur_c, axis=0)
-            )
-            with np.errstate(invalid="ignore", divide="ignore"):
-                corr = np.where(denom > 0, prev_c.T @ cur_c / denom, 0.0)
-            # top-2 parents per child by correlation
-            top2 = np.argsort(corr, axis=0)[-2:, :][::-1].T
-            parents.append(np.ascontiguousarray(top2))
         return cls(parents)
 
     def table_bytes(self, index_bytes: int = 2) -> int:
@@ -192,15 +158,11 @@ class ActivationPredictor:
         self.stats = PredictionStats()
 
     # ------------------------------------------------------------------
-    def initialize(self, trace: ActivationTrace, *,
-                   correlation: str = "profiled") -> None:
+    def initialize(self, trace: ActivationTrace) -> None:
         """Set initial states from prefill frequencies (16 linear stages)
-        and build the correlation table.
-
-        ``correlation`` selects the table source: ``"profiled"`` uses the
-        trace's recorded offline structure (the paper's corpus-profiled
-        table), ``"sampled"`` estimates it statistically from the prefill
-        window.
+        and build the correlation table from the trace's recorded offline
+        structure (the paper's corpus-profiled table, see
+        :meth:`CorrelationTable.from_profiling`).
         """
         for l in range(self.num_layers):
             freq = trace.prefill_frequencies(l)
@@ -209,12 +171,7 @@ class ActivationPredictor:
             )
         self._parents_stack = None
         if self.config.use_layer_prediction:
-            if correlation == "profiled":
-                self.correlation = CorrelationTable.from_profiling(trace)
-            elif correlation == "sampled":
-                self.correlation = CorrelationTable.from_trace(trace)
-            else:
-                raise ValueError(f"unknown correlation source {correlation!r}")
+            self.correlation = CorrelationTable.from_profiling(trace)
 
     # ------------------------------------------------------------------
     def predict(self, layer: int,

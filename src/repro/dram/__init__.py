@@ -1,8 +1,10 @@
-"""Cycle-approximate DDR4 model (the Ramulator-2.0 substitute)."""
+"""DDR4 timing and closed-form bandwidth of the NDP-DIMM pool (Table II).
+
+The cycle-level controller that validates these closed forms is a test
+oracle and lives beside its tests (``tests/dram_controller.py``).
+"""
 
 from .timing import DDR4Timing, DIMMGeometry
-from .bank import Bank
-from .controller import DRAMController, ReadRequest
 from .bandwidth import (
     channel_stream_bandwidth,
     internal_stream_bandwidth,
@@ -13,9 +15,6 @@ from .bandwidth import (
 __all__ = [
     "DDR4Timing",
     "DIMMGeometry",
-    "Bank",
-    "DRAMController",
-    "ReadRequest",
     "channel_stream_bandwidth",
     "internal_stream_bandwidth",
     "lane_bandwidth",

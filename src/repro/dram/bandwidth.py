@@ -1,8 +1,8 @@
 """Sustained-bandwidth estimates derived from the Table II timing model.
 
 These closed-form estimates are what the higher-level system models consume;
-the request-level controller in :mod:`repro.dram.controller` exists to
-validate them (the test suite checks agreement within a few percent).
+a cycle-level controller in the test suite (``tests/dram_controller.py``)
+validates them within a few percent.
 
 Key effect: within one bank group, back-to-back READs are spaced by tCCD_L
 (8 cycles) while a burst occupies only tBL (4 cycles), so a single bank-group

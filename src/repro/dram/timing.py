@@ -1,9 +1,10 @@
 """DDR4 timing and geometry parameters (paper Table II).
 
 The paper evaluates NDP-DIMM efficiency with a modified Ramulator 2.0; this
-package substitutes a compact cycle-approximate model built from the same
-timing parameters.  Values are in memory-controller clock cycles of a
-DDR4-3200 part (tCK = 0.625 ns), exactly as listed in Table II.
+package substitutes closed-form bandwidths built from the same timing
+parameters, validated in the test suite against a cycle-level controller.
+Values are in memory-controller clock cycles of a DDR4-3200 part
+(tCK = 0.625 ns), exactly as listed in Table II.
 """
 
 from __future__ import annotations

@@ -28,13 +28,9 @@ import inspect
 import json
 import sys
 import time
-import warnings
 
 from ..models import get_model, list_models
 from . import ALL_EXPERIMENTS
-
-#: accepted alternate spellings for registry ids
-ALIASES = {"serving_eval": "serving"}
 
 GIB = 2**30
 
@@ -56,11 +52,6 @@ def print_experiments(file=None) -> None:
     print("experiments:", file=file)
     for name, summary in summaries.items():
         print(f"  {name:<{width}}  {summary}", file=file)
-    if ALIASES:
-        aliases = ", ".join(
-            f"{alias} -> {target}" for alias, target in sorted(ALIASES.items())
-        )
-        print(f"aliases (deprecated): {aliases}", file=file)
     print("subcommands: plan (capacity planner), watch (telemetry "
           "dashboard) — each has its own --help", file=file)
 
@@ -79,10 +70,9 @@ def print_models(file=None) -> None:
 
 
 def _unknown_id_message(names: list[str]) -> str:
-    known = list(ALL_EXPERIMENTS) + list(ALIASES)
     parts = []
     for name in names:
-        close = difflib.get_close_matches(name, known, n=1)
+        close = difflib.get_close_matches(name, ALL_EXPERIMENTS, n=1)
         hint = f" (did you mean {close[0]!r}?)" if close else ""
         parts.append(f"{name!r}{hint}")
     return (f"unknown experiments: {', '.join(parts)} — run with --list "
@@ -155,20 +145,7 @@ def main(argv: list[str] | None = None) -> int:
     if "all" in args.experiments:
         names = list(ALL_EXPERIMENTS)
     else:
-        names = []
-        for name in args.experiments:
-            if name in ALIASES:
-                canonical = ALIASES[name]
-                warnings.warn(
-                    f"experiment id {name!r} is a deprecated alias; "
-                    f"use {canonical!r}",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-                print(f"warning: {name!r} is a deprecated alias for "
-                      f"{canonical!r}", file=sys.stderr)
-                name = canonical
-            names.append(name)
+        names = list(args.experiments)
     unknown = [n for n in names if n not in ALL_EXPERIMENTS]
     if unknown:
         print(f"error: {_unknown_id_message(unknown)}", file=sys.stderr)

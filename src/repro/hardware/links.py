@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import dataclasses
 
-import numpy as np
-
 
 @dataclasses.dataclass(frozen=True)
 class Link:
@@ -50,19 +48,6 @@ class Link:
         if num_bytes == 0:
             return 0.0
         return self.latency + num_bytes / self.effective_bandwidth
-
-    def transfer_time_batch(self, num_bytes: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`transfer_time` over an array of sizes.
-
-        Scalar-preserving: zero-byte entries cost exactly 0.0, everything
-        else ``latency + size / effective_bandwidth``, as in the scalar
-        path.
-        """
-        num_bytes = np.asarray(num_bytes, dtype=np.float64)
-        if np.any(num_bytes < 0):
-            raise ValueError("num_bytes must be non-negative")
-        times = self.latency + num_bytes / self.effective_bandwidth
-        return np.where(num_bytes == 0, 0.0, times)
 
 
 def pcie4_x16(*, pinned: bool = True) -> Link:

@@ -174,14 +174,6 @@ class ModelSpec:
             * self.num_layers
         )
 
-    # ------------------------------------------------------------------
-    # FLOP counts (token generation, per token)
-    # ------------------------------------------------------------------
-    def dense_flops_per_token(self, batch: int = 1) -> int:
-        """FLOPs of the dense projection layers for one decode step."""
-        return (2 * self.dense_bytes_per_layer // BYTES_PER_PARAM
-                * batch * self.num_layers)
-
     def describe(self) -> str:
         """One-line human-readable summary used by examples and reports."""
         return (

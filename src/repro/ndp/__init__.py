@@ -1,31 +1,15 @@
-"""NDP core models: GEMV unit, activation unit, per-DIMM core, ISA."""
+"""NDP core models: GEMV unit, activation unit, per-DIMM core.
+
+The command-level executor that validates :meth:`NDPCore.gemv_time` is
+a test oracle and lives beside its tests (``tests/ndp_isa.py``).
+"""
 
 from .activation import ActivationUnit
 from .core import NDPCore
 from .gemv import GEMVUnit
-from .isa import (
-    Command,
-    LinkSend,
-    Mac,
-    Merge,
-    NDPExecutor,
-    RowRead,
-    Softmax,
-    lower_attention,
-    lower_gemv,
-)
 
 __all__ = [
     "ActivationUnit",
     "GEMVUnit",
     "NDPCore",
-    "Command",
-    "RowRead",
-    "Mac",
-    "Softmax",
-    "Merge",
-    "LinkSend",
-    "lower_gemv",
-    "lower_attention",
-    "NDPExecutor",
 ]

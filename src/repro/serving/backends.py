@@ -21,8 +21,8 @@ so online TTFT/TBT numbers and the offline figures cannot drift apart.
 
 Steppable contract (what the simulators actually consume):
 
-``prefill_cost(prompt_len, batch)`` -> (GPU compute, PCIe transfer)
-seconds for one joining request; ``decode_step(batch, context)`` -> one
+``prefill_cost(prompt_len)`` -> (GPU compute, PCIe transfer) seconds
+for one joining request; ``decode_step(batch, context)`` -> one
 continuous-batching iteration's :class:`~repro.core.StepCost` (the
 exact serving loop calls it once per token);
 ``span_estimate(batch, start_context, steps)`` -> closed-form totals of
@@ -50,7 +50,7 @@ from ..baselines.base import (
     zigzag_prefill_time,
 )
 from ..baselines.dejavu import DejaVu
-from ..core import HermesConfig, HermesSystem, OfflinePartition, StepCost
+from ..core import HermesSystem, OfflinePartition, StepCost
 from ..hardware import Machine
 from ..models import ModelSpec
 from ..sparsity import ActivationTrace
@@ -66,7 +66,7 @@ class ServingBackend:
 
     Subclasses set their registry ``name`` and implement
     ``_step_cost(batch, context)`` (may advance internal cursors),
-    ``_prefill_pair(prompt_len, batch)``, and either
+    ``_prefill_pair(prompt_len)``, and either
     ``_pure_step_seconds(batch, context)`` (must not advance anything)
     or their own :meth:`estimated_step_seconds`; everything else — span
     estimates, prefill memoisation, union batching caps, throughput
@@ -83,7 +83,7 @@ class ServingBackend:
         self._base_machine = machine
         self.model = model
         self.nominal_batch = nominal_batch
-        self._prefill_cache: dict[tuple[int, int], tuple[float, float]] = {}
+        self._prefill_cache: dict[int, tuple[float, float]] = {}
         self._union_batch_cache: dict[tuple[float, int], int] = {}
         self._estimated_step: float | None = None
 
@@ -94,9 +94,7 @@ class ServingBackend:
     def _pure_step_seconds(self, batch: int, context: int) -> float:
         raise NotImplementedError  # pragma: no cover - abstract
 
-    def _prefill_pair(
-        self, prompt_len: int, batch: int
-    ) -> tuple[float, float]:
+    def _prefill_pair(self, prompt_len: int) -> tuple[float, float]:
         raise NotImplementedError  # pragma: no cover - abstract
 
     # ---- the serving surface -----------------------------------------
@@ -149,24 +147,21 @@ class ServingBackend:
             (first[2] + last[2]) * half,
         )
 
-    def prefill_cost(
-        self, prompt_len: int, batch: int = 1
-    ) -> tuple[float, float]:
+    def prefill_cost(self, prompt_len: int) -> tuple[float, float]:
         """(GPU compute, PCIe transfer) seconds to prefill one request,
         memoised: admission and deadline checks hit the same prompt
         lengths over and over."""
         if prompt_len < 1:
             raise ValueError("prompt_len must be >= 1")
-        key = (prompt_len, batch)
-        cost = self._prefill_cache.get(key)
+        cost = self._prefill_cache.get(prompt_len)
         if cost is None:
-            cost = self._prefill_pair(prompt_len, batch)
-            self._prefill_cache[key] = cost
+            cost = self._prefill_pair(prompt_len)
+            self._prefill_cache[prompt_len] = cost
         return cost
 
-    def prefill_seconds(self, prompt_len: int, batch: int = 1) -> float:
+    def prefill_seconds(self, prompt_len: int) -> float:
         """Total latency of prefilling one joining request."""
-        compute, transfer = self.prefill_cost(prompt_len, batch)
+        compute, transfer = self.prefill_cost(prompt_len)
         return compute + transfer
 
     def mean_union(self, batch: int) -> float:
@@ -286,7 +281,7 @@ def _partition_cache(trace: ActivationTrace) -> dict:
     Stored on the trace object itself (like its lazy ``_stacked`` view)
     so the cache's lifetime — and the identity component of the key —
     is exactly the trace.  The partition is otherwise deterministic in
-    (machine, model, config, batch), which forms the key.
+    (machine, model, batch), which forms the key.
     """
     cache = getattr(trace, "_partition_cache", None)
     if cache is None:
@@ -314,7 +309,6 @@ class MachineExecutor(ServingBackend):
         self,
         machine: Machine,
         model: ModelSpec,
-        config: HermesConfig | None = None,
         *,
         trace: ActivationTrace | None = None,
         nominal_batch: int = 8,
@@ -323,7 +317,7 @@ class MachineExecutor(ServingBackend):
         probe_store: dict | None = None,
     ) -> None:
         super().__init__(machine, model, nominal_batch=nominal_batch)
-        self.system = HermesSystem(machine, model, config)
+        self.system = HermesSystem(machine, model)
         if trace is None:
             trace = default_serving_trace(
                 model, granularity=granularity, seed=seed
@@ -337,19 +331,15 @@ class MachineExecutor(ServingBackend):
     def _step_cost(self, batch: int, context: int) -> StepCost:
         return self.session.decode_step(batch=batch, context=context)
 
-    def _prefill_pair(
-        self, prompt_len: int, batch: int
-    ) -> tuple[float, float]:
+    def _prefill_pair(self, prompt_len: int) -> tuple[float, float]:
         # the hot set stays GPU-resident between requests on a serving
         # machine: prompt compute plus the KV-cache push only
-        return self.session.prefill_cost(prompt_len, batch, reload_hot=False)
+        return self.session.prefill_cost(prompt_len, 1, reload_hot=False)
 
     def _renegotiate(self) -> None:
         # a new engine over the surviving DIMMs (raises when they can no
         # longer hold the sparse weights); reset re-plans the partition
-        self.system = HermesSystem(
-            self.machine, self.model, self.system.config
-        )
+        self.system = HermesSystem(self.machine, self.model)
 
     def reset(self) -> None:
         """Restart the machine cold: fresh session, pristine engine state.
@@ -358,16 +348,13 @@ class MachineExecutor(ServingBackend):
         The predictor table, hot/cold residency, window-scheduler remaps
         and trace cursor all return to their just-booted values.  The
         offline partition is solved once per (trace, machine, model,
-        config, batch) — every machine and every restart gets a clone
-        from the per-trace cache, and a degraded machine is a different
-        key, so its first degrade solves once.  The prefill memo
-        survives (it is pure in (prompt_len, batch)) and the span probes
-        are bound to this hardware's shared dict in the probe store.
+        batch) — every machine and every restart gets a clone from the
+        per-trace cache, and a degraded machine is a different key, so
+        its first degrade solves once.  The prefill memo survives (it is
+        pure in the prompt length) and the span probes are bound to this
+        hardware's shared dict in the probe store.
         """
-        key = (
-            self.machine, self.model.name, self.system.config,
-            self.nominal_batch,
-        )
+        key = (self.machine, self.model.name, self.nominal_batch)
         cache = _partition_cache(self.trace)
         pristine = cache.get(key)
         self.session = self.system.session(
@@ -389,12 +376,11 @@ class MachineExecutor(ServingBackend):
         the ~half-millisecond engine step once per distinct point
         instead of twice per span.  The frozen value is shared through
         the probe store by every machine with identical (machine, model,
-        config, nominal_batch), so a 1000-machine homogeneous fleet
-        probes each point once.  The serving simulator hands its
-        executors one store per run, so a run's values depend only on
-        that run.  Part of fast mode's documented approximation; a
-        degraded machine reads its own dict because it quotes genuinely
-        different costs.
+        nominal_batch), so a 1000-machine homogeneous fleet probes each
+        point once.  The serving simulator hands its executors one store
+        per run, so a run's values depend only on that run.  Part of
+        fast mode's documented approximation; a degraded machine reads
+        its own dict because it quotes genuinely different costs.
         """
         key = (batch, context)
         hit = self._span_probes.get(key)
@@ -407,16 +393,18 @@ class MachineExecutor(ServingBackend):
         """One decode iteration at the nominal batch, without mutating
         this executor's live engine state.
 
-        Probes a *throwaway* sibling session (same trace, machine and
-        config — its partition comes from the per-trace cache, so the
-        solver never reruns) at the trace's first decode context and
-        memoises the result.  Deterministic, so throughput-normalizing
-        routers stay replayable.
+        Probes a *throwaway* sibling session (same trace and machine —
+        its partition comes from the per-trace cache, so the solver
+        never reruns) at the trace's first decode context and memoises
+        the result.  Deterministic, so throughput-normalizing routers
+        stay replayable.
         """
         if self._estimated_step is None:
             probe = MachineExecutor(
-                self.machine, self.model, self.system.config,
-                trace=self.trace, nominal_batch=self.nominal_batch,
+                self.machine,
+                self.model,
+                trace=self.trace,
+                nominal_batch=self.nominal_batch,
             )
             self._estimated_step = probe.session.decode_step(
                 self.nominal_batch).seconds
@@ -520,12 +508,10 @@ class DenseGPUBackend(ServingBackend):
             0.0,
         )
 
-    def _prefill_pair(
-        self, prompt_len: int, batch: int
-    ) -> tuple[float, float]:
+    def _prefill_pair(self, prompt_len: int) -> tuple[float, float]:
         # the prompt KV lands directly in GPU memory: no PCIe push
         return (zigzag_prefill_time(self.machine, self.model, prompt_len,
-                                    batch, self.resident_fraction), 0.0)
+                                    1, self.resident_fraction), 0.0)
 
 
 class DejaVuBackend(ServingBackend):
@@ -621,13 +607,11 @@ class DejaVuBackend(ServingBackend):
     def _pure_step_seconds(self, batch: int, context: int) -> float:
         return self._cost_at(self._decode_rows[0], batch, context).seconds
 
-    def _prefill_pair(
-        self, prompt_len: int, batch: int
-    ) -> tuple[float, float]:
+    def _prefill_pair(self, prompt_len: int) -> tuple[float, float]:
         # dense streamed prefill (per-token predictions do not exist for
         # the whole prompt at once); the prompt KV stays on the GPU
         return (zigzag_prefill_time(
-            self.machine, self.model, prompt_len, batch,
+            self.machine, self.model, prompt_len, 1,
             self.core.resident_fraction()), 0.0)
 
     def mean_union(self, batch: int) -> float:
@@ -657,7 +641,6 @@ def make_backend(
     machine: Machine,
     model: ModelSpec,
     *,
-    hermes_config: HermesConfig | None = None,
     trace: ActivationTrace | None = None,
     nominal_batch: int = 8,
     granularity: int = 64,
@@ -666,8 +649,6 @@ def make_backend(
 ) -> ServingBackend:
     """Instantiate a registered backend on ``machine`` for ``model``.
 
-    ``hermes_config`` applies to the ``hermes`` backend only (rejected
-    elsewhere so a scenario cannot silently drop engine overrides);
     ``trace`` feeds the backends that consume ground-truth activations
     (hermes, dejavu) and is ignored by the dense backend;
     ``probe_store`` is the hermes backend's shared fast-fidelity probe
@@ -683,16 +664,11 @@ def make_backend(
         return MachineExecutor(
             machine,
             model,
-            hermes_config,
             trace=trace,
             nominal_batch=nominal_batch,
             granularity=granularity,
             seed=seed,
             probe_store=probe_store,
-        )
-    if hermes_config is not None:
-        raise ValueError(
-            f"backend {name!r} does not take a Hermes engine config"
         )
     if factory is DejaVuBackend:
         return DejaVuBackend(

@@ -63,7 +63,6 @@ import operator
 import typing
 import warnings
 
-from ..core import HermesConfig
 from ..hardware import Machine
 from ..models import ModelSpec, get_model
 from ..sim import Signal, Simulator, WaitSignal, WaitUntil
@@ -509,7 +508,6 @@ class ServingSimulator:
         config: ServingConfig | None = None,
         *,
         machine: Machine | None = None,
-        hermes_config: HermesConfig | None = None,
         trace: ActivationTrace | None = None,
         granularity: int = 64,
         seed: int = 7,
@@ -526,10 +524,10 @@ class ServingSimulator:
         # Each machine gets its own backend (own online engine state)
         # over the shared activation trace.  For Hermes machines the
         # offline partition is solved once — it is deterministic in
-        # (trace, batch, config) — and every machine receives its *own
-        # clone* from the per-trace cache: window scheduling remaps
-        # ``dimm_of`` in place, and a machine's live DIMM mapping is its
-        # own hardware state, not something a sibling's migrations may
+        # (trace, batch) — and every machine receives its *own clone*
+        # from the per-trace cache: window scheduling remaps ``dimm_of``
+        # in place, and a machine's live DIMM mapping is its own
+        # hardware state, not something a sibling's migrations may
         # mutate mid-flight.
         nominal_batch = max(2, self.config.max_batch // 2)
         #: the hermes machines' fast-fidelity probe memo, emptied at the
@@ -566,9 +564,6 @@ class ServingSimulator:
                     backend_name,
                     group_machine,
                     group_model,
-                    hermes_config=(
-                        hermes_config if backend_name == "hermes" else None
-                    ),
                     trace=group_trace,
                     nominal_batch=group_batch,
                     granularity=granularity,

@@ -8,7 +8,6 @@ from .frequencies import (
 from .layout import NeuronLayout
 from .trace import ActivationTrace
 from .generator import TraceConfig, generate_trace
-from .io import load_trace, save_trace
 from .stats import (
     dimm_load_imbalance,
     hot_cold_computation_share,
@@ -26,8 +25,6 @@ __all__ = [
     "ActivationTrace",
     "TraceConfig",
     "generate_trace",
-    "save_trace",
-    "load_trace",
     "jaccard_similarity",
     "token_similarity_curve",
     "layer_correlation",

@@ -69,10 +69,6 @@ class NeuronLayout:
         return self.attn_groups + self.mlp_groups
 
     @property
-    def total_groups(self) -> int:
-        return self.groups_per_layer * self.model.num_layers
-
-    @property
     def attn_slice(self) -> slice:
         return slice(0, self.attn_groups)
 

@@ -68,7 +68,9 @@ class _Exporter:
             event["args"] = args
         self.out.append(event)
 
-    def _flow(self, req_id: int, t: float, tid: int, end: bool = False) -> None:
+    def _flow(
+        self, req_id: int, t: float, tid: int, end: bool = False
+    ) -> None:
         """One hop of request ``req_id``'s flow arrow at ``(t, tid)``."""
         if end:
             ph = "f"

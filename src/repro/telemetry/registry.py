@@ -66,8 +66,8 @@ class Histogram:
     """Windowed sample distribution with cumulative count.
 
     ``observe`` appends to the current window; ``collect`` reports the
-    window's percentiles and maximum, then (by default) resets it — the
-    registry owner's collect cadence *is* the sample interval.
+    window's percentiles and maximum, then resets it — the registry
+    owner's collect cadence *is* the sample interval.
     """
 
     kind = "histogram"
@@ -92,7 +92,8 @@ class Histogram:
         names.append(f"{self.spec.name}_max")
         return names
 
-    def snapshot(self, reset: bool = True) -> dict[str, float]:
+    def snapshot(self) -> dict[str, float]:
+        """The window's values; starts the next window."""
         window = self._window
         values = {f"{self.spec.name}_count": float(self.count)}
         for p in self.percentiles:
@@ -102,8 +103,7 @@ class Histogram:
         values[f"{self.spec.name}_max"] = (
             max(window) if window else math.nan
         )
-        if reset:
-            self._window = []
+        self._window = []
         return values
 
 
@@ -178,12 +178,12 @@ class MetricsRegistry:
                 })
         return fields
 
-    def collect(self, reset_windows: bool = True) -> dict[str, float]:
+    def collect(self) -> dict[str, float]:
         """The flat ``values`` mapping of one sample (resets windows)."""
         values: dict[str, float] = {}
         for metric in self._metrics.values():
             if isinstance(metric, Histogram):
-                values.update(metric.snapshot(reset=reset_windows))
+                values.update(metric.snapshot())
             else:
                 values[metric.spec.name] = metric.value
         return values

@@ -150,14 +150,12 @@ class MetricStreamTracer:
         *,
         sample_interval: float = 0.01,
         source: str = "",
-        percentiles: typing.Sequence[float] = (50.0, 99.0),
     ) -> None:
         if sample_interval <= 0:
             raise ValueError("sample_interval must be positive")
         self._stream = TopicStream(out)
         self._interval = float(sample_interval)
         self._source = source
-        self._percentiles = tuple(percentiles)
         self._started = False
 
     # ------------------------------------------------------------------
@@ -208,7 +206,7 @@ class MetricStreamTracer:
         }
         self._has_domains = bool(event.domains)
 
-        cluster = MetricsRegistry(self._percentiles)
+        cluster = MetricsRegistry()
         cluster.gauge("queue_depth", help="requests waiting for admission")
         cluster.gauge("active", help="requests resident in running batches")
         cluster.gauge("tokens_per_sec", unit="tok/s",
@@ -232,7 +230,7 @@ class MetricStreamTracer:
         })
 
         for m in range(num):
-            registry = MetricsRegistry(self._percentiles)
+            registry = MetricsRegistry()
             registry.gauge("gpu_util", help="GPU busy fraction (window)")
             registry.gauge("dimm_util",
                            help="NDP-DIMM busy fraction (window)")
@@ -269,7 +267,7 @@ class MetricStreamTracer:
             self._stream.announce(topic, fields, meta=meta)
 
         for name, state in self._classes.items():
-            registry = MetricsRegistry(self._percentiles)
+            registry = MetricsRegistry()
             registry.counter("completed", help="class requests finished")
             registry.gauge("slo_ttft",
                            help="cumulative TTFT attainment fraction")

@@ -1,10 +1,15 @@
-"""Request-level DRAM controller model.
+"""Cycle-level DDR4 controller: the test oracle for the bandwidth model.
 
-Drives the per-bank state machines of :mod:`repro.dram.bank` while enforcing
-the cross-bank constraints of Table II: column-to-column spacing (tCCD_S/L),
-activate-to-activate spacing (tRRD_S/L), the four-activate window (tFAW) and
-data-bus occupancy (tBL).  It serves an in-order stream of read requests —
-which is exactly the access pattern of an NDP GEMV unit streaming weight
+The paper validates its NDP-DIMM performance model with a modified
+Ramulator 2.0 (§V-A).  This module plays that role for
+:mod:`repro.dram.bandwidth`: per-bank state machines (rows must be
+activated before columns can be read, re-activating a different row
+requires a precharge, ACT->ACT is bounded below by tRC) driven by a
+request-level controller that enforces the cross-bank constraints of
+Table II — column-to-column spacing (tCCD_S/L), activate-to-activate
+spacing (tRRD_S/L), the four-activate window (tFAW) and data-bus
+occupancy (tBL).  It serves an in-order stream of read requests — which
+is exactly the access pattern of an NDP GEMV unit streaming weight
 rows — and reports the cycle at which the last burst completes.
 
 Two bus configurations are supported:
@@ -15,8 +20,8 @@ Two bus configurations are supported:
   bank-group pair owns an independent lane into the buffer chip, so bursts
   on different lanes do not contend (paper §IV-A1, center-buffer design).
 
-The analytic estimate in :mod:`repro.dram.bandwidth` is validated against
-this controller in the test suite.
+``tests/test_dram.py`` checks the closed-form stream bandwidths the
+engine runs against this controller.
 """
 
 from __future__ import annotations
@@ -24,8 +29,53 @@ from __future__ import annotations
 import dataclasses
 from collections import deque
 
-from .bank import Bank
-from .timing import DDR4Timing, DIMMGeometry
+from repro.dram import DDR4Timing, DIMMGeometry
+
+
+@dataclasses.dataclass
+class Bank:
+    """State of a single DRAM bank, tracked in controller clock cycles."""
+
+    timing: DDR4Timing
+    open_row: int | None = None
+    #: earliest cycle a new ACT may issue (enforces tRC / tRP)
+    next_act: int = 0
+    #: earliest cycle a READ to the open row may issue (enforces tRCD)
+    next_read: int = 0
+    #: cycle of the last ACT, used for tRC bookkeeping
+    last_act: int = -(10**9)
+
+    def activate(self, row: int, now: int) -> int:
+        """Open ``row``; returns the cycle the ACT actually issues.
+
+        If another row is open, a precharge is folded in (tRP) before the
+        activate; tRC from the previous ACT is always honoured.
+        """
+        if row < 0:
+            raise ValueError("row must be non-negative")
+        earliest = max(now, self.next_act)
+        if self.open_row is not None and self.open_row != row:
+            earliest = max(earliest, self.last_act + self.timing.tRC)
+            earliest += self.timing.tRP
+        act_cycle = earliest
+        self.open_row = row
+        self.last_act = act_cycle
+        self.next_read = act_cycle + self.timing.tRCD
+        self.next_act = act_cycle + self.timing.tRC
+        return act_cycle
+
+    def read(self, row: int, now: int) -> int:
+        """Issue a READ to ``row``; returns the issue cycle.
+
+        Activates the row first if it is not open (row-buffer miss).
+        """
+        if self.open_row != row:
+            self.activate(row, now)
+        return max(now, self.next_read)
+
+    @property
+    def is_open(self) -> bool:
+        return self.open_row is not None
 
 
 @dataclasses.dataclass(frozen=True)

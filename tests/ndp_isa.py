@@ -1,4 +1,4 @@
-"""NDP command stream: the memory-command programming interface (§IV-A1).
+"""NDP command stream: the test oracle for the NDP core model (§IV-A1).
 
 Hermes drives the NDP-DIMMs through extra memory commands (MAC, softmax,
 merge, ...) issued by the host scheduler through the instruction queue.
@@ -7,9 +7,8 @@ command streams, and :class:`NDPExecutor` retires the stream against a
 two-stage pipeline (DRAM row reads double-buffered with bit-serial MACs).
 
 The executor is the micro-architectural counterpart of the closed-form
-:meth:`repro.ndp.core.NDPCore.gemv_time`; the test suite checks the two
-agree, which validates the analytic model the system simulations use in
-their hot loops.
+:meth:`repro.ndp.core.NDPCore.gemv_time` that the engine runs in its hot
+loops; ``tests/test_extensions.py`` checks that the two agree.
 """
 
 from __future__ import annotations
@@ -17,8 +16,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from .activation import ActivationUnit
-from .gemv import GEMVUnit
+from repro.ndp import ActivationUnit, GEMVUnit
 
 
 @dataclasses.dataclass(frozen=True)

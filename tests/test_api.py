@@ -6,8 +6,6 @@ import ast
 import json
 import pathlib
 
-import pytest
-
 import repro
 from repro import api
 from repro.experiments.cluster_eval import resolve_scenario
@@ -121,22 +119,18 @@ class TestCLIConventions:
         code, _, err = self.run_cli(capsys, "no_such_experiment")
         assert code == 2
         assert "unknown experiments" in err
+        # a near miss names the closest registry id
+        code, _, err = self.run_cli(capsys, "serving_eval")
+        assert code == 2
+        assert "did you mean 'serving'?" in err
 
     def test_no_experiment_exits_two(self, capsys):
         assert self.run_cli(capsys)[0] == 2
 
-    def test_alias_warns_and_resolves(self, capsys):
-        with pytest.warns(DeprecationWarning, match="serving_eval"):
-            code, _, err = self.run_cli(
-                capsys, "serving_eval", "--quick")
-        assert code == 0
-        assert "deprecated alias" in err
-
-    def test_list_mentions_subcommands_and_aliases(self, capsys):
+    def test_list_mentions_subcommands(self, capsys):
         code, out, _ = self.run_cli(capsys, "--list")
         assert code == 0
         assert "plan" in out and "watch" in out
-        assert "deprecated" in out
 
     def test_experiment_result_to_json_strict(self):
         from repro.experiments.common import ExperimentResult

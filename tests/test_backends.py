@@ -8,8 +8,6 @@ import pytest
 
 from repro.baselines import DejaVu, FlexGen, TensorRTLLM
 from repro.cluster import ThroughputLeastLoadedRouter, get_router
-from repro.core import HermesConfig
-from repro.hardware import Machine
 from repro.models import get_model
 from repro.serving import (
     BACKENDS,
@@ -50,25 +48,6 @@ class TestRegistry:
     def test_unknown_backend_rejected(self, machine, tiny_model):
         with pytest.raises(KeyError, match="unknown backend"):
             make_backend("vllm", machine, tiny_model)
-
-    def test_hermes_config_rejected_off_hermes(
-        self, machine, tiny_model, tiny_trace
-    ):
-        with pytest.raises(ValueError, match="Hermes engine config"):
-            make_backend(
-                "dense",
-                machine,
-                tiny_model,
-                hermes_config=HermesConfig(oracle=True),
-            )
-        executor = make_backend(
-            "hermes",
-            machine,
-            tiny_model,
-            trace=tiny_trace,
-            hermes_config=HermesConfig(oracle=True),
-        )
-        assert executor.system.config.oracle
 
 
 class TestSteppableSurface:

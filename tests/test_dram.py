@@ -4,16 +4,15 @@
 import pytest
 
 from repro.dram import (
-    Bank,
     DDR4Timing,
     DIMMGeometry,
-    DRAMController,
-    ReadRequest,
     channel_stream_bandwidth,
     internal_stream_bandwidth,
     lane_bandwidth,
     scattered_access_efficiency,
 )
+
+from .dram_controller import Bank, DRAMController, ReadRequest
 
 
 class TestTiming:

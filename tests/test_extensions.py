@@ -1,22 +1,19 @@
-"""Tests for the extension modules: NDP ISA, trace IO, quality model."""
+"""Tests for the NDP command-stream oracle and the core model it checks."""
 
-import numpy as np
 import pytest
 
-from repro.core import ActivationPredictor, PredictorConfig
-from repro.ndp import (
+from repro.ndp import NDPCore
+
+from .ndp_isa import (
     LinkSend,
     Mac,
     Merge,
-    NDPCore,
     NDPExecutor,
     RowRead,
     Softmax,
     lower_attention,
     lower_gemv,
 )
-from repro.quality import activation_coverage, oracle_report
-from repro.sparsity import TraceConfig, generate_trace, load_trace, save_trace
 
 STREAM_BW = 102.4e9
 
@@ -91,78 +88,3 @@ class TestExecutor:
     def test_validation(self):
         with pytest.raises(ValueError):
             NDPExecutor(stream_bandwidth=0)
-
-
-class TestTraceIO:
-    def test_roundtrip(self, tmp_path, tiny_model):
-        trace = generate_trace(
-            tiny_model,
-            TraceConfig(prompt_len=8, decode_len=8, granularity=8),
-            seed=5,
-        )
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)
-        loaded = load_trace(path)
-        assert loaded.prompt_len == trace.prompt_len
-        assert loaded.seed == trace.seed
-        assert loaded.layout.granularity == 8
-        for a, b in zip(trace.layers, loaded.layers):
-            assert np.array_equal(a, b)
-        for a, b in zip(trace.parents, loaded.parents):
-            if a is None:
-                assert b is None
-            else:
-                assert np.array_equal(a, b)
-
-    def test_compression_beats_raw_bools(self, tmp_path, tiny_model):
-        trace = generate_trace(
-            tiny_model,
-            TraceConfig(prompt_len=16, decode_len=48, granularity=4),
-            seed=5,
-        )
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)
-        raw = sum(m.size for m in trace.layers)
-        assert path.stat().st_size < raw // 2
-
-    def test_rejects_future_format(self, tmp_path, tiny_model):
-        trace = generate_trace(
-            tiny_model,
-            TraceConfig(prompt_len=4, decode_len=4, granularity=16),
-            seed=5,
-        )
-        path = tmp_path / "trace.npz"
-        save_trace(trace, path)
-        data = dict(np.load(path))
-        data["version"] = np.array([99])
-        np.savez_compressed(path, **data)
-        with pytest.raises(ValueError, match="version"):
-            load_trace(path)
-
-
-class TestQuality:
-    def test_oracle_is_lossless(self, tiny_trace):
-        report = oracle_report(tiny_trace)
-        assert report.coverage == 1.0
-        assert report.degradation_proxy == 0.0
-        assert report.within_paper_claim()
-
-    def test_predictor_coverage_high(self, tiny_trace):
-        predictor = ActivationPredictor(tiny_trace.layout, PredictorConfig())
-        predictor.initialize(tiny_trace)
-        report = activation_coverage(tiny_trace, predictor)
-        assert 0.85 < report.coverage <= 1.0
-        assert report.degradation_proxy < 0.15
-        assert report.per_layer_miss.shape == (tiny_trace.num_layers,)
-
-    def test_worse_predictor_means_worse_coverage(self, tiny_trace):
-        good = ActivationPredictor(tiny_trace.layout, PredictorConfig())
-        good.initialize(tiny_trace)
-        bad = ActivationPredictor(
-            tiny_trace.layout,
-            PredictorConfig(use_layer_prediction=False, s_up=1,
-                            threshold=15.0))
-        bad.initialize(tiny_trace)
-        r_good = activation_coverage(tiny_trace, good)
-        r_bad = activation_coverage(tiny_trace, bad)
-        assert r_good.coverage >= r_bad.coverage

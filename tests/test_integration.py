@@ -1,7 +1,6 @@
 """Cross-module integration tests: the full pipeline end to end."""
 
 import numpy as np
-import pytest
 
 from repro import (
     HermesSystem,
@@ -12,22 +11,10 @@ from repro import (
 from repro.core import HermesConfig
 from repro.experiments.fig09_end_to_end import SYSTEMS, build_system
 from repro.experiments.fig13_ablation import VARIANTS
-from repro.sparsity import TraceConfig, load_trace, save_trace
+from repro.sparsity import TraceConfig
 
 
 class TestTraceToResultPipeline:
-    def test_saved_trace_reproduces_the_run(
-        self, tmp_path, machine, tiny_model, tiny_trace
-    ):
-        """Serialise -> reload -> identical simulation outcome."""
-        path = tmp_path / "trace.npz"
-        save_trace(tiny_trace, path)
-        reloaded = load_trace(path)
-        a = HermesSystem(machine, tiny_model).run(tiny_trace)
-        b = HermesSystem(machine, tiny_model).run(reloaded)
-        assert a.decode_time == pytest.approx(b.decode_time)
-        assert a.breakdown == pytest.approx(b.breakdown)
-
     def test_different_seeds_give_different_latencies(
         self, machine, tiny_model
     ):

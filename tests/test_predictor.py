@@ -136,20 +136,20 @@ class TestPrediction:
 
 class TestPredictAll:
     @pytest.mark.parametrize("mode", ["both", "token-only", "layer-only"])
-    @pytest.mark.parametrize("correlation", ["profiled", "sampled"])
+    @pytest.mark.parametrize("correlation", ["profiled"])
     @pytest.mark.parametrize("hole", [False, True])
     @pytest.mark.parametrize("trace_name", ["tiny_trace", "small_opt_trace"])
     def test_rows_match_per_layer_predict(self, request, trace_name, mode,
                                           correlation, hole):
         """Row ``l`` of ``predict_all`` equals ``predict(l, actuals[l-1])``
-        (``None`` for layer 0) over several tokens, for both table
-        sources, each prediction mode, and a stack with one layer's table
-        missing."""
+        (``None`` for layer 0) over several tokens, with the profiled
+        correlation table, for each prediction mode and a stack with one
+        layer's table missing."""
         trace = request.getfixturevalue(trace_name)
         p = ActivationPredictor(trace.layout, PredictorConfig(
             use_token_prediction=mode != "layer-only",
             use_layer_prediction=mode != "token-only"))
-        p.initialize(trace, correlation=correlation)
+        p.initialize(trace)
         if hole and p.correlation is not None:
             p.correlation.parents[2] = None
         for t in list(trace.decode_tokens())[:6]:
@@ -199,9 +199,9 @@ class TestAccuracy:
 
 class TestCorrelationTable:
     def test_estimated_parents_are_informative(self, tiny_trace):
-        """The sampled table must predict better than a random table:
-        layer-only prediction accuracy with the estimated parents should
-        clearly beat the same predictor with shuffled parents."""
+        """The profiled table must predict better than a random table:
+        layer-only prediction accuracy with its parents should clearly
+        beat the same predictor with shuffled parents."""
 
         def layer_only_accuracy(table: CorrelationTable) -> float:
             p = ActivationPredictor(
@@ -228,13 +228,9 @@ class TestCorrelationTable:
                 > layer_only_accuracy(shuffled) + 0.02)
 
     def test_table_bytes(self, tiny_trace):
-        table = CorrelationTable.from_trace(tiny_trace)
+        table = CorrelationTable.from_profiling(tiny_trace)
         expected = sum(p.size * 2 for p in table.parents if p is not None)
         assert table.table_bytes() == expected
-
-    def test_short_window_rejected(self, tiny_trace):
-        with pytest.raises(ValueError):
-            CorrelationTable.from_trace(tiny_trace, tokens=slice(0, 1))
 
 
 class TestFootprint:
