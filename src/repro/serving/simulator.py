@@ -550,7 +550,6 @@ class ServingSimulator:
             # overriding group gets the deterministic default trace for
             # its own model
             group_trace = trace if group_model is self.model else None
-            backend_name = group.backend.lower()
             group_machine = (
                 group.machine if group.machine is not None else machine
             )
@@ -561,7 +560,7 @@ class ServingSimulator:
             )
             self.executors.extend(
                 make_backend(
-                    backend_name,
+                    group.backend,
                     group_machine,
                     group_model,
                     trace=group_trace,
