@@ -32,12 +32,11 @@ from ..sim import overlap_two_stage
 from ..sparsity import ActivationTrace, NeuronLayout
 from .mapper import NeuronMapper
 from .partition import OfflinePartition, PartitionCosts, solve_partition
-from .predictor import STATE_MAX, ActivationPredictor, PredictorConfig
+from .predictor import ActivationPredictor, PredictorConfig
 from .result import RunResult
 from .scheduling import WindowScheduler
 
 GIB = 2**30
-_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclasses.dataclass(frozen=True)
@@ -328,14 +327,14 @@ class HermesSession:
 
         # ---- decode fast-path invariants (hoisted out of decode_step) ----
         layout = self.layout
-        #: (groups, 2) matrix whose column b holds the weight bytes of FC
-        #: block b (attn / mlp) and zero elsewhere — one matmul then sums
-        #: both blocks' GPU-side bytes for every layer at once
+        #: (groups, 2) float64 matrix whose column b holds the weight
+        #: bytes of FC block b (attn / mlp) and zero elsewhere — one BLAS
+        #: matmul then sums both blocks' GPU-side bytes for every layer at
+        #: once.  Exact: every product is 0 or a group's bytes, and a
+        #: layer's sums stay far below 2**53.
         num_layers = system.model.num_layers
         n_dimms = machine.num_dimms
-        self._gpu_block_matrix = np.zeros(
-            (layout.groups_per_layer, 2), dtype=np.int64
-        )
+        self._gpu_block_matrix = np.zeros((layout.groups_per_layer, 2))
         for b, block in enumerate((layout.attn_slice, layout.mlp_slice)):
             self._gpu_block_matrix[block, b] = layout.group_bytes[block]
         #: flat bin key offsets mapping (layer, block, dimm) to
@@ -354,10 +353,9 @@ class HermesSession:
         self._proj_time_cache: dict[int, float] = {}
         self._merge_time_cache: dict[int, float] = {}
         self._pred_overhead = self.predictor.predictor_overhead_seconds(0)
-        #: per-batch (column, column[:, None], doubled column[:, None])
-        #: union-factor views, cached so the decode loop never re-shapes
-        self._union_views_cache: dict[
-            int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        #: per-batch (column[:, None], doubled column) union-factor views,
+        #: cached so the decode loop never re-shapes
+        self._union_views_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         #: flat (layer, block, dimm) bin keys; valid until a window
         #: rebalance actually moves a group between DIMMs (tracked via
         #: the shared partition's ``remap_version``)
@@ -369,23 +367,17 @@ class HermesSession:
                             * machine.num_dimms)
         self._rb_keys_cache: np.ndarray | None = None
         self._rb_keys_version = -1
-        #: (caps, caps[:, None]) per-layer resident byte caps; valid
-        #: until the mapper's residency actually changes (tracked via
-        #: ``mapper.version``)
-        self._resident_caps: tuple[np.ndarray, np.ndarray] | None = None
-        self._resident_caps_version = -1
         #: session-invariant hot-loop bindings, packed so the per-call
         #: prologue of :meth:`_single_step` is one tuple unpack instead
         #: of dozens of attribute chains
         self._hot_invariants = (
-            machine.gpu, machine.dimm, machine.num_dimms,
-            layout.group_bytes, self._two_sync,
+            machine.gpu, machine.dimm, n_dimms, self._two_sync,
             machine.pcie.effective_bandwidth,
             cfg.oracle, cfg.online_adjustment and not cfg.oracle,
-            cfg.window_scheduling, cfg.hot_threshold,
-            system.model.num_layers, self._kv_token_bytes,
-            self._attn_heads_per_dimm, self._gemv_bandwidth,
-            self._gpu_block_matrix, self._fc_bins,
+            cfg.window_scheduling, cfg.hot_threshold, num_layers,
+            self._kv_token_bytes, self._attn_heads_per_dimm,
+            self._gemv_bandwidth, self._gpu_block_matrix,
+            layout.group_bytes.astype(np.float64), self._fc_bins,
             trace.prompt_len, trace.n_decode_tokens,
         )
 
@@ -410,10 +402,8 @@ class HermesSession:
         """
         return self._union_column(batch)
 
-    def _union_views(
-        self, batch: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(column, column[:, None], doubled column[:, None]) at ``batch``.
+    def _union_views(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
+        """(column[:, None], doubled column) at ``batch``.
 
         The reshaped views feed the decode loop's FC byte math every
         step; their values are immutable per batch, so they are built
@@ -422,7 +412,7 @@ class HermesSession:
         views = self._union_views_cache.get(batch)
         if views is None:
             col = self._union_column(batch)
-            views = (col, col[:, None], np.concatenate((col, col))[:, None])
+            views = (col[:, None], np.concatenate((col, col)))
             self._union_views_cache[batch] = views
         return views
 
@@ -547,22 +537,20 @@ class HermesSession:
     ) -> tuple[float, float, float]:
         """One decode token through the per-token control-plane path.
 
-        The core of :meth:`decode_step`.  Every layer's prediction (two
-        flat parent gathers in ``predict_all``), FC byte loads and times
-        are a few matrix ops over the whole token.  The layer loop then
-        sums the per-layer costs and runs the online swap: a no-op gate
-        built from three per-token reductions skips every layer whose
-        swap could move nothing; the first layer that passes it takes
-        one snapshot of every layer's wanted and resident groups with
-        their states, and :meth:`NeuronMapper.swap` runs on that layer's
-        slices.  ``observe_all`` folds the token into the state table
-        after the loop, and a full window pairs every layer's DIMMs in
-        one pass.  Returns ``(seconds, gpu_busy, dimm_busy)``; the
-        caller handles validation and packaging.
+        The core of :meth:`decode_step`.  Every layer's prediction (one
+        threshold compare in ``predict_all``), FC byte loads and times
+        are a few matrix ops over the whole token.  One loop then sums
+        the per-layer costs in layer order, and
+        :meth:`NeuronMapper.swap_token` runs the online swap of every
+        layer along the projection-window budget chain.
+        ``observe_all`` folds the token into the state table after the
+        swap, and a full window pairs every layer's DIMMs in one pass.
+        Returns ``(seconds, gpu_busy, dimm_busy)``; the caller handles
+        validation and packaging.
         """
-        (gpu, dimm, n_dimms, group_bytes, two_sync, pcie_bandwidth,
-         oracle, online, window_scheduling, hot_threshold, num_layers,
-         kv_token, heads_per_dimm, gemv_bandwidth, block_matrix,
+        (gpu, dimm, n_dimms, two_sync, pcie_bandwidth, oracle, online,
+         window_scheduling, hot_threshold, num_layers, kv_token,
+         heads_per_dimm, gemv_bandwidth, block_matrix, group_bytes,
          fc_bins, prompt_len, n_decode) = self._hot_invariants
         trace = self.trace
         result = self.result
@@ -570,7 +558,7 @@ class HermesSession:
         mapper = self.mapper
         partition = self.partition
         scheduler = self.scheduler
-        union_col, union_col2d, union_twice = self._union_views(batch)
+        union_col2d, union_twice = self._union_views(batch)
         t_proj = self._proj_time_cache.get(batch)
         if t_proj is None:
             t_proj = gpu.matmul_time(
@@ -602,49 +590,29 @@ class HermesSession:
             predicted_all = actuals
         else:
             predicted_all = predictor.predict_all(actuals)
-        resident_all = mapper.resident_matrix
-        on_gpu_all = predicted_all & resident_all
-        on_dimm_all = (
-            (predicted_all & ~resident_all) | (actuals & ~predicted_all)
-        )
-        if self._resident_caps_version != mapper.version:
-            caps = resident_all @ group_bytes
-            self._resident_caps = (caps, caps[:, None])
-            self._resident_caps_version = mapper.version
-        resident_caps2d = self._resident_caps[1]
+        on_gpu_all = predicted_all & mapper.resident_matrix
+        # predicted-but-cold plus missed groups run on the DIMMs:
+        # (pred & ~res) | (act & ~pred), and on_gpu is a subset of pred
+        on_dimm_all = (predicted_all | actuals) ^ on_gpu_all
         # ---- sparse FC blocks: QKV then MLP ----
-        gpu_sums = on_gpu_all @ block_matrix
-        gpu_bytes = np.minimum(gpu_sums * union_col2d, resident_caps2d)
+        # a block's GPU bytes are capped by the layer's resident bytes
+        resident_caps = np.array(mapper.layer_used, dtype=np.float64)
+        gpu_bytes = np.minimum((on_gpu_all @ block_matrix) * union_col2d,
+                               resident_caps[:, None])
         weights = on_dimm_all * group_bytes
+        # every DIMM's GEMV time is non-decreasing in its bytes, so each
+        # block's slowest DIMM is the one with the most bytes
         dimm_bytes = np.bincount(
-            self._fc_keys(), weights=weights.ravel(),
-            minlength=fc_bins,
-        ).reshape(2 * num_layers, n_dimms) * union_twice
+            self._fc_keys(), weights=weights.ravel(), minlength=fc_bins,
+        ).reshape(2 * num_layers, n_dimms).max(axis=1) * union_twice
         t_gpu = gpu.matmul_time_batch(
             gpu_bytes, batch, scattered=True, check=False
         )
         t_dimm = dimm.core.gemv_time_batch(
-            dimm_bytes, gemv_bandwidth, batch, check=False).max(axis=1)
-        tg_q, tg_m = t_gpu[:, 0], t_gpu[:, 1]
-        td_q = t_dimm[:num_layers]
-        td_m = t_dimm[num_layers:]
-        fc_times = (np.maximum(tg_q + two_sync, td_q)
-                    + np.maximum(tg_m + two_sync, td_m)).tolist()
-        tg_qkv, tg_mlp = tg_q.tolist(), tg_m.tolist()
-        td_qkv, td_mlp = td_q.tolist(), td_m.tolist()
-        if online:
-            state_matrix = predictor.state_matrix
-            wanted_matrix = ((state_matrix > hot_threshold) & ~resident_all)
-            adjust_rows = wanted_matrix.any(axis=1).tolist()
-            if True in adjust_rows:
-                coldest = np.where(resident_all, state_matrix,
-                                   STATE_MAX + 1).min(axis=1).tolist()
-                hottest_wanted = np.where(wanted_matrix, state_matrix,
-                                          -1).max(axis=1).tolist()
-                min_wanted_bytes = np.where(
-                    wanted_matrix, group_bytes,
-                    _INT64_MAX).min(axis=1).tolist()
-            w_bounds = None
+            dimm_bytes, gemv_bandwidth, batch, check=False
+        ).reshape(2, num_layers).T
+        fc_blocks = np.maximum(t_gpu + two_sync, t_dimm)
+        fc_times = (fc_blocks[:, 0] + fc_blocks[:, 1]).tolist()
         breakdown = result.breakdown
         bd_fc = breakdown.get("fc", 0.0)
         bd_attn = breakdown.get("attention", 0.0)
@@ -654,63 +622,35 @@ class HermesSession:
         token_time = 0.0
         gpu_busy = 0.0
         dimm_busy = 0.0
-        proj_window_pcie = 0.0
-        for l in range(num_layers):
-            fc_time = fc_times[l]
+        for fc_time, (tg_qkv, tg_mlp), (td_qkv, td_mlp) in zip(
+                fc_times, t_gpu.tolist(), t_dimm.tolist()):
             bd_fc += fc_time
-            gpu_busy += tg_qkv[l]
-            gpu_busy += tg_mlp[l]
-            dimm_busy += td_qkv[l]
-            dimm_busy += td_mlp[l]
+            gpu_busy += tg_qkv
+            gpu_busy += tg_mlp
+            dimm_busy += td_qkv
+            dimm_busy += td_mlp
             bd_attn += t_attn
             dimm_busy += t_attn
             bd_proj += t_proj
-            proj_window_pcie += t_proj
             gpu_busy += t_proj
             bd_others += t_merge
             bd_pred += t_pred
             dimm_busy += t_merge
             token_time += (fc_time + t_attn + t_proj + t_merge + t_pred)
-            if not (online and adjust_rows[l]):
-                continue
-            # The no-op gate: budget spent, smallest candidate over
-            # budget, or no colder resident and no headroom.  Each forces
-            # the greedy core's first probe to stop with nothing moved.
-            budget = int(proj_window_pcie * pcie_bandwidth)
-            min_bytes = min_wanted_bytes[l]
-            if (budget <= 0 or min_bytes > budget
-                    or (coldest[l] >= hottest_wanted[l]
-                        and mapper.free_bytes(l) < min_bytes)):
-                continue
-            if w_bounds is None:
-                # every layer's wanted and resident groups with their
-                # states, snapshot once per token: a layer's swap writes
-                # only its own residency row and the states change only
-                # in observe_all, so this is each layer's entry state
-                groups = wanted_matrix.shape[1]
-                edges = np.arange(0, (num_layers + 1) * groups, groups)
-                w_flat = np.flatnonzero(wanted_matrix)
-                w_group, w_states = w_flat % groups, state_matrix.take(w_flat)
-                w_bounds = np.searchsorted(w_flat, edges).tolist()
-                r_flat = np.flatnonzero(resident_all)
-                r_group, r_states = r_flat % groups, state_matrix.take(r_flat)
-                r_bounds = np.searchsorted(r_flat, edges).tolist()
-            w0, w1 = w_bounds[l], w_bounds[l + 1]
-            r0, r1 = r_bounds[l], r_bounds[l + 1]
-            bytes_in = mapper.swap(
-                l, w_group[w0:w1], w_states[w0:w1],
-                r_group[r0:r1], r_states[r0:r1], budget,
-            ).bytes_in
-            if bytes_in:
-                self._swap_bytes_total += bytes_in
-                proj_window_pcie = max(
-                    0.0, proj_window_pcie - bytes_in / pcie_bandwidth
-                )
         breakdown["fc"] = bd_fc
         breakdown["attention"] = bd_attn
         breakdown["projection"] = bd_proj
         breakdown["others"] = bd_others
         breakdown["predictor"] = bd_pred
+        if online:
+            proj_window_pcie, swapped = mapper.swap_token(
+                predictor.state_matrix, hot_threshold, t_proj,
+                pcie_bandwidth)
+            self._swap_bytes_total += swapped
+        else:
+            proj_window_pcie = 0.0
+            for _ in range(num_layers):
+                proj_window_pcie += t_proj
         predictor.observe_all(actuals, predicted_all)
         scheduler.observe_token(actuals)
         if window_scheduling and scheduler.window_full:

@@ -27,11 +27,6 @@ class AdjustmentResult:
     swapped_out: int = 0
     bytes_in: int = 0
 
-    def merge(self, other: "AdjustmentResult") -> None:
-        self.swapped_in += other.swapped_in
-        self.swapped_out += other.swapped_out
-        self.bytes_in += other.bytes_in
-
 
 class NeuronMapper:
     """Tracks GPU residency and performs threshold-guided swaps."""
@@ -48,17 +43,25 @@ class NeuronMapper:
         self.resident_matrix = np.zeros(
             (layout.model.num_layers, layout.groups_per_layer), dtype=bool)
         self.resident: list[np.ndarray] = list(self.resident_matrix)
+        self._resident_flat = self.resident_matrix.reshape(-1)
         self.resident_bytes = 0
-        #: bumped whenever residency actually changes (initialize, or an
-        #: adjust that swapped something) — lets the decode loop cache
-        #: views derived from the residency matrix between changes
+        #: bumped whenever residency actually changes (initialize, or a
+        #: swap that moved something)
         self.version = 0
         #: plain-int mirrors for the adjustment inner loop (indexing a
         #: Python list beats per-element ndarray item extraction)
         self._group_bytes_list: list[int] = layout.group_bytes.tolist()
+        #: the same per flat ``layer * groups + group`` index
+        self._flat_bytes: list[int] = (
+            self._group_bytes_list * layout.model.num_layers)
         #: per-layer resident bytes, maintained incrementally by
-        #: :meth:`initialize`/:meth:`swap` so the hot path never re-sums
+        #: :meth:`initialize` and the greedy core so no path re-sums them
         self._layer_used: list[int] = [0] * layout.model.num_layers
+        #: flat offsets of each layer's first group (and of the end), for
+        #: splitting a flat group index into per-layer runs
+        self._row_edges = np.arange(
+            0, (layout.model.num_layers + 1) * layout.groups_per_layer,
+            layout.groups_per_layer)
         # Per-layer residency ceiling, fixed by the offline partition:
         # online adjustment is membership churn (paired swap-in/swap-out,
         # Fig. 8a), not growth — growing the GPU side past the partition's
@@ -94,8 +97,8 @@ class NeuronMapper:
         ``max_bytes`` may be transferred (the projection-window budget);
         remaining candidates wait for the next opportunity, exactly like
         the deferred copies of the paper's instruction queue.  The
-        per-layer entry point over :meth:`swap`, which the engine calls
-        directly with candidates it extracted for the whole token.
+        per-layer entry point over the greedy core that
+        :meth:`swap_token` runs for every layer of a decode token.
         """
         resident = self.resident[layer]
         if states.shape != resident.shape:
@@ -104,44 +107,122 @@ class NeuronMapper:
         if wanted.size == 0:
             return AdjustmentResult()
         held = np.flatnonzero(resident)
-        return self.swap(layer, wanted, states[wanted], held, states[held],
-                         np.inf if max_bytes is None else max_bytes)
+        keys = states[wanted]
+        base = layer * self.layout.groups_per_layer
+        return AdjustmentResult(*self._swap(
+            layer, (wanted + base).tolist(), keys.tolist(), keys,
+            held + base, states[held],
+            np.inf if max_bytes is None else max_bytes))
 
-    def swap(self, layer: int, wanted: np.ndarray, wanted_states: np.ndarray,
-             held: np.ndarray, held_states: np.ndarray,
-             budget: float) -> AdjustmentResult:
+    def swap_token(self, states: np.ndarray, hot_threshold: int,
+                   window_step: float, bandwidth: float) -> tuple[float, int]:
+        """One decode token's adjustment of every layer, in layer order.
+
+        ``states`` is the (num_layers, groups) state table before the
+        token.  Layer ``l``'s swaps ride the projection window: the
+        window grows by ``window_step`` seconds per layer, the layer may
+        move ``int(window * bandwidth)`` bytes, and what it moves
+        shrinks the window for the layers after it.  Returns the window
+        left after the last layer and the bytes swapped in.
+
+        Layers that want nothing or whose budget is spent are skipped.
+        The first layer past that takes one snapshot of every layer's
+        wanted and resident groups (flat indices) and their int16
+        states; the wanted ids and states also become plain lists.  A
+        layer's swap writes only its own residency row and the states
+        change only after the token, so the snapshot holds each layer's
+        entry state, and each layer hands the greedy core its slices.
+        """
+        resident = self.resident_matrix
+        wanted = (states > hot_threshold) & ~resident
+        window = 0.0
+        swapped = 0
+        bounds = None
+        for layer, wants in enumerate(wanted.any(axis=1).tolist()):
+            window += window_step
+            if not wants:
+                continue
+            budget = int(window * bandwidth)
+            if budget <= 0:
+                continue
+            if bounds is None:
+                w_flat = np.flatnonzero(wanted)
+                w_keys = states.take(w_flat)
+                w_ids, w_states = w_flat.tolist(), w_keys.tolist()
+                r_flat = np.flatnonzero(resident)
+                r_keys = states.take(r_flat)
+                bounds = np.searchsorted(
+                    w_flat, self._row_edges).tolist()
+                r_bounds = np.searchsorted(
+                    r_flat, self._row_edges).tolist()
+            w0, w1 = bounds[layer], bounds[layer + 1]
+            r0, r1 = r_bounds[layer], r_bounds[layer + 1]
+            bytes_in = self._swap(
+                layer, w_ids[w0:w1], w_states[w0:w1], w_keys[w0:w1],
+                r_flat[r0:r1], r_keys[r0:r1], budget)[2]
+            if bytes_in:
+                swapped += bytes_in
+                window = max(0.0, window - bytes_in / bandwidth)
+        return window, swapped
+
+    def _swap(self, layer: int, ids: list[int], id_states: list[int],
+              keys: np.ndarray, held: np.ndarray, held_keys: np.ndarray,
+              budget: float) -> tuple[int, int, int]:
         """The greedy core of one layer's adjustment.
 
-        ``wanted`` are the layer's non-resident groups above the hot
-        threshold and ``held`` its resident groups, both in group order,
-        with their predictor states beside them.  Candidates are admitted
-        hottest first while they fit ``budget`` bytes; one that does not
-        fit the free GPU space evicts the coldest held groups first, but
-        never one at least as hot as itself, and groups admitted during
-        the call are never victims.  The two ``argsort`` calls (default
-        kind, on group-ordered states) fix how state ties are broken.
-        The loop runs on plain-int copies and keeps the free space by
-        arithmetic: the tighter of the global and per-layer headroom
+        ``ids`` are the layer's non-resident groups above the hot
+        threshold and ``held`` its resident groups, both as flat
+        ``layer * groups + group`` indices in group order; ``id_states``
+        and ``keys`` (a list and the array to sort) and ``held_keys``
+        are their states.  Candidates are admitted hottest first while
+        they fit ``budget`` bytes; one that does not fit the free GPU
+        space evicts the coldest held groups first, but never one at
+        least as hot as itself, and groups admitted during the call are
+        never victims.  The two ``argsort`` calls (default kind, on the
+        group-ordered states) fix how state ties are broken.  The free
+        space is the tighter of the global and per-layer headroom and
         moves by exactly the bytes admitted or evicted.
+
+        Two no-op exits come first, each forcing the greedy loop's first
+        probe to stop with nothing moved, whichever way ties break: the
+        smallest candidate exceeds the budget, or it exceeds the free
+        space (so every candidate must evict) and no held group is
+        colder than the hottest candidate.  Returns ``(swapped_in,
+        swapped_out, bytes_in)``.
         """
-        group_bytes = self._group_bytes_list
-        order = wanted_states.argsort()[::-1]  # hottest first
-        candidates = wanted[order].tolist()
-        free = self.free_bytes(layer)
+        flat_bytes = self._flat_bytes
+        smallest = min(map(flat_bytes.__getitem__, ids))
+        if smallest > budget:
+            return 0, 0, 0
+        free = self.gpu_budget_bytes - self.resident_bytes
+        layer_free = self.layer_budget[layer] - self._layer_used[layer]
+        if layer_free < free:
+            free = layer_free
         victims: list[int] | None = None
+        if free < smallest:
+            coldest = held_keys.argsort()
+            victim_states = held_keys[coldest].tolist()
+            if not victim_states or victim_states[0] >= max(id_states):
+                return 0, 0, 0
+            victims = held[coldest].tolist()
+            n_victims = len(victims)
+        order = keys.argsort().tolist()
+        order.reverse()  # hottest first
         n_in = n_out = bytes_in = bytes_out = 0
-        for idx, state in zip(candidates, wanted_states[order].tolist()):
-            b = group_bytes[idx]
+        for i in order:
+            b = flat_bytes[ids[i]]
             if b > budget:
                 break
             if free < b:
                 if victims is None:
-                    coldest = held_states.argsort()
+                    coldest = held_keys.argsort()
                     victims = held[coldest].tolist()
-                    victim_states = held_states[coldest].tolist()
-                while (free < b and n_out < len(victims)
+                    victim_states = held_keys[coldest].tolist()
+                    n_victims = len(victims)
+                state = id_states[i]
+                while (free < b and n_out < n_victims
                        and victim_states[n_out] < state):
-                    freed = group_bytes[victims[n_out]]
+                    freed = flat_bytes[victims[n_out]]
                     free += freed
                     bytes_out += freed
                     n_out += 1
@@ -152,30 +233,23 @@ class NeuronMapper:
             bytes_in += b
             n_in += 1
         if n_in or n_out:
-            resident = self.resident[layer]
-            if n_out:
-                for victim in victims[:n_out]:
-                    resident[victim] = False
-            for idx in candidates[:n_in]:
-                resident[idx] = True
+            resident = self._resident_flat
+            for k in range(n_out):
+                resident[victims[k]] = False
+            for k in range(n_in):
+                resident[ids[order[k]]] = True
             delta = bytes_in - bytes_out
             self.resident_bytes += delta
             self._layer_used[layer] += delta
             self.version += 1
-        return AdjustmentResult(n_in, n_out, bytes_in)
+        return n_in, n_out, bytes_in
 
     # ------------------------------------------------------------------
-    def free_bytes(self, layer: int) -> int:
-        """Headroom a swap-in to ``layer`` may use without evicting.
-
-        The tighter of the global GPU budget slack and the layer's frozen
-        residency ceiling — the free space :meth:`swap` starts from, also
-        read by the engine's gate that skips no-op adjustments.
-        """
-        return min(
-            self.gpu_budget_bytes - self.resident_bytes,
-            self.layer_budget[layer] - self._layer_used[layer],
-        )
+    @property
+    def layer_used(self) -> list[int]:
+        """Resident bytes per layer (read-only; exact ints that
+        :meth:`check_invariants` compares with the masks)."""
+        return self._layer_used
 
     def residency_bytes(self, layer: int) -> int:
         return int(self.layout.group_bytes[self.resident[layer]].sum())

@@ -156,6 +156,29 @@ class ActivationPredictor:
         self._parents_stack: tuple[np.ndarray, np.ndarray,
                                    np.ndarray] | None = None
         self.stats = PredictionStats()
+        #: least state that fires, indexed by the parent count 0..2
+        #: (``STATE_MAX + 1`` where none does): :meth:`predict`'s rule
+        #: evaluated on float64 scalars
+        cfg = self.config
+        self._min_firing_state = np.array([
+            next((s1 for s1 in range(STATE_MAX + 1)
+                  if (s2 >= 2.0 if not cfg.use_token_prediction
+                      else s1 + cfg.lam * s2 >= cfg.threshold)),
+                 STATE_MAX + 1)
+            for s2 in (0.0, 1.0, 2.0)], dtype=np.uint8)
+        #: :meth:`predict_all`'s per-group least firing states, memoised
+        #: per token matrix (packed bits -> uint8 matrix): they depend
+        #: only on the token's activations and the correlation table.
+        #: Holds at most one entry per trace token.
+        self._firing_memo: dict[bytes, np.ndarray] = {}
+        self._firing_memo_cap = 0
+        #: full-shape clamp bounds and state steps for the in-place
+        #: saturating update (whole-array operands keep numpy's int16
+        #: loops vectorized, where scalar ones do not)
+        shape = self.state_matrix.shape
+        self._state_floor = np.zeros(shape, dtype=np.int16)
+        self._state_ceiling = np.full(shape, STATE_MAX, dtype=np.int16)
+        self._state_down = np.full(shape, self.config.s_down, dtype=np.int16)
 
     # ------------------------------------------------------------------
     def initialize(self, trace: ActivationTrace) -> None:
@@ -170,6 +193,8 @@ class ActivationPredictor:
                 (freq * (STATE_MAX + 1)).astype(np.int16), STATE_MAX
             )
         self._parents_stack = None
+        self._firing_memo = {}
+        self._firing_memo_cap = trace.n_tokens
         if self.config.use_layer_prediction:
             self.correlation = CorrelationTable.from_profiling(trace)
 
@@ -208,9 +233,9 @@ class ActivationPredictor:
         second-parent indices) for the vectorized layer-wise term.
 
         Layers without a table are absent.  The flat indices address the
-        raveled ``actuals[layers - 1]``: row ``r`` holds the previous
-        layer of ``layers[r]``, so child ``g``'s parent ``p`` sits at
-        ``r * groups + p``.  Built on the first :meth:`predict_all`.
+        raveled token matrix: child ``g`` of layer ``l`` reads its parent
+        ``p`` of layer ``l-1`` at ``(l - 1) * groups + p``.  Built on the
+        first :meth:`predict_all`.
         """
         if self._parents_stack is None:
             parents = (self.correlation.parents
@@ -218,8 +243,8 @@ class ActivationPredictor:
             layers = [l for l in range(1, self.num_layers)
                       if l < len(parents) and parents[l] is not None]
             groups = self.layout.groups_per_layer
-            flat = [parents[l].astype(np.intp) + r * groups
-                    for r, l in enumerate(layers)]
+            flat = [parents[l].astype(np.intp) + (l - 1) * groups
+                    for l in layers]
             stack = (np.stack(flat) if flat
                      else np.zeros((0, groups, 2), dtype=np.intp))
             self._parents_stack = (np.asarray(layers, dtype=np.intp),
@@ -236,27 +261,35 @@ class ActivationPredictor:
         (layers execute sequentially, so those are known by the time
         layer ``l`` runs).  Row ``l`` equals ``predict(l, actuals[l-1])``
         bit-for-bit — one call replaces the per-layer loop on the decode
-        fast path.  The parent counts are two flat ``uint8`` gathers over
-        a contiguous copy of the previous-layer rows; they land in the
-        same ``float64`` ``s2`` as :meth:`predict` computes.
+        fast path.
+
+        The rule is one threshold compare per group.  ``s1 + lam * s2 >=
+        T`` computed in ``float64`` is non-decreasing in the state
+        ``s1``, so for each parent count ``s2`` in 0..2 there is a least
+        state that fires, and a group fires exactly when its state
+        reaches the least state of its count.  The counts (two flat
+        ``uint8`` gathers over the token matrix) and so the per-group
+        least states depend only on ``actuals`` and the correlation
+        table, and are memoised per token matrix.
         """
         if actuals.shape != self.state_matrix.shape:
             raise ValueError("actuals matrix has wrong shape")
-        cfg = self.config
-        s2 = np.zeros(self.state_matrix.shape)
-        if cfg.use_layer_prediction and self.correlation is not None:
-            layers, first, second = self._stacked_parents()
-            if layers.size:
-                prev = actuals[layers - 1].view(np.uint8).ravel()
-                s2[layers] = (prev[first] + prev[second]).reshape(
-                    layers.size, -1)
-        if not cfg.use_token_prediction:
-            # layer-only mode: both sampled parents must fire (see predict)
-            return s2 >= 2.0
-        score = s2
-        score *= cfg.lam
-        score += self.state_matrix
-        return score >= cfg.threshold
+        key = np.packbits(actuals).tobytes()
+        least = self._firing_memo.get(key)
+        if least is None:
+            counts = np.zeros(self.state_matrix.shape, dtype=np.uint8)
+            if (self.config.use_layer_prediction
+                    and self.correlation is not None):
+                layers, first, second = self._stacked_parents()
+                if layers.size:
+                    flat = actuals.view(np.uint8).ravel()
+                    counts[layers] = (flat[first] + flat[second]).reshape(
+                        layers.size, -1)
+            least = self._min_firing_state.take(counts)
+            if len(self._firing_memo) >= self._firing_memo_cap:
+                self._firing_memo.clear()
+            self._firing_memo[key] = least
+        return self.state_matrix >= least
 
     # ------------------------------------------------------------------
     def observe(self, layer: int, actual: np.ndarray,
@@ -292,12 +325,14 @@ class ActivationPredictor:
         if predicted is not None:
             self.stats.update(predicted, actuals)
         matrix = self.state_matrix
-        # in-place delta + saturating clamp (max-then-min spelling of
-        # clip); identical integers to the scalar update
-        matrix += np.where(actuals, np.int16(self.config.s_up),
-                           np.int16(-self.config.s_down))
-        np.maximum(matrix, 0, out=matrix)
-        np.minimum(matrix, STATE_MAX, out=matrix)
+        # in-place step + saturating clamp (max-then-min spelling of
+        # clip): s + (s_up + s_down) * actual - s_down is s + s_up or
+        # s - s_down, identical integers to the scalar update
+        cfg = self.config
+        matrix += np.multiply(actuals, cfg.s_up + cfg.s_down, dtype=np.int16)
+        matrix -= self._state_down
+        np.maximum(matrix, self._state_floor, out=matrix)
+        np.minimum(matrix, self._state_ceiling, out=matrix)
 
     # ------------------------------------------------------------------
     def hot_mask(self, layer: int) -> np.ndarray:

@@ -236,11 +236,12 @@ class WindowScheduler:
                 and self.num_dimms > 1:
             num_layers = dimm_of.shape[0]
             n_dimms = self.num_dimms
-            activity = self._activity_matrix.astype(np.float64)
-            if exclude is not None:
+            if exclude is None:
+                activity = self._activity_matrix.astype(np.float64)
+            else:
                 ex = (exclude if isinstance(exclude, np.ndarray)
                       else np.stack(list(exclude)))
-                activity = np.where(ex, 0.0, activity)
+                activity = np.where(ex, 0.0, self._activity_matrix)
             if keys is None:
                 keys = dimm_of + np.arange(num_layers)[:, None] * n_dimms
             flat_keys = keys.ravel()

@@ -73,24 +73,26 @@ class ActivationTrace:
         return self.layers[layer][token]
 
     def _ensure_stacked(self) -> np.ndarray:
-        """Lazily-built (num_layers, tokens, groups) activation stack.
+        """Lazily-built (tokens, num_layers, groups) activation stack.
 
         The trace is treated as immutable once stacked.
         """
         stacked = getattr(self, "_stacked", None)
         if stacked is None:
-            stacked = np.stack(self.layers)
+            stacked = np.stack(self.layers, axis=1)
             self._stacked = stacked
         return stacked
 
     def active_matrix(self, token: int) -> np.ndarray:
         """(num_layers, groups) activation matrix of one token.
 
-        Row ``l`` equals ``active(l, token)``; the matrix is one slice of
-        the lazy stack, so the decode fast path reads a whole token at
-        once instead of re-indexing per layer.
+        Row ``l`` equals ``active(l, token)``.  The matrix is one
+        C-contiguous block of the lazy token-major stack, so the decode
+        fast path reads a whole token at once, and every pass over it
+        (the parent gathers, the masks, the state update) walks
+        contiguous memory.
         """
-        return self._ensure_stacked()[:, token]
+        return self._ensure_stacked()[token]
 
     def density(self) -> float:
         """Overall fraction of active (group, token) pairs."""
