@@ -48,10 +48,10 @@ class NeuronMapper:
         #: bumped whenever residency actually changes (initialize, or a
         #: swap that moved something)
         self.version = 0
-        #: plain-int mirrors for the adjustment inner loop (indexing a
-        #: Python list beats per-element ndarray item extraction)
+        #: plain-int group bytes for the greedy core (indexing a Python
+        #: list beats per-element ndarray item extraction), also by flat
+        #: ``layer * groups + group`` index
         self._group_bytes_list: list[int] = layout.group_bytes.tolist()
-        #: the same per flat ``layer * groups + group`` index
         self._flat_bytes: list[int] = (
             self._group_bytes_list * layout.model.num_layers)
         #: per-layer resident bytes, maintained incrementally by
@@ -125,13 +125,14 @@ class NeuronMapper:
         shrinks the window for the layers after it.  Returns the window
         left after the last layer and the bytes swapped in.
 
-        Layers that want nothing or whose budget is spent are skipped.
-        The first layer past that takes one snapshot of every layer's
-        wanted and resident groups (flat indices) and their int16
-        states; the wanted ids and states also become plain lists.  A
-        layer's swap writes only its own residency row and the states
-        change only after the token, so the snapshot holds each layer's
-        entry state, and each layer hands the greedy core its slices.
+        Layers that want nothing or whose budget is spent skip the
+        greedy core (it would stop at its first probe).  The first layer
+        past that takes one snapshot of every layer's wanted and
+        resident groups (flat indices) with their int16 states, the
+        wanted ones also as plain lists.  A layer's swap writes only its
+        own residency row and the states change only after the token, so
+        the snapshot holds each layer's entry state, and each layer hands
+        the core its slices of it.
         """
         resident = self.resident_matrix
         wanted = (states > hot_threshold) & ~resident
@@ -179,35 +180,18 @@ class NeuronMapper:
         space evicts the coldest held groups first, but never one at
         least as hot as itself, and groups admitted during the call are
         never victims.  The two ``argsort`` calls (default kind, on the
-        group-ordered states) fix how state ties are broken.  The free
-        space is the tighter of the global and per-layer headroom and
-        moves by exactly the bytes admitted or evicted.
-
-        Two no-op exits come first, each forcing the greedy loop's first
-        probe to stop with nothing moved, whichever way ties break: the
-        smallest candidate exceeds the budget, or it exceeds the free
-        space (so every candidate must evict) and no held group is
-        colder than the hottest candidate.  Returns ``(swapped_in,
+        group-ordered states) fix how state ties are broken; the second
+        runs only once a candidate must evict.  The free space is the
+        tighter of the global and per-layer headroom and moves by
+        exactly the bytes admitted or evicted.  Returns ``(swapped_in,
         swapped_out, bytes_in)``.
         """
         flat_bytes = self._flat_bytes
-        smallest = min(map(flat_bytes.__getitem__, ids))
-        if smallest > budget:
-            return 0, 0, 0
-        free = self.gpu_budget_bytes - self.resident_bytes
-        layer_free = self.layer_budget[layer] - self._layer_used[layer]
-        if layer_free < free:
-            free = layer_free
-        victims: list[int] | None = None
-        if free < smallest:
-            coldest = held_keys.argsort()
-            victim_states = held_keys[coldest].tolist()
-            if not victim_states or victim_states[0] >= max(id_states):
-                return 0, 0, 0
-            victims = held[coldest].tolist()
-            n_victims = len(victims)
         order = keys.argsort().tolist()
         order.reverse()  # hottest first
+        free = min(self.gpu_budget_bytes - self.resident_bytes,
+                   self.layer_budget[layer] - self._layer_used[layer])
+        victims: list[int] | None = None
         n_in = n_out = bytes_in = bytes_out = 0
         for i in order:
             b = flat_bytes[ids[i]]
@@ -218,9 +202,8 @@ class NeuronMapper:
                     coldest = held_keys.argsort()
                     victims = held[coldest].tolist()
                     victim_states = held_keys[coldest].tolist()
-                    n_victims = len(victims)
                 state = id_states[i]
-                while (free < b and n_out < n_victims
+                while (free < b and n_out < len(victims)
                        and victim_states[n_out] < state):
                     freed = flat_bytes[victims[n_out]]
                     free += freed

@@ -173,7 +173,7 @@ class WindowScheduler:
         point).
         """
         result = RemapResult()
-        members = np.flatnonzero(dimm_of == heavy)
+        members = (dimm_of == heavy).nonzero()[0]
         if members.size == 0:
             return result
         act = activity[members]
@@ -184,13 +184,12 @@ class WindowScheduler:
         # common near-balanced outcome; bail before the argsort.
         if amax <= 0 or loads[heavy] - amax < loads[light] + amax:
             return result
-        order = np.argsort(act)[::-1]
+        order = act.argsort()[::-1]
         members = members[order]
         hot = act[order]
-        # the greedy loop stops at the first inactive group
-        n_pos = int(np.searchsorted(-hot, 0.0, side="left"))
-        if n_pos == 0:
-            return result
+        # the greedy loop stops at the first inactive group: activity
+        # counts are non-negative, so the active ones lead the order
+        n_pos = int(np.count_nonzero(act))
         hot = hot[:n_pos]
         drained = np.cumsum(hot)
         before = drained - hot  # load already moved when each probe runs
@@ -257,9 +256,10 @@ class WindowScheduler:
             order = np.argsort(loads, axis=1)
             light = order[:, :n_dimms // 2]
             heavy = order[:, ::-1][:, :n_dimms // 2]
-            h_load = np.take_along_axis(loads, heavy, axis=1)
-            l_load = np.take_along_axis(loads, light, axis=1)
-            amax = np.take_along_axis(peak, heavy, axis=1)
+            rows = np.arange(num_layers)[:, None]
+            h_load = loads[rows, heavy]
+            l_load = loads[rows, light]
+            amax = peak[rows, heavy]
             moves = (h_load > l_load) & (amax > 0) \
                 & ~(h_load - amax < l_load + amax)
             for l, pos in zip(*np.nonzero(moves)):

@@ -1,6 +1,12 @@
 """Unit + property tests for the online mapper (§IV-C2) and the
 window-based scheduler (§IV-D, Algorithm 1)."""
 
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -335,6 +341,197 @@ class TestAdjustReference:
             assert mapper._layer_used == ref._layer_used
             assert mapper.version == ref.version
             mapper.check_invariants()
+
+
+def reference_swap_token(mapper, states, hot_threshold, window_step,
+                         bandwidth):
+    """One token's swap as a plain layer loop over the verbatim greedy:
+    add the projection time, adjust the layer within the window's bytes,
+    then shrink the window by the bytes moved."""
+    window = 0.0
+    swapped = 0
+    for layer in range(mapper.layout.model.num_layers):
+        window += window_step
+        moved = reference_adjust(mapper, layer, states[layer],
+                                 hot_threshold=hot_threshold,
+                                 max_bytes=int(window * bandwidth))
+        if moved.bytes_in:
+            swapped += moved.bytes_in
+            window = max(0.0, window - moved.bytes_in / bandwidth)
+    return window, swapped
+
+
+#: PCIe bandwidth of the token-level tests (bytes per second); a power
+#: of two, so a window of ``b / PCIE`` seconds buys exactly ``b`` bytes
+PCIE = 2.0**34
+
+
+def twin_mappers(layout, hot, budget):
+    """Two identically initialized mappers (the change and the oracle)."""
+    partition = OfflinePartition(
+        hot_masks=list(hot),
+        dimm_of=list(np.zeros(hot.shape, dtype=np.int64)),
+        strategy="greedy")
+    mappers = [NeuronMapper(layout, budget) for _ in range(2)]
+    for mapper in mappers:
+        mapper.initialize(partition)
+    return mappers
+
+
+def assert_same_swap(mapper, ref, got, want):
+    assert got == want  # leftover window (exact float) and bytes moved
+    assert np.array_equal(mapper.resident_matrix, ref.resident_matrix)
+    assert mapper.resident_bytes == ref.resident_bytes
+    assert mapper._layer_used == ref._layer_used
+    assert mapper.version == ref.version
+    mapper.check_invariants()
+
+
+class TestSwapTokenReference:
+    @given(model=st.sampled_from(sorted(REFERENCE_LAYOUTS)),
+           k=st.integers(1, 6),
+           binding=st.sampled_from(["global", "layer"]),
+           window=st.sampled_from(["zero", "tight", "random", "wide"]),
+           tokens=st.integers(1, 3),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_swap_token_matches_layer_loop(self, reference_layouts, model,
+                                           k, binding, window, tokens,
+                                           seed):
+        """``swap_token`` equals the verbatim greedy run layer by layer
+        along the projection-window budget chain, on tie-heavy states
+        (drawn from ``0..k``) under a GPU budget that binds globally or
+        per layer, over a few tokens."""
+        layout = reference_layouts[model]
+        rng = np.random.default_rng(seed)
+        num_layers, groups = layout.model.num_layers, layout.groups_per_layer
+        gbytes = layout.group_bytes
+        hot = rng.random((num_layers, groups)) < rng.uniform(0.0, 0.6)
+        budget = (int((hot * gbytes).sum() + gbytes[:rng.integers(0, 8)]
+                      .sum()) if binding == "global"
+                  else int(gbytes.sum()) * num_layers)
+        mapper, ref = twin_mappers(layout, hot, budget)
+        smallest = int(gbytes.min()) / PCIE
+        step = {"zero": 0.0,
+                "tight": smallest * rng.uniform(0.2, 1.5),
+                "random": float(rng.uniform(0.0, 3.0)) * gbytes.max() / PCIE,
+                "wide": 50.0 * gbytes.max() / PCIE}[window]
+        hot_threshold = int(rng.integers(0, k))
+        for _ in range(tokens):
+            states = rng.integers(0, k + 1, (num_layers, groups)).astype(
+                np.int16)
+            got = mapper.swap_token(states, hot_threshold, step, PCIE)
+            want = reference_swap_token(ref, states, hot_threshold, step,
+                                        PCIE)
+            assert_same_swap(mapper, ref, got, want)
+
+    @pytest.mark.parametrize("case", [
+        "budget spent", "smallest over budget", "no colder resident",
+        "budget is the smallest"])
+    def test_no_op_exits_and_their_edge(self, reference_layouts, case):
+        """Each of the three no-op exits leaves every layer untouched, as
+        the layer loop does, although every layer wants groups; a budget
+        of exactly the smallest candidate's bytes still admits it."""
+        layout = reference_layouts["tiny-test"]
+        shape = (layout.model.num_layers, layout.groups_per_layer)
+        gbytes = layout.group_bytes
+        smallest = int(gbytes.min())
+        hot = np.zeros(shape, dtype=bool)
+        hot[:, ::4] = True
+        # the smallest groups are the hottest candidates
+        states = np.where(gbytes == smallest, 13, 12).astype(np.int16)
+        states = np.repeat(states[None], shape[0], axis=0)
+        step = 10.0 * gbytes.max() / PCIE
+        budget = int((hot * gbytes).sum()) + 10 * int(gbytes.max())
+        if case == "budget spent":
+            step = 0.0
+        elif case == "smallest over budget":
+            # the window never reaches one group's bytes
+            step = (smallest - 1) / PCIE / shape[0]
+        elif case == "no colder resident":
+            # no global headroom, and every resident is at least as hot
+            # as the hottest candidate
+            budget = int((hot * gbytes).sum())
+            states[hot] = 13
+        else:
+            step = smallest / PCIE
+        mapper, ref = twin_mappers(layout, hot, budget)
+        got = mapper.swap_token(states, 10, step, PCIE)
+        want = reference_swap_token(ref, states, 10, step, PCIE)
+        moved = case == "budget is the smallest"
+        assert (got[1] > 0) == moved and (mapper.version > 1) == moved
+        assert_same_swap(mapper, ref, got, want)
+
+
+#: numpy dispatch targets the tie-order test switches off: AVX2 only,
+#: then x86-64-v2
+DISPATCH_OFF = (("AVX512_SPR", "AVX512_ICL", "X86_V4"),
+                ("AVX512_SPR", "AVX512_ICL", "X86_V4", "X86_V3"))
+
+#: child process: assert the targets are really off (numpy ignores
+#: names it does not know without a warning), then print the digest
+DISPATCH_CHILD = """
+import sys
+from numpy._core._multiarray_umath import __cpu_features__
+on = [t for t in sys.argv[1:] if __cpu_features__.get(t)]
+assert not on, f"dispatch targets still enabled: {on}"
+from tests.test_mapper_scheduling import tie_heavy_digest
+print(tie_heavy_digest())
+"""
+
+
+def tie_heavy_digest() -> str:
+    """SHA-256 of the residency after a fixed sequence of ``adjust`` and
+    ``swap_token`` calls on OPT-13B with 17-64 residents per layer and
+    states drawn from 0..3, so every swap evicts and both of the greedy
+    core's argsorts see ties past numpy's insertion-sort cutoff."""
+    layout = NeuronLayout.build(get_model("OPT-13B"), granularity=128)
+    shape = (layout.model.num_layers, layout.groups_per_layer)
+    gbytes = layout.group_bytes
+    rng = np.random.default_rng(20240601)
+    digest = hashlib.sha256()
+    for _ in range(4):
+        hot = np.zeros(shape, dtype=bool)
+        for row in hot:
+            row[rng.choice(shape[1], int(rng.integers(17, 65)),
+                           replace=False)] = True
+        mapper, _ = twin_mappers(layout, hot, int((hot * gbytes).sum()))
+        for _ in range(10):
+            states = rng.integers(0, 4, shape).astype(np.int16)
+            layer = int(rng.integers(0, shape[0]))
+            moved = mapper.adjust(layer, states[layer], hot_threshold=1)
+            digest.update(repr(moved).encode())
+            window, swapped = mapper.swap_token(
+                states, 1, 2.0 * gbytes.max() / PCIE, PCIE)
+            digest.update(repr((window, swapped)).encode())
+            digest.update(mapper.resident_matrix.tobytes())
+    return digest.hexdigest()
+
+
+class TestTieOrderDispatch:
+    def test_swap_tie_order_ignores_simd_dispatch(self):
+        """The greedy core's int16 argsorts give the same residency with
+        numpy's widest SIMD targets switched off (AVX2 only, then
+        x86-64-v2) as in this process."""
+        from numpy._core._multiarray_umath import __cpu_features__
+        runs = [[t for t in targets if __cpu_features__.get(t)]
+                for targets in DISPATCH_OFF]
+        runs = [off for i, off in enumerate(runs)
+                if off and off not in runs[:i]]
+        if not runs:
+            pytest.skip("this host dispatches none of "
+                        f"{', '.join(DISPATCH_OFF[-1])}")
+        root = pathlib.Path(__file__).resolve().parent.parent
+        want = tie_heavy_digest()
+        for off in runs:
+            env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(off),
+                       PYTHONPATH=os.pathsep.join(
+                           [str(root / "src"), str(root)]))
+            child = subprocess.run(
+                [sys.executable, "-c", DISPATCH_CHILD, *off], cwd=root,
+                env=env, capture_output=True, text=True, timeout=300)
+            assert child.returncode == 0, child.stderr
+            assert child.stdout.strip() == want, off
 
 
 class TestWindowScheduler:
