@@ -169,7 +169,7 @@ class ActivationPredictor:
         #: :meth:`predict_all`'s per-group least firing states, memoised
         #: per token matrix (packed bits -> uint8 matrix): they depend
         #: only on the token's activations and the correlation table.
-        #: Holds at most one entry per trace token.
+        #: Cleared when it would outgrow the trace's token count.
         self._firing_memo: dict[bytes, np.ndarray] = {}
         self._firing_memo_cap = 0
         #: full-shape clamp bounds and state steps for the in-place

@@ -184,7 +184,7 @@ class WindowScheduler:
         # common near-balanced outcome; bail before the argsort.
         if amax <= 0 or loads[heavy] - amax < loads[light] + amax:
             return result
-        order = act.argsort()[::-1]
+        order = np.argsort(act)[::-1]
         members = members[order]
         hot = act[order]
         # the greedy loop stops at the first inactive group: activity

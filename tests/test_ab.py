@@ -4,7 +4,6 @@
 import json
 
 import pytest
-
 from tools.ab import (
     check_pair,
     compare_metric,
