@@ -366,16 +366,14 @@ def reference_swap_token(mapper, states, hot_threshold, window_step,
 PCIE = 2.0**34
 
 
-def twin_mappers(layout, hot, budget):
-    """Two identically initialized mappers (the change and the oracle)."""
-    partition = OfflinePartition(
+def initialized_mapper(layout, hot, budget):
+    """A mapper whose offline hot set is the (layers, groups) mask."""
+    mapper = NeuronMapper(layout, budget)
+    mapper.initialize(OfflinePartition(
         hot_masks=list(hot),
         dimm_of=list(np.zeros(hot.shape, dtype=np.int64)),
-        strategy="greedy")
-    mappers = [NeuronMapper(layout, budget) for _ in range(2)]
-    for mapper in mappers:
-        mapper.initialize(partition)
-    return mappers
+        strategy="greedy"))
+    return mapper
 
 
 def assert_same_swap(mapper, ref, got, want):
@@ -410,7 +408,8 @@ class TestSwapTokenReference:
         budget = (int((hot * gbytes).sum() + gbytes[:rng.integers(0, 8)]
                       .sum()) if binding == "global"
                   else int(gbytes.sum()) * num_layers)
-        mapper, ref = twin_mappers(layout, hot, budget)
+        mapper, ref = (initialized_mapper(layout, hot, budget)
+                       for _ in range(2))
         smallest = int(gbytes.min()) / PCIE
         step = {"zero": 0.0,
                 "tight": smallest * rng.uniform(0.2, 1.5),
@@ -455,7 +454,8 @@ class TestSwapTokenReference:
             states[hot] = 13
         else:
             step = smallest / PCIE
-        mapper, ref = twin_mappers(layout, hot, budget)
+        mapper, ref = (initialized_mapper(layout, hot, budget)
+                       for _ in range(2))
         got = mapper.swap_token(states, 10, step, PCIE)
         want = reference_swap_token(ref, states, 10, step, PCIE)
         moved = case == "budget is the smallest"
@@ -495,7 +495,7 @@ def tie_heavy_digest() -> str:
         for row in hot:
             row[rng.choice(shape[1], int(rng.integers(17, 65)),
                            replace=False)] = True
-        mapper, _ = twin_mappers(layout, hot, int((hot * gbytes).sum()))
+        mapper = initialized_mapper(layout, hot, int((hot * gbytes).sum()))
         for _ in range(10):
             states = rng.integers(0, 4, shape).astype(np.int16)
             layer = int(rng.integers(0, shape[0]))
