@@ -230,15 +230,16 @@ def baseline_golden():
 
 
 @pytest.mark.parametrize(
-    "name", ("flexgen", "dejavu", "accelerate", "tensorrt")
+    "name", ("flexgen", "dejavu", "accelerate", "tensorrt", "hermes-host")
 )
 @pytest.mark.parametrize("batch", (1, 4))
 def test_baselines_match_goldens(baseline_golden, name, batch):
     """The offline baselines' RunResults are pinned bit-for-bit.
 
     Their per-token cost kernels back both the comparative figures
-    (fig09/fig17) and the steppable serving backends, so any refactor of
-    the byte accounting must reproduce these numbers exactly.
+    (fig09-fig11, fig17) and the steppable serving backends, so any
+    refactor of the byte accounting must reproduce these numbers
+    exactly.  Hermes-host pins its predictor and online swaps too.
     """
     from tools.capture_goldens import _baseline_systems
 

@@ -2,10 +2,12 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.hardware import (
     A100_40GB,
+    GPU_REGISTRY,
     HostCPU,
     RTX_3090,
     RTX_4090,
@@ -192,6 +194,38 @@ class TestNDPDIMM:
         fast = d.with_multipliers(512)
         b = 100 * 2**20
         assert fast.gemv_time(b, batch=16) < d.gemv_time(b, batch=16)
+
+
+#: byte loads for the vectorized kernels: exact zeros among values from
+#: 1 B to 10 GB, whole and fractional
+KERNEL_BYTES = np.concatenate((
+    [0.0, 1.0, 0.0, 2.0, 3.0, 1023.5],
+    np.geomspace(1.0, 1e10, 41),
+    [0.0, 4096.0, 1.5 * 2**30, 7_654_321.25, 1e10],
+))
+
+
+class TestBatchKernels:
+    @pytest.mark.parametrize("gpu", sorted(GPU_REGISTRY))
+    @pytest.mark.parametrize("batch", [1, 3, 16])
+    @pytest.mark.parametrize("scattered", [False, True])
+    def test_batch_kernels_equal_scalar_twins(self, gpu, batch, scattered):
+        """``GPUSpec.matmul_time_batch`` and ``NDPCore.gemv_time_batch``
+        equal ``matmul_time`` and ``gemv_time`` element for element; a
+        scattered NDP stream runs at the derated run-length bandwidth."""
+        spec = GPU_REGISTRY[gpu]
+        got = spec.matmul_time_batch(KERNEL_BYTES, batch,
+                                     scattered=scattered)
+        assert got.tolist() == [
+            spec.matmul_time(b, batch, scattered=scattered)
+            for b in KERNEL_BYTES.tolist()]
+        dimm = default_dimm()
+        bandwidth = (dimm.effective_stream_bandwidth(2048.0) if scattered
+                     else dimm.internal_bandwidth)
+        got = dimm.core.gemv_time_batch(KERNEL_BYTES, bandwidth, batch)
+        assert got.tolist() == [
+            dimm.core.gemv_time(b, bandwidth, batch)
+            for b in KERNEL_BYTES.tolist()]
 
 
 class TestMachine:

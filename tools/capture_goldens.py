@@ -14,10 +14,12 @@ regime the benchmark's exact workload runs in, where most online
 adjustments evict.
 
 The second file pins the *offline baseline systems* (FlexGen, Deja Vu,
-Accelerate, TensorRT-LLM): their ``run()`` byte accounting backs the
-paper's comparative figures (fig09/fig17) and the steppable serving
-backends, so refactors of their cost kernels are guarded the same way
-the Hermes engine is.
+Accelerate, TensorRT-LLM, Hermes-host): their ``run()`` byte accounting
+backs the paper's comparative figures (fig09-fig11, fig17) and the
+steppable serving backends, so refactors of their cost kernels are
+guarded the same way the Hermes engine is.  Hermes-host runs the
+predictor and the online swaps on the ``tiny-test`` trace, where its
+swaps also evict.
 
 The serving section also pins multi-machine shared-queue fleets (three
 identical machines per policy, and a hermes/dense/dejavu trio) down to
@@ -64,6 +66,7 @@ import sys
 from repro.baselines import (
     DejaVu,
     FlexGen,
+    HermesHost,
     HuggingfaceAccelerate,
     TensorRTLLM,
 )
@@ -386,6 +389,7 @@ def _baseline_systems(machine: Machine, model) -> dict:
         "dejavu": DejaVu(machine, model),
         "accelerate": HuggingfaceAccelerate(machine, model),
         "tensorrt": TensorRTLLM(model),
+        "hermes-host": HermesHost(machine, model),
     }
 
 
