@@ -30,12 +30,8 @@ def replay(trace, config: PredictorConfig) -> ActivationPredictor:
     predictor = ActivationPredictor(trace.layout, config)
     predictor.initialize(trace)
     for t in trace.decode_tokens():
-        prev = None
-        for l in range(trace.num_layers):
-            actual = trace.active(l, t)
-            predicted = predictor.predict(l, prev)
-            predictor.observe(l, actual, predicted)
-            prev = actual
+        actuals = trace.active_matrix(t)
+        predictor.observe_all(actuals, predictor.predict_all(actuals))
     return predictor
 
 

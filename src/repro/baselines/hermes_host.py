@@ -87,7 +87,7 @@ class HermesHost(OffloadingSystem):
             use_layer_prediction=cfg.layer_prediction,
             hot_threshold=cfg.hot_threshold))
         predictor.initialize(trace)
-        union = np.array([batch_union_factor(freqs[l], batch)
+        union = np.array([[batch_union_factor(freqs[l], batch)]
                           for l in range(model.num_layers)])
 
         prefill = self.gpu_prefill_time(
@@ -98,69 +98,46 @@ class HermesHost(OffloadingSystem):
         result.add("prefill", prefill)
         result.add("communication", hot_load)
 
+        # (groups, 2): column b holds the bytes of FC block b (attn /
+        # mlp), so one matmul sums both blocks of every layer; exact,
+        # as every product is 0 or a group's bytes
+        block_bytes = np.zeros((layout.groups_per_layer, 2))
+        for b, block in enumerate((layout.attn_slice, layout.mlp_slice)):
+            block_bytes[block, b] = layout.group_bytes[block]
+        t_proj = machine.gpu.matmul_time(model.dense_bytes_per_layer, batch)
+        t_pred = predictor.predictor_overhead_seconds(0)
         decode = 0.0
         for step, t in enumerate(trace.decode_tokens()):
             context = trace.prompt_len + step + 1
+            actuals = trace.active_matrix(t)
+            predicted = predictor.predict_all(actuals)
+            on_gpu = predicted & mapper.resident
+            # predicted-but-cold groups, and the false negatives the CPU
+            # computes late: (pred & ~res) | (act & ~pred)
+            on_cpu = (predicted | actuals) ^ on_gpu
+            gpu_bytes = ((on_gpu @ block_bytes) * union).tolist()
+            cpu_bytes = ((on_cpu @ block_bytes) * union).tolist()
+            kv_bytes = 2 * model.kv_dim * 2 * context * batch
+            t_attn = machine.gpu.attention_time(kv_bytes)
             token = 0.0
-            proj_window_pcie = 0.0
-            prev_actual: np.ndarray | None = None
-            for l in range(model.num_layers):
-                actual = trace.active(l, t)
-                predicted = predictor.predict(l, prev_actual)
-                resident = mapper.resident[l]
-
+            for gpu_b, cpu_b in zip(gpu_bytes, cpu_bytes):
                 fc_time = 0.0
-                for block in (layout.attn_slice, layout.mlp_slice):
-                    pred_b = np.zeros_like(predicted)
-                    pred_b[block] = predicted[block]
-                    actual_b = np.zeros_like(actual)
-                    actual_b[block] = actual[block]
-                    gpu_bytes = (
-                        layout.group_bytes[pred_b & resident].sum() * union[l]
-                    )
-                    # false negatives are computed late by the CPU
-                    cold_mask = (pred_b & ~resident) | (actual_b & ~pred_b)
-                    cold_bytes = (
-                        layout.group_bytes[cold_mask].sum() * union[l]
-                    )
-                    t_gpu = machine.gpu.matmul_time(
-                        float(gpu_bytes), batch, scattered=True
-                    )
-                    t_cpu = machine.host.gemv_time(float(cold_bytes), batch)
+                for g, c in zip(gpu_b, cpu_b):
+                    t_gpu = machine.gpu.matmul_time(g, batch, scattered=True)
+                    t_cpu = machine.host.gemv_time(c, batch)
                     # GPU and CPU halves run concurrently; merge on GPU
                     fc_time += max(t_gpu, t_cpu) + self.hybrid_sync
                 result.add("fc", fc_time)
-
-                kv_bytes = 2 * model.kv_dim * 2 * context * batch
-                t_attn = machine.gpu.attention_time(kv_bytes)
                 result.add("attention", t_attn)
-
-                t_proj = machine.gpu.matmul_time(
-                    model.dense_bytes_per_layer, batch
-                )
                 result.add("projection", t_proj)
-                proj_window_pcie += t_proj
-
-                t_pred = predictor.predictor_overhead_seconds(l)
                 result.add("predictor", t_pred)
                 token += fc_time + t_attn + t_proj + t_pred
-
-                if cfg.online_adjustment:
-                    budget = int(
-                        proj_window_pcie * machine.pcie.effective_bandwidth
-                    )
-                    adjust = mapper.adjust(
-                        l,
-                        predictor.states[l],
-                        hot_threshold=cfg.hot_threshold,
-                        max_bytes=budget,
-                    )
-                    proj_window_pcie = max(
-                        0.0, proj_window_pcie - adjust.bytes_in
-                        / machine.pcie.effective_bandwidth)
-
-                predictor.observe(l, actual, predicted)
-                prev_actual = actual
+            if cfg.online_adjustment:
+                # swaps ride the projection window; overflow is not
+                # charged here
+                mapper.swap_token(predictor.states, cfg.hot_threshold,
+                                  t_proj, machine.pcie.effective_bandwidth)
+            predictor.observe_all(actuals, predicted)
             decode += token
         result.decode_time = decode
         result.metadata["predictor_accuracy"] = (

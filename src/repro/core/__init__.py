@@ -15,7 +15,7 @@ from .partition import (
     assign_dimms,
     solve_partition,
 )
-from .mapper import AdjustmentResult, NeuronMapper
+from .mapper import NeuronMapper
 from .scheduling import RemapResult, WindowScheduler
 from .result import BREAKDOWN_KEYS, RunResult
 from .engine import (
@@ -38,7 +38,6 @@ __all__ = [
     "solve_partition",
     "assign_dimms",
     "NeuronMapper",
-    "AdjustmentResult",
     "WindowScheduler",
     "RemapResult",
     "RunResult",

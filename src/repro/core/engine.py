@@ -29,7 +29,7 @@ import numpy as np
 from ..hardware import Machine
 from ..models import ModelSpec
 from ..sim import overlap_two_stage
-from ..sparsity import ActivationTrace, NeuronLayout
+from ..sparsity import ActivationTrace
 from .mapper import NeuronMapper
 from .partition import OfflinePartition, PartitionCosts, solve_partition
 from .predictor import ActivationPredictor, PredictorConfig
@@ -142,9 +142,7 @@ class HermesSystem:
                 f"{self.model.name}")
         return budget
 
-    def partition_costs(
-        self, layout: NeuronLayout, batch: int = 1
-    ) -> PartitionCosts:
+    def partition_costs(self, batch: int = 1) -> PartitionCosts:
         """Per-byte execution rates (Eq. 4-5), batch-aware.
 
         Batching multiplies MACs but not weight traffic, so each side's
@@ -186,9 +184,7 @@ class HermesSystem:
                     for l in range(trace.num_layers)]
         return [trace.prefill_frequencies(l) for l in range(trace.num_layers)]
 
-    def _prefill_time(
-        self, layout: NeuronLayout, prompt_len: int, batch: int
-    ) -> float:
+    def _prefill_time(self, prompt_len: int, batch: int) -> float:
         """Prompting stage: GPU with zig-zag weight streaming (§IV-A2).
 
         Layer weights stream over PCIe while the previous layer computes —
@@ -223,7 +219,9 @@ class HermesSystem:
         session can serve more steps than the trace records.  ``partition``
         reuses an already-solved offline partition (it is deterministic in
         (trace, batch, config), so sessions over the same inputs — e.g.
-        the machines of a serving cluster — need not re-solve it).
+        the machines of a serving cluster — need not re-solve it).  The
+        session owns it: window scheduling remaps its ``dimm_of`` in
+        place, so each session needs its own copy.
         """
         return HermesSession(
             self, trace, batch, wrap=wrap, partition=partition
@@ -280,7 +278,7 @@ class HermesSession:
 
         # ---------------- offline stage ----------------
         self.freqs = system._profiled_frequencies(trace)
-        self.costs = system.partition_costs(self.layout, batch)
+        self.costs = system.partition_costs(batch)
         # The partition optimises *realised* per-step load, and batching
         # unions activations across the batch — a rarely-active group's
         # probability rises superlinearly — so the solver sees the
@@ -356,17 +354,13 @@ class HermesSession:
         #: per-batch (column[:, None], doubled column) union-factor views,
         #: cached so the decode loop never re-shapes
         self._union_views_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        #: flat (layer, block, dimm) bin keys; valid until a window
-        #: rebalance actually moves a group between DIMMs (tracked via
-        #: the shared partition's ``remap_version``)
-        self._fc_keys_cache: np.ndarray | None = None
-        self._fc_keys_version = -1
-        #: per-layer bin-key offsets and cached keys for the window
-        #: scheduler's load bincount (same remap-version invalidation)
+        #: per-layer bin-key offsets of the window scheduler's load
+        #: bincount
         self._rb_offsets = (np.arange(system.model.num_layers)[:, None]
                             * machine.num_dimms)
-        self._rb_keys_cache: np.ndarray | None = None
-        self._rb_keys_version = -1
+        #: the FC and window-scheduler bin keys of ``partition.dimm_of``,
+        #: rebuilt after a window rebalance that moves groups
+        self._fc_keys, self._rb_keys = self._bin_keys()
         #: session-invariant hot-loop bindings, packed so the per-call
         #: prologue of :meth:`_single_step` is one tuple unpack instead
         #: of dozens of attribute chains
@@ -389,17 +383,9 @@ class HermesSession:
         self._swap_bytes_total = 0
 
     # ------------------------------------------------------------------
-    def union_factor(self, layer: int, batch: int) -> float:
-        """Batch-union inflation for one layer, cached per batch size."""
-        return float(self._union_column(batch)[layer])
-
     def union_factors(self, batch: int) -> np.ndarray:
-        """Per-layer batch-union factors at ``batch`` (cached, read-only).
-
-        One array op over this column replaces per-layer
-        :meth:`union_factor` loops in callers (e.g. the serving
-        executor's mean-union batching cap).
-        """
+        """Per-layer batch-union factors at ``batch`` (cached, read-only),
+        e.g. for the serving executor's mean-union batching cap."""
         return self._union_column(batch)
 
     def _union_views(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
@@ -416,30 +402,13 @@ class HermesSession:
             self._union_views_cache[batch] = views
         return views
 
-    def _fc_keys(self) -> np.ndarray:
-        """Raveled FC bincount keys, rebuilt only after a DIMM remap.
-
-        Staleness is tracked through the partition's ``remap_version`` —
-        shared with every sibling session over the same partition, so a
-        remap performed by another machine's engine invalidates this
-        session's cache too.
-        """
-        partition = self.partition
-        if (self._fc_keys_cache is None
-                or self._fc_keys_version != partition.remap_version):
-            self._fc_keys_cache = (partition.dimm_of_matrix
-                                   + self._key_offsets).ravel()
-            self._fc_keys_version = partition.remap_version
-        return self._fc_keys_cache
-
-    def _rebalance_keys(self) -> np.ndarray:
-        """(layers, groups) scheduler bin keys, cached like the FC keys."""
-        partition = self.partition
-        if (self._rb_keys_cache is None
-                or self._rb_keys_version != partition.remap_version):
-            self._rb_keys_cache = (partition.dimm_of_matrix + self._rb_offsets)
-            self._rb_keys_version = partition.remap_version
-        return self._rb_keys_cache
+    def _bin_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """The two bin-key arrays of ``partition.dimm_of``: the raveled
+        (layer, block, dimm) keys of the FC bincount and the (layers,
+        groups) keys of the window scheduler's load bincount."""
+        dimm_of = self.partition.dimm_of
+        return ((dimm_of + self._key_offsets).ravel(),
+                dimm_of + self._rb_offsets)
 
     def _union_column(self, batch: int) -> np.ndarray:
         """Per-layer union factors at ``batch``, from the lazy 2-D cache."""
@@ -477,7 +446,7 @@ class HermesSession:
         if prompt_len is None:
             prompt_len = self.trace.prompt_len
         batch = self.batch if batch is None else batch
-        prefill = system._prefill_time(self.layout, prompt_len, batch)
+        prefill = system._prefill_time(prompt_len, batch)
         # Hot neurons loaded back to GPU + prompt KV cache pushed to DIMMs.
         # Prefill already streamed every layer through GPU memory, so the
         # resident fraction of the hot set is simply *retained* rather than
@@ -590,7 +559,7 @@ class HermesSession:
             predicted_all = actuals
         else:
             predicted_all = predictor.predict_all(actuals)
-        on_gpu_all = predicted_all & mapper.resident_matrix
+        on_gpu_all = predicted_all & mapper.resident
         # predicted-but-cold plus missed groups run on the DIMMs:
         # (pred & ~res) | (act & ~pred), and on_gpu is a subset of pred
         on_dimm_all = (predicted_all | actuals) ^ on_gpu_all
@@ -603,13 +572,11 @@ class HermesSession:
         # every DIMM's GEMV time is non-decreasing in its bytes, so each
         # block's slowest DIMM is the one with the most bytes
         dimm_bytes = np.bincount(
-            self._fc_keys(), weights=weights.ravel(), minlength=fc_bins,
+            self._fc_keys, weights=weights.ravel(), minlength=fc_bins,
         ).reshape(2 * num_layers, n_dimms).max(axis=1) * union_twice
-        t_gpu = gpu.matmul_time_batch(
-            gpu_bytes, batch, scattered=True, check=False
-        )
+        t_gpu = gpu.matmul_time_batch(gpu_bytes, batch, scattered=True)
         t_dimm = dimm.core.gemv_time_batch(
-            dimm_bytes, gemv_bandwidth, batch, check=False
+            dimm_bytes, gemv_bandwidth, batch
         ).reshape(2, num_layers).T
         fc_blocks = np.maximum(t_gpu + two_sync, t_dimm)
         fc_times = (fc_blocks[:, 0] + fc_blocks[:, 1]).tolist()
@@ -644,8 +611,7 @@ class HermesSession:
         breakdown["predictor"] = bd_pred
         if online:
             proj_window_pcie, swapped = mapper.swap_token(
-                predictor.state_matrix, hot_threshold, t_proj,
-                pcie_bandwidth)
+                predictor.states, hot_threshold, t_proj, pcie_bandwidth)
             self._swap_bytes_total += swapped
         else:
             proj_window_pcie = 0.0
@@ -655,9 +621,8 @@ class HermesSession:
         scheduler.observe_token(actuals)
         if window_scheduling and scheduler.window_full:
             remap = scheduler.rebalance_all(
-                partition.dimm_of_matrix,
-                exclude=mapper.resident_matrix,
-                keys=self._rebalance_keys(),
+                partition.dimm_of, exclude=mapper.resident,
+                keys=self._rb_keys,
             )
             link_time = dimm.migration_time(remap.max_link_bytes)
             overflow = max(0.0, link_time - proj_window_pcie)
@@ -667,7 +632,7 @@ class HermesSession:
             self._remap_groups_total += remap.moved_groups
             self._remap_link_time += link_time
             if remap.moved_groups:
-                partition.remap_version += 1
+                self._fc_keys, self._rb_keys = self._bin_keys()
         elif scheduler.window_full:
             scheduler.reset_window()
         self.steps_done += 1

@@ -6,26 +6,17 @@ are swapped in over PCIe, evicting the lowest-state resident groups — which
 is free, because evicting only overwrites the GPU copy.  Swap-ins are
 scheduled inside the projection window, when the DIMMs are idle and the
 PCIe link has no competing weight traffic; the engine charges any overflow
-beyond the window to the token's critical path.
+beyond the window to the token's critical path.  The mapper keeps one
+(num_layers, groups) residency matrix, and one
+:meth:`NeuronMapper.swap_token` runs a token's swaps for every layer.
 """
 
 from __future__ import annotations
-
-import dataclasses
 
 import numpy as np
 
 from ..sparsity import NeuronLayout
 from .partition import OfflinePartition
-
-
-@dataclasses.dataclass
-class AdjustmentResult:
-    """Outcome of one per-layer adjustment step."""
-
-    swapped_in: int = 0
-    swapped_out: int = 0
-    bytes_in: int = 0
 
 
 class NeuronMapper:
@@ -36,24 +27,17 @@ class NeuronMapper:
             raise ValueError("gpu_budget_bytes must be non-negative")
         self.layout = layout
         self.gpu_budget_bytes = gpu_budget_bytes
-        #: dense (num_layers, groups) residency matrix; ``resident`` keeps
-        #: the historical per-layer API as row views into it, so in-place
-        #: swaps update both and the decode fast path can consume the
-        #: whole matrix without re-stacking per token
-        self.resident_matrix = np.zeros(
+        #: (num_layers, groups) GPU residency matrix, and a flat view of
+        #: it by ``layer * groups + group`` index for the greedy core
+        self.resident = np.zeros(
             (layout.model.num_layers, layout.groups_per_layer), dtype=bool)
-        self.resident: list[np.ndarray] = list(self.resident_matrix)
-        self._resident_flat = self.resident_matrix.reshape(-1)
+        self._resident_flat = self.resident.reshape(-1)
         self.resident_bytes = 0
-        #: bumped whenever residency actually changes (initialize, or a
-        #: swap that moved something)
-        self.version = 0
-        #: plain-int group bytes for the greedy core (indexing a Python
-        #: list beats per-element ndarray item extraction), also by flat
-        #: ``layer * groups + group`` index
-        self._group_bytes_list: list[int] = layout.group_bytes.tolist()
+        #: plain-int group bytes by flat index for the greedy core
+        #: (indexing a Python list beats per-element ndarray item
+        #: extraction)
         self._flat_bytes: list[int] = (
-            self._group_bytes_list * layout.model.num_layers)
+            layout.group_bytes.tolist() * layout.model.num_layers)
         #: per-layer resident bytes, maintained incrementally by
         #: :meth:`initialize` and the greedy core so no path re-sums them
         self._layer_used: list[int] = [0] * layout.model.num_layers
@@ -76,8 +60,8 @@ class NeuronMapper:
         layer's residency footprint at the partition's allocation."""
         total = 0
         slack = max(1, int(self.layout.group_bytes.max()))
+        self.resident[:] = partition.hot_masks
         for l, mask in enumerate(partition.hot_masks):
-            self.resident[l][:] = mask
             layer_bytes = int(self.layout.group_bytes[mask].sum())
             total += layer_bytes
             self._layer_used[l] = layer_bytes
@@ -85,35 +69,8 @@ class NeuronMapper:
         if total > self.gpu_budget_bytes:
             raise ValueError("offline partition exceeds the GPU budget")
         self.resident_bytes = total
-        self.version += 1
 
     # ------------------------------------------------------------------
-    def adjust(self, layer: int, states: np.ndarray, *,
-               hot_threshold: int = 10,
-               max_bytes: int | None = None) -> AdjustmentResult:
-        """Swap newly-hot groups in and cold residents out for one layer.
-
-        ``states`` is the predictor's state table for the layer.  At most
-        ``max_bytes`` may be transferred (the projection-window budget);
-        remaining candidates wait for the next opportunity, exactly like
-        the deferred copies of the paper's instruction queue.  The
-        per-layer entry point over the greedy core that
-        :meth:`swap_token` runs for every layer of a decode token.
-        """
-        resident = self.resident[layer]
-        if states.shape != resident.shape:
-            raise ValueError("states mask has wrong shape")
-        wanted = np.flatnonzero((states > hot_threshold) & ~resident)
-        if wanted.size == 0:
-            return AdjustmentResult()
-        held = np.flatnonzero(resident)
-        keys = states[wanted]
-        base = layer * self.layout.groups_per_layer
-        return AdjustmentResult(*self._swap(
-            layer, (wanted + base).tolist(), keys.tolist(), keys,
-            held + base, states[held],
-            np.inf if max_bytes is None else max_bytes))
-
     def swap_token(self, states: np.ndarray, hot_threshold: int,
                    window_step: float, bandwidth: float) -> tuple[float, int]:
         """One decode token's adjustment of every layer, in layer order.
@@ -134,7 +91,7 @@ class NeuronMapper:
         the snapshot holds each layer's entry state, and each layer hands
         the core its slices of it.
         """
-        resident = self.resident_matrix
+        resident = self.resident
         wanted = (states > hot_threshold) & ~resident
         window = 0.0
         swapped = 0
@@ -160,7 +117,7 @@ class NeuronMapper:
             r0, r1 = r_bounds[layer], r_bounds[layer + 1]
             bytes_in = self._swap(
                 layer, w_ids[w0:w1], w_states[w0:w1], w_keys[w0:w1],
-                r_flat[r0:r1], r_keys[r0:r1], budget)[2]
+                r_flat[r0:r1], r_keys[r0:r1], budget)
             if bytes_in:
                 swapped += bytes_in
                 window = max(0.0, window - bytes_in / bandwidth)
@@ -168,7 +125,7 @@ class NeuronMapper:
 
     def _swap(self, layer: int, ids: list[int], id_states: list[int],
               keys: np.ndarray, held: np.ndarray, held_keys: np.ndarray,
-              budget: float) -> tuple[int, int, int]:
+              budget: int) -> int:
         """The greedy core of one layer's adjustment.
 
         ``ids`` are the layer's non-resident groups above the hot
@@ -183,8 +140,8 @@ class NeuronMapper:
         group-ordered states) fix how state ties are broken; the second
         runs only once a candidate must evict.  The free space is the
         tighter of the global and per-layer headroom and moves by
-        exactly the bytes admitted or evicted.  Returns ``(swapped_in,
-        swapped_out, bytes_in)``.
+        exactly the bytes admitted or evicted.  Returns the bytes
+        swapped in.
         """
         flat_bytes = self._flat_bytes
         order = keys.argsort().tolist()
@@ -224,8 +181,7 @@ class NeuronMapper:
             delta = bytes_in - bytes_out
             self.resident_bytes += delta
             self._layer_used[layer] += delta
-            self.version += 1
-        return n_in, n_out, bytes_in
+        return bytes_in
 
     # ------------------------------------------------------------------
     @property
@@ -234,16 +190,13 @@ class NeuronMapper:
         :meth:`check_invariants` compares with the masks)."""
         return self._layer_used
 
-    def residency_bytes(self, layer: int) -> int:
-        return int(self.layout.group_bytes[self.resident[layer]].sum())
-
     def check_invariants(self) -> None:
         """Internal consistency: the total and per-layer byte counters
         match the masks, and the GPU and per-layer budgets hold (used by
         property tests)."""
         total = 0
-        for l in range(len(self.resident)):
-            used = self.residency_bytes(l)
+        for l, mask in enumerate(self.resident):
+            used = int(self.layout.group_bytes[mask].sum())
             if self._layer_used[l] != used:
                 raise AssertionError(f"layer {l} byte counter out of sync")
             if used > self.layer_budget[l]:

@@ -61,33 +61,20 @@ class PartitionCosts:
 class OfflinePartition:
     """The solved initial mapping.
 
-    ``hot_masks[l]`` marks the groups of layer ``l`` replicated in GPU
-    memory; ``dimm_of[l]`` stores the owning DIMM of *every* group (all
-    weights live on DIMMs — hot groups are copies, so swapping a hot neuron
-    out is a free overwrite, §IV-C2).
+    ``hot_masks`` is the (num_layers, groups) boolean matrix of groups
+    replicated in GPU memory; ``dimm_of`` the (num_layers, groups)
+    matrix of the DIMM that stores *every* group (all weights live on
+    DIMMs — hot groups are copies, so swapping a hot neuron out is a free
+    overwrite, §IV-C2).  The window scheduler remaps ``dimm_of`` in
+    place.
     """
 
-    hot_masks: list[np.ndarray]
-    dimm_of: list[np.ndarray]
+    hot_masks: np.ndarray
+    dimm_of: np.ndarray
     strategy: str
-    #: dense (num_layers, groups) view of ``dimm_of`` — the decode fast
-    #: path consumes the whole mapping per token, so the rows of
-    #: ``dimm_of`` are kept as views into this matrix (in-place row
-    #: mutations by the window scheduler stay visible both ways)
-    dimm_of_matrix: np.ndarray = dataclasses.field(init=False, repr=False)
-    #: bumped by whoever remaps ``dimm_of`` in place (the engine's window
-    #: rebalance), so sessions *sharing* this partition — the machines of
-    #: a homogeneous serving cluster — can cache derived views of the
-    #: mapping and still observe each other's migrations
-    remap_version: int = dataclasses.field(default=0, init=False,
-                                           repr=False)
-
-    def __post_init__(self) -> None:
-        self.dimm_of_matrix = np.stack(self.dimm_of)
-        self.dimm_of[:] = list(self.dimm_of_matrix)
 
     def gpu_bytes(self, layout: NeuronLayout) -> int:
-        return sum(int(layout.group_bytes[m].sum()) for m in self.hot_masks)
+        return int((self.hot_masks * layout.group_bytes).sum())
 
     def validate(self, layout: NeuronLayout, costs: PartitionCosts) -> None:
         """Assert capacity constraints (Eq. 6-7) hold."""
@@ -120,7 +107,7 @@ def gpu_mass_share(costs: PartitionCosts) -> float:
 
 def _greedy_hot_masks(
     frequencies: list[np.ndarray], layout: NeuronLayout, costs: PartitionCosts
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Rate-balanced water-filling, hottest groups first.
 
     Groups are taken in global frequency order; a group joins the hot set
@@ -150,7 +137,7 @@ def _greedy_hot_masks(
             selected[idx] = True
             budget -= b
             taken[layer] += float(flat_mass[idx])
-    return [selected[l * g:(l + 1) * g].copy() for l in range(num_layers)]
+    return selected.reshape(num_layers, g)
 
 
 def _random_hot_masks(
@@ -158,7 +145,7 @@ def _random_hot_masks(
     layout: NeuronLayout,
     costs: PartitionCosts,
     rng: np.random.Generator,
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Random GPU fill (the Hermes-random ablation)."""
     num_layers = len(frequencies)
     g = layout.groups_per_layer
@@ -171,12 +158,12 @@ def _random_hot_masks(
         if b <= budget:
             selected[idx] = True
             budget -= b
-    return [selected[l * g:(l + 1) * g].copy() for l in range(num_layers)]
+    return selected.reshape(num_layers, g)
 
 
 def _lp_hot_masks(
     frequencies: list[np.ndarray], layout: NeuronLayout, costs: PartitionCosts
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """LP relaxation of Eq. 1-7 (HiGHS) + deterministic rounding.
 
     Variables: x[l,i] in [0,1] (GPU placement) and one makespan m_l per
@@ -243,16 +230,17 @@ def _lp_hot_masks(
         if b <= budget:
             selected[idx] = True
             budget -= b
-    return [selected[l * g:(l + 1) * g].copy() for l in range(num_layers)]
+    return selected.reshape(num_layers, g)
 
 
 # ----------------------------------------------------------------------
 # DIMM storage assignment
 # ----------------------------------------------------------------------
-def assign_dimms(frequencies: list[np.ndarray], hot_masks: list[np.ndarray],
+def assign_dimms(frequencies: list[np.ndarray], hot_masks: np.ndarray,
                  layout: NeuronLayout, costs: PartitionCosts, *,
-                 balanced: bool = True) -> list[np.ndarray]:
-    """Assign every group of every layer to a DIMM.
+                 balanced: bool = True) -> np.ndarray:
+    """Assign every group of every layer to a DIMM: the (num_layers,
+    groups) matrix of owning DIMMs.
 
     ``balanced=True`` packs by LPT on expected *cold* load per layer (hot
     groups contribute storage but negligible NDP load, since they execute
@@ -261,11 +249,12 @@ def assign_dimms(frequencies: list[np.ndarray], hot_masks: list[np.ndarray],
     """
     num_dimms = costs.num_dimms
     capacity = np.full(num_dimms, float(costs.dimm_capacity_bytes))
-    assignments = []
+    assignments = np.empty((len(frequencies), layout.groups_per_layer),
+                           dtype=np.int64)
     for l, freq in enumerate(frequencies):
         load = freq * layout.group_bytes
         load = np.where(hot_masks[l], 0.0, load)
-        dimm_of = np.empty(layout.groups_per_layer, dtype=np.int64)
+        dimm_of = assignments[l]
         dimm_load = np.zeros(num_dimms)
         dimm_bytes = np.zeros(num_dimms)
         if balanced:
@@ -297,7 +286,6 @@ def assign_dimms(frequencies: list[np.ndarray], hot_masks: list[np.ndarray],
                 raise ValueError(
                     f"layer {l}: DIMM pool too small for the model"
                 )
-        assignments.append(dimm_of)
     return assignments
 
 

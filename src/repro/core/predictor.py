@@ -143,22 +143,25 @@ class ActivationPredictor:
         self.layout = layout
         self.config = config or PredictorConfig()
         self.num_layers = layout.model.num_layers
-        # int16 working dtype: the 4-bit counters fit comfortably, and the
-        # decode hot path can update them without the int8 -> int16 -> int8
-        # round-trip a saturating update would otherwise need.  The modelled
-        # hardware footprint stays 4 bits (:meth:`state_table_bytes`).
-        # ``states`` keeps the historical per-layer API as row views into
-        # the dense matrix the vectorized paths consume.
-        self.state_matrix = np.zeros(
+        # The (num_layers, groups) state table.  int16 working dtype: the
+        # 4-bit counters fit comfortably, and the decode hot path can
+        # update them without the int8 -> int16 -> int8 round-trip a
+        # saturating update would otherwise need.  The modelled hardware
+        # footprint stays 4 bits (:meth:`state_table_bytes`).
+        self.states = np.zeros(
             (self.num_layers, layout.groups_per_layer), dtype=np.int16)
-        self.states = list(self.state_matrix)
         self.correlation: CorrelationTable | None = None
         self._parents_stack: tuple[np.ndarray, np.ndarray,
                                    np.ndarray] | None = None
         self.stats = PredictionStats()
         #: least state that fires, indexed by the parent count 0..2
-        #: (``STATE_MAX + 1`` where none does): :meth:`predict`'s rule
-        #: evaluated on float64 scalars
+        #: (``STATE_MAX + 1`` where none does): the prediction rule of
+        #: :meth:`predict_all` evaluated on float64 scalars.  ``>=``
+        #: rather than the paper's strict ``>``: the state table saturates
+        #: at 15 == T, so a strict comparison would never fire on a
+        #: permanently-active neuron with silent parents.  Layer-only
+        #: mode fires when both sampled parents fire — one parent alone
+        #: fires far too often (hot parents are nearly always on).
         cfg = self.config
         self._min_firing_state = np.array([
             next((s1 for s1 in range(STATE_MAX + 1)
@@ -175,7 +178,7 @@ class ActivationPredictor:
         #: full-shape clamp bounds and state steps for the in-place
         #: saturating update (whole-array operands keep numpy's int16
         #: loops vectorized, where scalar ones do not)
-        shape = self.state_matrix.shape
+        shape = self.states.shape
         self._state_floor = np.zeros(shape, dtype=np.int16)
         self._state_ceiling = np.full(shape, STATE_MAX, dtype=np.int16)
         self._state_down = np.full(shape, self.config.s_down, dtype=np.int16)
@@ -189,7 +192,7 @@ class ActivationPredictor:
         """
         for l in range(self.num_layers):
             freq = trace.prefill_frequencies(l)
-            self.states[l][:] = np.minimum(
+            self.states[l] = np.minimum(
                 (freq * (STATE_MAX + 1)).astype(np.int16), STATE_MAX
             )
         self._parents_stack = None
@@ -199,35 +202,6 @@ class ActivationPredictor:
             self.correlation = CorrelationTable.from_profiling(trace)
 
     # ------------------------------------------------------------------
-    def predict(self, layer: int,
-                prev_actual: np.ndarray | None = None) -> np.ndarray:
-        """Predicted activation mask for ``layer`` on the current token.
-
-        ``prev_actual`` is the realised activation of layer-1 (available
-        because layers execute sequentially); it feeds the layer-wise term.
-        """
-        cfg = self.config
-        if cfg.use_token_prediction:
-            s1 = self.states[layer].astype(np.float64)
-        else:
-            s1 = np.zeros(self.layout.groups_per_layer)
-        s2 = np.zeros_like(s1)
-        if (cfg.use_layer_prediction and layer > 0
-                and prev_actual is not None
-                and self.correlation is not None):
-            parents = self.correlation.parents[layer]
-            if parents is not None:
-                s2 = prev_actual[parents].sum(axis=1).astype(np.float64)
-        score = s1 + cfg.lam * s2
-        if not cfg.use_token_prediction:
-            # layer-only mode: both sampled parents must fire — one parent
-            # alone fires far too often (hot parents are nearly always on)
-            return s2 >= 2.0
-        # ">=" rather than the paper's strict ">": the state table saturates
-        # at 15 == T, so a strict comparison would never fire on a
-        # permanently-active neuron with silent parents.
-        return score >= cfg.threshold
-
     def _stacked_parents(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(layers with a table, flat first-parent indices, flat
         second-parent indices) for the vectorized layer-wise term.
@@ -253,15 +227,17 @@ class ActivationPredictor:
         return self._parents_stack
 
     def predict_all(self, actuals: np.ndarray) -> np.ndarray:
-        """Predicted masks for every layer of one token, vectorized.
+        """Predicted activation masks for every layer of one token.
 
         ``actuals`` is the token's (num_layers, groups) boolean
         ground-truth activation matrix; row ``l-1`` supplies the realised
         previous-layer activations feeding layer ``l``'s layer-wise term
         (layers execute sequentially, so those are known by the time
-        layer ``l`` runs).  Row ``l`` equals ``predict(l, actuals[l-1])``
-        bit-for-bit — one call replaces the per-layer loop on the decode
-        fast path.
+        layer ``l`` runs).  A group fires when ``s1 + lam * s2 >= T``,
+        with ``s1`` its state and ``s2`` how many of its two correlated
+        parents fired (0 for layer 0 and for a layer without a table);
+        token-only mode drops ``s2`` and layer-only mode needs ``s2 ==
+        2``.
 
         The rule is one threshold compare per group.  ``s1 + lam * s2 >=
         T`` computed in ``float64`` is non-decreasing in the state
@@ -272,12 +248,12 @@ class ActivationPredictor:
         least states depend only on ``actuals`` and the correlation
         table, and are memoised per token matrix.
         """
-        if actuals.shape != self.state_matrix.shape:
+        if actuals.shape != self.states.shape:
             raise ValueError("actuals matrix has wrong shape")
         key = np.packbits(actuals).tobytes()
         least = self._firing_memo.get(key)
         if least is None:
-            counts = np.zeros(self.state_matrix.shape, dtype=np.uint8)
+            counts = np.zeros(self.states.shape, dtype=np.uint8)
             if (self.config.use_layer_prediction
                     and self.correlation is not None):
                 layers, first, second = self._stacked_parents()
@@ -289,45 +265,29 @@ class ActivationPredictor:
             if len(self._firing_memo) >= self._firing_memo_cap:
                 self._firing_memo.clear()
             self._firing_memo[key] = least
-        return self.state_matrix >= least
+        return self.states >= least
 
     # ------------------------------------------------------------------
-    def observe(self, layer: int, actual: np.ndarray,
-                predicted: np.ndarray | None = None) -> None:
-        """Finite-state-machine update after the layer's true activations
-        are known; also folds the outcome into the accuracy counters."""
-        if actual.shape != (self.layout.groups_per_layer,):
-            raise ValueError("actual mask has wrong shape")
-        if predicted is not None:
-            self.stats.update(predicted, actual)
-        state = np.where(
-            actual,
-            self.states[layer] + self.config.s_up,
-            self.states[layer] - self.config.s_down,
-        )
-        np.clip(state, 0, STATE_MAX, out=self.states[layer])
-
     def observe_all(
         self, actuals: np.ndarray, predicted: np.ndarray | None = None
     ) -> None:
-        """Token-level :meth:`observe`: fold one token's outcome for every
-        layer into the state table and accuracy counters at once.
+        """Finite-state-machine update once one token's true activations
+        are known, for every layer at once; also folds the outcome into
+        the accuracy counters when ``predicted`` is given.
 
-        Equivalent to calling ``observe(l, actuals[l], predicted[l])`` for
-        each layer — the state update is elementwise and the counters are
-        order-free sums — but costs a handful of matrix ops per token.
-        Valid whenever no reader consumes layer ``l``'s post-token state
-        between the layer loop and the end of the token, which holds for
-        the engine: online adjustment reads pre-token states only.
+        An activated group's state rises by ``s_up`` and an inactive
+        one's falls by ``s_down``, saturating at 0 and ``STATE_MAX``.
+        Online adjustment reads the pre-token states, so callers swap
+        before they observe.
         """
-        if actuals.shape != self.state_matrix.shape:
+        if actuals.shape != self.states.shape:
             raise ValueError("actuals matrix has wrong shape")
         if predicted is not None:
             self.stats.update(predicted, actuals)
-        matrix = self.state_matrix
+        matrix = self.states
         # in-place step + saturating clamp (max-then-min spelling of
         # clip): s + (s_up + s_down) * actual - s_down is s + s_up or
-        # s - s_down, identical integers to the scalar update
+        # s - s_down
         cfg = self.config
         matrix += np.multiply(actuals, cfg.s_up + cfg.s_down, dtype=np.int16)
         matrix -= self._state_down
@@ -335,10 +295,6 @@ class ActivationPredictor:
         np.minimum(matrix, self._state_ceiling, out=matrix)
 
     # ------------------------------------------------------------------
-    def hot_mask(self, layer: int) -> np.ndarray:
-        """Groups currently classified hot (state > hot_threshold)."""
-        return self.states[layer] > self.config.hot_threshold
-
     def state_table_bytes(self) -> int:
         """Footprint of the neuron state table at 4 bits per neuron.
 

@@ -13,8 +13,11 @@ every ``window`` tokens (paper: 5) it
    DIMM of each pair while doing so reduces the pair's makespan.
 
 Migrations ride the DIMM-links during the projection window; the engine
-charges any overflow.  The remapping mutates the partition's ``dimm_of``
-arrays in place — the mapping is live state, exactly as in the paper.
+charges any overflow.  The scheduler keeps one (num_layers, groups)
+activity matrix, and one :meth:`WindowScheduler.rebalance_all` pairs
+every layer's DIMMs at once.  It mutates the partition's (num_layers,
+groups) ``dimm_of`` matrix in place — the mapping is live state, exactly
+as in the paper.
 """
 
 from __future__ import annotations
@@ -63,31 +66,19 @@ class WindowScheduler:
         self.layout = layout
         self.num_dimms = num_dimms
         self.window = window
-        #: dense (num_layers, groups) activity accumulator; ``_activity``
-        #: keeps the per-layer API as row views into it
-        self._activity_matrix = np.zeros(
+        #: (num_layers, groups) windowed activation counts
+        self._activity = np.zeros(
             (layout.model.num_layers, layout.groups_per_layer),
             dtype=np.int64)
-        self._activity = list(self._activity_matrix)
         self._tokens_seen = 0
 
     # ------------------------------------------------------------------
-    def observe_token(self, layer_activations) -> None:
-        """Accumulate one token's activated groups into the window.
-
-        Accepts either the historical list of per-layer masks or a dense
-        (num_layers, groups) matrix (the decode fast path hands the
-        trace's token matrix straight through).
-        """
-        if isinstance(layer_activations, np.ndarray):
-            if layer_activations.shape != self._activity_matrix.shape:
-                raise ValueError("one activation mask per layer required")
-            self._activity_matrix += layer_activations
-        else:
-            if len(layer_activations) != len(self._activity):
-                raise ValueError("one activation mask per layer required")
-            for acc, mask in zip(self._activity, layer_activations):
-                acc += mask
+    def observe_token(self, activations: np.ndarray) -> None:
+        """Accumulate one token's (num_layers, groups) activation matrix
+        into the window."""
+        if activations.shape != self._activity.shape:
+            raise ValueError("one activation mask per layer required")
+        self._activity += activations
         self._tokens_seen += 1
 
     @property
@@ -95,64 +86,10 @@ class WindowScheduler:
         return self._tokens_seen >= self.window
 
     def reset_window(self) -> None:
-        self._activity_matrix[:] = 0
+        self._activity[:] = 0
         self._tokens_seen = 0
 
     # ------------------------------------------------------------------
-    def dimm_loads(self, layer: int, dimm_of: np.ndarray,
-                   exclude: np.ndarray | None = None) -> np.ndarray:
-        """Windowed activated-group load per DIMM for one layer
-        (Algorithm 1 line 1).  ``exclude`` masks GPU-resident groups whose
-        compute does not land on the DIMMs."""
-        activity = self._activity[layer].astype(np.float64)
-        if exclude is not None:
-            activity = np.where(exclude, 0.0, activity)
-        # bincount over integer-valued float64 weights is exact, and far
-        # cheaper than the np.add.at scatter it replaces
-        return np.bincount(dimm_of, weights=activity,
-                           minlength=self.num_dimms)
-
-    def rebalance_layer(
-        self,
-        layer: int,
-        dimm_of: np.ndarray,
-        *,
-        exclude: np.ndarray | None = None,
-    ) -> RemapResult:
-        """Algorithm 1 for one layer; mutates ``dimm_of`` in place."""
-        if self.num_dimms == 1:
-            return RemapResult()
-        activity = self._activity[layer].astype(np.float64)
-        if exclude is not None:
-            activity = np.where(exclude, 0.0, activity)
-        loads = np.bincount(
-            dimm_of, weights=activity, minlength=self.num_dimms
-        )
-        return self._rebalance_pairs(layer, dimm_of, activity, loads)
-
-    def _rebalance_pairs(
-        self,
-        layer: int,
-        dimm_of: np.ndarray,
-        activity: np.ndarray,
-        loads: np.ndarray,
-    ) -> RemapResult:
-        """Pair heaviest/lightest DIMMs and drain each pair (lines 2-6)."""
-        result = RemapResult()
-        order = np.argsort(loads)[::-1]  # heaviest first (line 2)
-        for pos in range(self.num_dimms // 2):
-            heavy = int(order[pos])
-            light = int(order[self.num_dimms - 1 - pos])
-            if loads[heavy] <= loads[light]:
-                # already balanced: any positive move would overshoot, so
-                # the drain loop could only break on its first candidate
-                continue
-            moved = self._drain_pair(
-                layer, dimm_of, activity, loads, heavy, light
-            )
-            result.merge(moved)
-        return result
-
     def _drain_pair(
         self,
         layer: int,
@@ -211,36 +148,32 @@ class WindowScheduler:
         return result
 
     # ------------------------------------------------------------------
-    def rebalance_all(self, dimm_of, *, exclude=None,
+    def rebalance_all(self, dimm_of: np.ndarray, *,
+                      exclude: np.ndarray | None = None,
                       keys: np.ndarray | None = None) -> RemapResult:
-        """Rebalance every layer and reset the window.
+        """Algorithm 1 for every layer; mutates the (num_layers, groups)
+        ``dimm_of`` matrix in place and resets the window.
 
-        ``dimm_of`` and ``exclude`` may be per-layer lists or dense
-        (num_layers, groups) matrices.  The list form runs
-        :meth:`rebalance_layer` per layer and is the reference.  The
-        matrix form equals it in one pass: one flat segmented bincount
-        gives every layer's per-DIMM loads, one scatter-max each DIMM's
+        ``exclude`` masks GPU-resident groups, whose compute does not
+        land on the DIMMs.  One flat segmented bincount gives every
+        layer's per-DIMM loads (line 1), one scatter-max each DIMM's
         hottest member, and one row-wise ``argsort`` pairs every layer's
-        DIMMs.  Both first-probe exits of every pair — already balanced,
-        or its hottest member inactive or overshooting — are array
-        comparisons, and only pairs that move reach :meth:`_drain_pair`.
-        A layer's pairs are disjoint, so no drain changes the loads
-        another pair's check reads.  ``keys`` optionally supplies the
-        flattened ``layer * num_dimms + dimm_of`` bin keys — a caller
-        that tracks remaps (the engine, via the partition's
-        ``remap_version``) can cache them between moves.
+        DIMMs (line 2).  Both first-probe exits of every pair — already
+        balanced, or its hottest member inactive or overshooting — are
+        array comparisons, and only pairs that move reach
+        :meth:`_drain_pair` (lines 3-6).  A layer's pairs are disjoint,
+        so no drain changes the loads another pair's check reads.
+        ``keys`` optionally supplies the ``layer * num_dimms + dimm_of``
+        bin keys, which a caller can keep until a rebalance moves groups.
         """
         total = RemapResult()
-        if isinstance(dimm_of, np.ndarray) and dimm_of.ndim == 2 \
-                and self.num_dimms > 1:
+        if self.num_dimms > 1:
             num_layers = dimm_of.shape[0]
             n_dimms = self.num_dimms
             if exclude is None:
-                activity = self._activity_matrix.astype(np.float64)
+                activity = self._activity.astype(np.float64)
             else:
-                ex = (exclude if isinstance(exclude, np.ndarray)
-                      else np.stack(list(exclude)))
-                activity = np.where(ex, 0.0, self._activity_matrix)
+                activity = np.where(exclude, 0.0, self._activity)
             if keys is None:
                 keys = dimm_of + np.arange(num_layers)[:, None] * n_dimms
             flat_keys = keys.ravel()
@@ -251,8 +184,8 @@ class WindowScheduler:
             peak = np.zeros(num_layers * n_dimms)
             np.maximum.at(peak, flat_keys, activity.ravel())
             peak = peak.reshape(num_layers, n_dimms)
-            # rows equal the per-layer sort; pair pos matches the
-            # pos-th heaviest DIMM with the pos-th lightest (line 2)
+            # pair pos matches the pos-th heaviest DIMM with the pos-th
+            # lightest (line 2)
             order = np.argsort(loads, axis=1)
             light = order[:, :n_dimms // 2]
             heavy = order[:, ::-1][:, :n_dimms // 2]
@@ -266,10 +199,5 @@ class WindowScheduler:
                 total.merge(self._drain_pair(
                     l, dimm_of[l], activity[l], loads[l],
                     int(heavy[l, pos]), int(light[l, pos])))
-        else:
-            rows = list(dimm_of)
-            for l in range(len(rows)):
-                mask = exclude[l] if exclude is not None else None
-                total.merge(self.rebalance_layer(l, rows[l], exclude=mask))
         self.reset_window()
         return total

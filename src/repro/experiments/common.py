@@ -43,8 +43,8 @@ def granularity_for(model: ModelSpec) -> int:
     return GRANULARITY.get(model.name, 64)
 
 
-#: A 70B-scale trace runs to tens of MB (and its decode fast-path stack
-#: doubles that), so the cache holds just a few entries — enough for one
+#: A 70B-scale trace runs to tens of MB (one token-major activation
+#: array), so the cache holds just a few entries — enough for one
 #: experiment's model list plus the quick/full variants of the model a
 #: test suite hammers, without pinning every model ever touched.
 TRACE_CACHE_SIZE = 4

@@ -59,8 +59,8 @@ def run(quick: bool = False) -> ExperimentResult:
         gpu_budget_bytes=0,  # every neuron on the DIMMs for this statistic
         dimm_capacity_bytes=machine.dimm.capacity_bytes,
     )
-    hot_masks = [np.zeros(layout.groups_per_layer, dtype=bool)
-                 for _ in range(t13.num_layers)]
+    hot_masks = np.zeros((t13.num_layers, layout.groups_per_layer),
+                         dtype=bool)
     placement = assign_dimms(freqs, hot_masks, layout, costs, balanced=False)
     imbalances = [
         dimm_load_imbalance(t13, placement[l], l, window=16)

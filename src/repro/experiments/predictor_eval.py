@@ -24,12 +24,8 @@ def evaluate(model_name: str, quick: bool = False) -> dict:
     predictor = ActivationPredictor(trace.layout, PredictorConfig())
     predictor.initialize(trace)
     for t in trace.decode_tokens():
-        prev = None
-        for l in range(trace.num_layers):
-            actual = trace.active(l, t)
-            predicted = predictor.predict(l, prev)
-            predictor.observe(l, actual, predicted)
-            prev = actual
+        actuals = trace.active_matrix(t)
+        predictor.observe_all(actuals, predictor.predict_all(actuals))
     stats = predictor.stats
     table_kb = predictor.state_table_bytes() / 1024
     corr_kb = (predictor.correlation.table_bytes() / 1024

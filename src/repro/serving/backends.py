@@ -264,13 +264,12 @@ class ServingBackend:
 def _clone_partition(partition: OfflinePartition) -> OfflinePartition:
     """A private mutable copy of a solved partition.
 
-    Window scheduling remaps ``dimm_of`` in place, so cached pristine
-    solutions must be cloned per serving run — the machines *within* one
-    run keep sharing a single copy, as before.
+    Window scheduling remaps ``dimm_of`` in place, so every session gets
+    its own clone of a cached pristine solution.
     """
     return OfflinePartition(
-        hot_masks=[mask.copy() for mask in partition.hot_masks],
-        dimm_of=[row.copy() for row in partition.dimm_of],
+        hot_masks=partition.hot_masks.copy(),
+        dimm_of=partition.dimm_of.copy(),
         strategy=partition.strategy,
     )
 
@@ -278,10 +277,10 @@ def _clone_partition(partition: OfflinePartition) -> OfflinePartition:
 def _partition_cache(trace: ActivationTrace) -> dict:
     """Per-trace memo of solved offline partitions.
 
-    Stored on the trace object itself (like its lazy ``_stacked`` view)
-    so the cache's lifetime — and the identity component of the key —
-    is exactly the trace.  The partition is otherwise deterministic in
-    (machine, model, batch), which forms the key.
+    Stored on the trace object itself so the cache's lifetime — and the
+    identity component of the key — is exactly the trace.  The partition
+    is otherwise deterministic in (machine, model, batch), which forms
+    the key.
     """
     cache = getattr(trace, "_partition_cache", None)
     if cache is None:

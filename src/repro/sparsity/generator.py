@@ -148,8 +148,8 @@ def generate_trace(
             _rank_matched_parents(base_freqs[l - 1], base_freqs[l], rng)
         )
 
-    layers = [np.zeros((n_tokens, n_groups), dtype=bool)
-              for _ in range(model.num_layers)]
+    activations = np.zeros((n_tokens, model.num_layers, n_groups),
+                           dtype=bool)
     # physical position of each logical neuron, permuted by context
     # switches (phase_shift) and slow drift; logical dynamics stay
     # stationary
@@ -190,12 +190,12 @@ def generate_trace(
             else:
                 row = own
             logical_rows[l] = row
-            layers[l][t][positions[l]] = row
+            activations[t, l, positions[l]] = row
             prev_logical = row
 
     return ActivationTrace(
         layout=layout,
-        layers=layers,
+        activations=activations,
         parents=parents,
         prompt_len=config.prompt_len,
         seed=seed,

@@ -51,7 +51,7 @@ def token_similarity_curve(
     for d in range(1, max_distance + 1):
         sims = []
         for l in range(0, trace.num_layers, layer_stride):
-            matrix = trace.layers[l][start:]
+            matrix = trace.activations[start:, l]
             if matrix.shape[0] <= d:
                 continue
             a, b = matrix[:-d], matrix[d:]
@@ -75,8 +75,8 @@ def layer_correlation(trace: ActivationTrace, layer: int) -> np.ndarray:
     parents = trace.parents[layer]
     if parents is None:
         raise ValueError("trace lacks parent structure for this layer")
-    child = trace.layers[layer]
-    parent_active = trace.layers[layer - 1][:, parents[:, 0]]
+    child = trace.activations[:, layer]
+    parent_active = trace.activations[:, layer - 1, parents[:, 0]]
     counts = parent_active.sum(axis=0)
     joint = np.logical_and(child, parent_active).sum(axis=0)
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -151,7 +151,7 @@ def dimm_load_imbalance(
     GPU-resident groups, which are excluded).  With a fixed placement the
     paper measures the busiest DIMM at 1.2-2.5x the others (§III-C).
     """
-    matrix = trace.layers[layer][trace.prompt_len:]
+    matrix = trace.activations[trace.prompt_len:, layer]
     if window is not None:
         if window < 1:
             raise ValueError("window must be >= 1")

@@ -22,43 +22,38 @@ from .layout import NeuronLayout
 class ActivationTrace:
     """Boolean activation record for a full generation run.
 
-    ``layers[l]`` has shape ``[n_tokens, groups_per_layer]``; token index
-    ``t < prompt_len`` rows describe prefill positions, the rest are decode
-    steps.  ``parents[l]`` holds the top-2 correlated predecessor groups in
-    layer ``l-1`` for each group of layer ``l`` (``parents[0]`` is unused
-    and stays None).
+    ``activations`` is one token-major ``[n_tokens, num_layers,
+    groups_per_layer]`` array; token index ``t < prompt_len`` rows
+    describe prefill positions, the rest are decode steps.
+    ``parents[l]`` holds the top-2 correlated predecessor groups in layer
+    ``l-1`` for each group of layer ``l`` (``parents[0]`` is unused and
+    stays None).
     """
 
     layout: NeuronLayout
-    layers: list[np.ndarray]
+    activations: np.ndarray
     parents: list[np.ndarray | None]
     prompt_len: int
     seed: int
 
     def __post_init__(self) -> None:
-        if len(self.layers) != self.layout.model.num_layers:
+        shape = self.activations.shape
+        if self.activations.dtype != bool:
+            raise ValueError("activation array must be bool")
+        if len(shape) != 3 or shape[1] != self.layout.model.num_layers:
             raise ValueError("one activation matrix per layer required")
-        expected = None
-        for l, matrix in enumerate(self.layers):
-            if matrix.dtype != bool:
-                raise ValueError(f"layer {l}: activation matrix must be bool")
-            if matrix.shape[1] != self.layout.groups_per_layer:
-                raise ValueError(
-                    f"layer {l}: {matrix.shape[1]} groups != layout "
-                    f"{self.layout.groups_per_layer}")
-            if expected is None:
-                expected = matrix.shape[0]
-            elif matrix.shape[0] != expected:
-                raise ValueError("all layers must cover the same tokens")
-        if expected is None or expected <= 0:
+        if shape[2] != self.layout.groups_per_layer:
+            raise ValueError(
+                f"{shape[2]} groups != layout {self.layout.groups_per_layer}")
+        if shape[0] <= 0:
             raise ValueError("trace must contain at least one token")
-        if not 0 <= self.prompt_len <= expected:
+        if not 0 <= self.prompt_len <= shape[0]:
             raise ValueError("prompt_len out of range")
 
     # ------------------------------------------------------------------
     @property
     def n_tokens(self) -> int:
-        return self.layers[0].shape[0]
+        return self.activations.shape[0]
 
     @property
     def n_decode_tokens(self) -> int:
@@ -66,46 +61,32 @@ class ActivationTrace:
 
     @property
     def num_layers(self) -> int:
-        return len(self.layers)
+        return self.activations.shape[1]
 
     def active(self, layer: int, token: int) -> np.ndarray:
         """Boolean activation vector of one (layer, token)."""
-        return self.layers[layer][token]
-
-    def _ensure_stacked(self) -> np.ndarray:
-        """Lazily-built (tokens, num_layers, groups) activation stack.
-
-        The trace is treated as immutable once stacked.
-        """
-        stacked = getattr(self, "_stacked", None)
-        if stacked is None:
-            stacked = np.stack(self.layers, axis=1)
-            self._stacked = stacked
-        return stacked
+        return self.activations[token, layer]
 
     def active_matrix(self, token: int) -> np.ndarray:
         """(num_layers, groups) activation matrix of one token.
 
         Row ``l`` equals ``active(l, token)``.  The matrix is one
-        C-contiguous block of the lazy token-major stack, so the decode
-        fast path reads a whole token at once, and every pass over it
-        (the parent gathers, the masks, the state update) walks
-        contiguous memory.
+        C-contiguous block of the token-major array, so the decode step
+        reads a whole token at once, and every pass over it (the parent
+        gathers, the masks, the state update) walks contiguous memory.
         """
-        return self._ensure_stacked()[token]
+        return self.activations[token]
 
     def density(self) -> float:
         """Overall fraction of active (group, token) pairs."""
-        total = sum(m.sum() for m in self.layers)
-        cells = sum(m.size for m in self.layers)
-        return float(total / cells)
+        return np.count_nonzero(self.activations) / self.activations.size
 
     def frequencies(
         self, layer: int, *, tokens: slice | None = None
     ) -> np.ndarray:
         """Empirical activation frequency per group over a token range."""
-        matrix = self.layers[layer] if tokens is None \
-            else self.layers[layer][tokens]
+        matrix = self.activations[:, layer] if tokens is None \
+            else self.activations[tokens, layer]
         if matrix.shape[0] == 0:
             raise ValueError("token range selects no tokens")
         return matrix.mean(axis=0)

@@ -1,6 +1,7 @@
 """Unit + property tests for the online mapper (§IV-C2) and the
 window-based scheduler (§IV-D, Algorithm 1)."""
 
+import dataclasses
 import hashlib
 import os
 import pathlib
@@ -12,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import NeuronMapper, WindowScheduler
-from repro.core.mapper import AdjustmentResult
+from repro.core import NeuronMapper, RemapResult, WindowScheduler
 from repro.core.partition import OfflinePartition
 from repro.core.predictor import STATE_MAX
 from repro.models import get_model
@@ -36,9 +36,25 @@ def reference_layouts():
             for name, g in REFERENCE_LAYOUTS.items()}
 
 
+#: PCIe bandwidth of the token-level tests (bytes per second); a power
+#: of two, so a window of ``b / PCIE`` seconds buys exactly ``b`` bytes
+PCIE = 2.0**34
+
+
+@dataclasses.dataclass
+class AdjustmentResult:
+    """Outcome of one per-layer adjustment step."""
+
+    swapped_in: int = 0
+    swapped_out: int = 0
+    bytes_in: int = 0
+
+
 # The per-layer greedy adjustment as it stood before the engine's
-# per-token swap core, copied verbatim (its argsort tie order included):
-# the loop reference ``NeuronMapper.adjust`` must match exactly.
+# per-token swap core, copied verbatim (its argsort tie order included)
+# but for the mapper's dropped swap counter and plain-int byte list: the
+# loop reference that ``NeuronMapper.swap_token`` must match exactly,
+# layer by layer.
 def reference_adjust(self, layer: int, states: np.ndarray, *,
                      hot_threshold: int = 10,
                      max_bytes: int | None = None,
@@ -88,7 +104,7 @@ def reference_adjust(self, layer: int, states: np.ndarray, *,
     # refuses the very first victim for every candidate, so only
     # eviction-free admission could act — impossible when the
     # headroom cannot fit the smallest candidate either.
-    group_bytes = self._group_bytes_list
+    group_bytes = self.layout.group_bytes.tolist()
     layer_used = self._layer_used[layer]
     if coldest_state is None or hottest_wanted is None \
             or min_wanted_bytes is None:
@@ -157,8 +173,6 @@ def reference_adjust(self, layer: int, states: np.ndarray, *,
         result.swapped_in += 1
         result.bytes_in += b
     self._layer_used[layer] = layer_used
-    if result.swapped_in or result.swapped_out:
-        self.version += 1
     return result
 
 
@@ -169,14 +183,22 @@ def make_mapper(layout, budget_groups=50):
 
 
 def empty_partition(layout, num_dimms=4):
-    g = layout.groups_per_layer
+    shape = (layout.model.num_layers, layout.groups_per_layer)
     return OfflinePartition(
-        hot_masks=[np.zeros(g, dtype=bool)
-                   for _ in range(layout.model.num_layers)],
-        dimm_of=[np.arange(g) % num_dimms
-                 for _ in range(layout.model.num_layers)],
+        hot_masks=np.zeros(shape, dtype=bool),
+        dimm_of=np.tile(np.arange(shape[1]) % num_dimms, (shape[0], 1)),
         strategy="greedy",
     )
+
+
+def swap_layer0(mapper, row, max_bytes=None):
+    """One ``swap_token`` whose layer 0 has the states ``row`` and whose
+    other layers are all cold, within ``max_bytes`` (unbounded by
+    default); returns the bytes swapped in."""
+    states = np.zeros(mapper.resident.shape, dtype=np.int16)
+    states[0] = row
+    step = 1.0 if max_bytes is None else max_bytes / PCIE
+    return mapper.swap_token(states, 10, step, PCIE)[1]
 
 
 class TestMapper:
@@ -199,25 +221,27 @@ class TestMapper:
         # no initialize(): the per-layer ceiling defaults to the full
         # GPU budget, so hot newcomers stream in freely
         mapper = make_mapper(layout)
-        states = np.zeros(layout.groups_per_layer, dtype=np.int8)
+        states = np.zeros(layout.groups_per_layer, dtype=np.int16)
         states[:5] = 15
-        result = mapper.adjust(0, states)
-        assert result.swapped_in == 5
+        assert swap_layer0(mapper, states) == layout.group_bytes[:5].sum()
         assert mapper.resident[0][:5].all()
+        assert mapper.resident.sum() == 5
         mapper.check_invariants()
 
     def test_ignores_groups_below_threshold(self, layout):
         mapper = make_mapper(layout)
         mapper.initialize(empty_partition(layout))
-        states = np.full(layout.groups_per_layer, 10, dtype=np.int8)
-        assert mapper.adjust(0, states).swapped_in == 0
+        states = np.full(layout.groups_per_layer, 10, dtype=np.int16)
+        assert swap_layer0(mapper, states) == 0
+        assert not mapper.resident.any()
 
     def test_budget_limits_transfers(self, layout):
         mapper = make_mapper(layout)
-        states = np.full(layout.groups_per_layer, 15, dtype=np.int8)
+        states = np.full(layout.groups_per_layer, 15, dtype=np.int16)
         one_group = int(layout.group_bytes[0])
-        result = mapper.adjust(0, states, max_bytes=one_group)
-        assert result.swapped_in == 1
+        assert 0 < swap_layer0(mapper, states, max_bytes=one_group) \
+            <= one_group
+        assert mapper.resident.sum() == 1
 
     def test_layer_budget_caps_growth(self, layout):
         """After initialize(), a layer's residency footprint is fixed:
@@ -226,10 +250,10 @@ class TestMapper:
         partition = empty_partition(layout)
         partition.hot_masks[0][:2] = True
         mapper.initialize(partition)
-        states = np.zeros(layout.groups_per_layer, dtype=np.int8)
+        states = np.zeros(layout.groups_per_layer, dtype=np.int16)
         states[:20] = 15  # many hot candidates, all hotter than residents
-        mapper.adjust(0, states)
-        used = mapper.residency_bytes(0)
+        swap_layer0(mapper, states)
+        used = int(layout.group_bytes[mapper.resident[0]].sum())
         assert used <= mapper.layer_budget[0]
         mapper.check_invariants()
 
@@ -240,14 +264,12 @@ class TestMapper:
         partition = empty_partition(layout)
         partition.hot_masks[0][:2] = True
         mapper.initialize(partition)
-        states = np.zeros(layout.groups_per_layer, dtype=np.int8)
+        states = np.zeros(layout.groups_per_layer, dtype=np.int16)
         states[0] = 2   # coldest resident
         states[1] = 12
         states[5] = 15  # hot newcomer
-        result = mapper.adjust(0, states)
-        assert result.swapped_in == 1 and result.swapped_out == 1
-        assert not mapper.resident[0][0]
-        assert mapper.resident[0][5]
+        assert swap_layer0(mapper, states) == layout.group_bytes[5]
+        assert np.flatnonzero(mapper.resident).tolist() == [1, 5]
         mapper.check_invariants()
 
     def test_never_evicts_hotter_than_newcomer(self, layout):
@@ -256,90 +278,28 @@ class TestMapper:
         partition = empty_partition(layout)
         partition.hot_masks[0][0] = True
         mapper.initialize(partition)
-        states = np.zeros(layout.groups_per_layer, dtype=np.int8)
+        states = np.zeros(layout.groups_per_layer, dtype=np.int16)
         states[0] = 15  # resident, maximally hot
         states[5] = 12  # newcomer, hot but colder
-        result = mapper.adjust(0, states)
-        assert result.swapped_in == 0
-        assert mapper.resident[0][0]
+        assert swap_layer0(mapper, states) == 0
+        assert np.flatnonzero(mapper.resident).tolist() == [0]
 
     def test_rejects_negative_budget(self, layout):
         with pytest.raises(ValueError):
             NeuronMapper(layout, -1)
-
-    def test_rejects_bad_state_shape(self, layout):
-        mapper = make_mapper(layout)
-        with pytest.raises(ValueError):
-            mapper.adjust(0, np.zeros(3, dtype=np.int8))
 
     @given(seed=st.integers(0, 1000))
     @settings(max_examples=25, deadline=None)
     def test_property_budget_never_exceeded(self, layout, seed):
         rng = np.random.default_rng(seed)
         mapper = make_mapper(layout, budget_groups=30)
+        shape = mapper.resident.shape
         for _ in range(5):
-            layer = int(rng.integers(0, layout.model.num_layers))
-            states = rng.integers(0, 16, layout.groups_per_layer).astype(
-                np.int8
-            )
-            mapper.adjust(layer, states, max_bytes=int(rng.integers(0, 2**20)))
-            mapper.check_invariants()
-
-
-class TestAdjustReference:
-    @given(model=st.sampled_from(sorted(REFERENCE_LAYOUTS)),
-           dtype=st.sampled_from([np.int8, np.int16]),
-           k=st.integers(1, 6),
-           initialized=st.booleans(),
-           binding=st.sampled_from(["global", "layer"]),
-           calls=st.lists(st.sampled_from(["none", "zero", "random"]),
-                          min_size=1, max_size=6),
-           seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=150, deadline=None)
-    def test_adjust_matches_reference(self, reference_layouts, model, dtype,
-                                      k, initialized, binding, calls, seed):
-        """``adjust`` equals the verbatim loop reference on tie-heavy
-        states (drawn from ``0..k``), initialized or not, under a GPU
-        budget that binds globally or per layer, over several calls."""
-        layout = reference_layouts[model]
-        rng = np.random.default_rng(seed)
-        num_layers, groups = layout.model.num_layers, layout.groups_per_layer
-        gbytes = layout.group_bytes
-        hot = rng.random((num_layers, groups)) < rng.uniform(0.0, 0.6)
-        if initialized and binding == "global":
-            budget = int((hot * gbytes).sum()
-                         + gbytes[:rng.integers(0, 8)].sum())
-        elif binding == "global":
-            budget = int(gbytes[:rng.integers(0, 40)].sum())
-        else:
-            budget = int(gbytes.sum()) * num_layers
-        mapper = NeuronMapper(layout, budget)
-        ref = NeuronMapper(layout, budget)
-        if initialized:
-            partition = OfflinePartition(
-                hot_masks=list(hot),
-                dimm_of=list(np.zeros((num_layers, groups), dtype=np.int64)),
-                strategy="greedy")
-            mapper.initialize(partition)
-            ref.initialize(partition)
-        hot_threshold = int(rng.integers(0, k))
-        for kind in calls:
-            layer = int(rng.integers(0, num_layers))
-            states = rng.integers(0, k + 1, groups).astype(dtype)
-            max_bytes = {"none": None, "zero": 0,
-                         "random": int(rng.integers(0, 40 * gbytes.max()))
-                         }[kind]
-            got = mapper.adjust(layer, states, hot_threshold=hot_threshold,
-                                max_bytes=max_bytes)
-            want = reference_adjust(ref, layer, states,
-                                    hot_threshold=hot_threshold,
-                                    max_bytes=max_bytes)
-            assert got == want
-            assert np.array_equal(mapper.resident_matrix,
-                                  ref.resident_matrix)
-            assert mapper.resident_bytes == ref.resident_bytes
-            assert mapper._layer_used == ref._layer_used
-            assert mapper.version == ref.version
+            states = np.zeros(shape, dtype=np.int16)
+            states[int(rng.integers(0, shape[0]))] = rng.integers(
+                0, 16, shape[1])
+            step = int(rng.integers(0, 2**20)) / PCIE
+            mapper.swap_token(states, 10, step, PCIE)
             mapper.check_invariants()
 
 
@@ -361,54 +321,56 @@ def reference_swap_token(mapper, states, hot_threshold, window_step,
     return window, swapped
 
 
-#: PCIe bandwidth of the token-level tests (bytes per second); a power
-#: of two, so a window of ``b / PCIE`` seconds buys exactly ``b`` bytes
-PCIE = 2.0**34
-
-
 def initialized_mapper(layout, hot, budget):
     """A mapper whose offline hot set is the (layers, groups) mask."""
     mapper = NeuronMapper(layout, budget)
     mapper.initialize(OfflinePartition(
-        hot_masks=list(hot),
-        dimm_of=list(np.zeros(hot.shape, dtype=np.int64)),
+        hot_masks=hot, dimm_of=np.zeros(hot.shape, dtype=np.int64),
         strategy="greedy"))
     return mapper
 
 
 def assert_same_swap(mapper, ref, got, want):
     assert got == want  # leftover window (exact float) and bytes moved
-    assert np.array_equal(mapper.resident_matrix, ref.resident_matrix)
+    assert np.array_equal(mapper.resident, ref.resident)
     assert mapper.resident_bytes == ref.resident_bytes
     assert mapper._layer_used == ref._layer_used
-    assert mapper.version == ref.version
     mapper.check_invariants()
 
 
 class TestSwapTokenReference:
     @given(model=st.sampled_from(sorted(REFERENCE_LAYOUTS)),
            k=st.integers(1, 6),
+           initialized=st.booleans(),
            binding=st.sampled_from(["global", "layer"]),
            window=st.sampled_from(["zero", "tight", "random", "wide"]),
            tokens=st.integers(1, 3),
            seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=150, deadline=None)
     def test_swap_token_matches_layer_loop(self, reference_layouts, model,
-                                           k, binding, window, tokens,
-                                           seed):
+                                           k, initialized, binding, window,
+                                           tokens, seed):
         """``swap_token`` equals the verbatim greedy run layer by layer
         along the projection-window budget chain, on tie-heavy states
-        (drawn from ``0..k``) under a GPU budget that binds globally or
-        per layer, over a few tokens."""
+        (drawn from ``0..k``) over a few tokens.  The mapper is
+        initialized from an offline hot set, or never initialized, so
+        each layer's ceiling is the whole GPU budget; the budget binds
+        globally, or is the whole model (an initialized mapper's
+        per-layer ceilings bind)."""
         layout = reference_layouts[model]
         rng = np.random.default_rng(seed)
         num_layers, groups = layout.model.num_layers, layout.groups_per_layer
         gbytes = layout.group_bytes
         hot = rng.random((num_layers, groups)) < rng.uniform(0.0, 0.6)
-        budget = (int((hot * gbytes).sum() + gbytes[:rng.integers(0, 8)]
-                      .sum()) if binding == "global"
-                  else int(gbytes.sum()) * num_layers)
-        mapper, ref = (initialized_mapper(layout, hot, budget)
+        if binding == "layer":
+            budget = int(gbytes.sum()) * num_layers
+        elif initialized:
+            budget = int((hot * gbytes).sum()
+                         + gbytes[:rng.integers(0, 8)].sum())
+        else:
+            budget = int(gbytes[:rng.integers(0, 40)].sum())
+        mapper, ref = ((initialized_mapper(layout, hot, budget)
+                        if initialized else NeuronMapper(layout, budget))
                        for _ in range(2))
         smallest = int(gbytes.min()) / PCIE
         step = {"zero": 0.0,
@@ -459,7 +421,8 @@ class TestSwapTokenReference:
         got = mapper.swap_token(states, 10, step, PCIE)
         want = reference_swap_token(ref, states, 10, step, PCIE)
         moved = case == "budget is the smallest"
-        assert (got[1] > 0) == moved and (mapper.version > 1) == moved
+        assert (got[1] > 0) == moved
+        assert (not np.array_equal(mapper.resident, hot)) == moved
         assert_same_swap(mapper, ref, got, want)
 
 
@@ -481,10 +444,10 @@ print(tie_heavy_digest())
 
 
 def tie_heavy_digest() -> str:
-    """SHA-256 of the residency after a fixed sequence of ``adjust`` and
-    ``swap_token`` calls on OPT-13B with 17-64 residents per layer and
-    states drawn from 0..3, so every swap evicts and both of the greedy
-    core's argsorts see ties past numpy's insertion-sort cutoff."""
+    """SHA-256 of the residency after a fixed sequence of ``swap_token``
+    calls on OPT-13B with 17-64 residents per layer and states drawn from
+    0..3, so every swap evicts and both of the greedy core's argsorts see
+    ties past numpy's insertion-sort cutoff."""
     layout = NeuronLayout.build(get_model("OPT-13B"), granularity=128)
     shape = (layout.model.num_layers, layout.groups_per_layer)
     gbytes = layout.group_bytes
@@ -498,13 +461,10 @@ def tie_heavy_digest() -> str:
         mapper = initialized_mapper(layout, hot, int((hot * gbytes).sum()))
         for _ in range(10):
             states = rng.integers(0, 4, shape).astype(np.int16)
-            layer = int(rng.integers(0, shape[0]))
-            moved = mapper.adjust(layer, states[layer], hot_threshold=1)
-            digest.update(repr(moved).encode())
             window, swapped = mapper.swap_token(
                 states, 1, 2.0 * gbytes.max() / PCIE, PCIE)
             digest.update(repr((window, swapped)).encode())
-            digest.update(mapper.resident_matrix.tobytes())
+            digest.update(mapper.resident.tobytes())
     return digest.hexdigest()
 
 
@@ -534,15 +494,90 @@ class TestTieOrderDispatch:
             assert child.stdout.strip() == want, off
 
 
+# Algorithm 1 layer by layer, as the list form of ``rebalance_all`` ran
+# it before the matrix form, copied verbatim (its per-layer argsort
+# included): the reference the matrix form must match exactly.
+def reference_rebalance_layer(
+    self,
+    layer: int,
+    dimm_of: np.ndarray,
+    *,
+    exclude: np.ndarray | None = None,
+) -> RemapResult:
+    """Algorithm 1 for one layer; mutates ``dimm_of`` in place."""
+    if self.num_dimms == 1:
+        return RemapResult()
+    activity = self._activity[layer].astype(np.float64)
+    if exclude is not None:
+        activity = np.where(exclude, 0.0, activity)
+    loads = np.bincount(
+        dimm_of, weights=activity, minlength=self.num_dimms
+    )
+    return reference_rebalance_pairs(self, layer, dimm_of, activity, loads)
+
+
+def reference_rebalance_pairs(
+    self,
+    layer: int,
+    dimm_of: np.ndarray,
+    activity: np.ndarray,
+    loads: np.ndarray,
+) -> RemapResult:
+    """Pair heaviest/lightest DIMMs and drain each pair (lines 2-6)."""
+    result = RemapResult()
+    order = np.argsort(loads)[::-1]  # heaviest first (line 2)
+    for pos in range(self.num_dimms // 2):
+        heavy = int(order[pos])
+        light = int(order[self.num_dimms - 1 - pos])
+        if loads[heavy] <= loads[light]:
+            # already balanced: any positive move would overshoot, so
+            # the drain loop could only break on its first candidate
+            continue
+        moved = self._drain_pair(
+            layer, dimm_of, activity, loads, heavy, light
+        )
+        result.merge(moved)
+    return result
+
+
+def reference_rebalance_all(self, dimm_of, *, exclude=None) -> RemapResult:
+    """The list form of ``rebalance_all``: :func:`reference_rebalance_layer`
+    on every per-layer row, then reset the window."""
+    total = RemapResult()
+    rows = list(dimm_of)
+    for l in range(len(rows)):
+        mask = exclude[l] if exclude is not None else None
+        total.merge(reference_rebalance_layer(self, l, rows[l], exclude=mask))
+    self.reset_window()
+    return total
+
+
+def dimm_loads(activity, dimm_of, num_dimms, exclude=None):
+    """(layers, dimms) windowed activated-group load of each DIMM."""
+    if exclude is not None:
+        activity = np.where(exclude, 0, activity)
+    return np.stack([np.bincount(d, weights=a, minlength=num_dimms)
+                     for a, d in zip(activity, dimm_of)])
+
+
 class TestWindowScheduler:
     def make(self, layout, num_dimms=4, window=5):
         return WindowScheduler(layout, num_dimms, window=window)
 
     def observe_tokens(self, scheduler, layout, rng, n=5, density=0.3):
+        shape = (layout.model.num_layers, layout.groups_per_layer)
         for _ in range(n):
-            masks = [rng.random(layout.groups_per_layer) < density
-                     for _ in range(layout.model.num_layers)]
-            scheduler.observe_token(masks)
+            scheduler.observe_token(rng.random(shape) < density)
+
+    def rebalance(self, scheduler, dimm_of, exclude=None):
+        """``rebalance_all`` with every layer's max DIMM load before and
+        after it, over the window it drains."""
+        activity = scheduler._activity.copy()
+        n = scheduler.num_dimms
+        before = dimm_loads(activity, dimm_of, n, exclude).max(axis=1)
+        result = scheduler.rebalance_all(dimm_of, exclude=exclude)
+        after = dimm_loads(activity, dimm_of, n, exclude).max(axis=1)
+        return result, before, after
 
     def test_window_fills(self, layout):
         scheduler = self.make(layout, window=3)
@@ -556,55 +591,58 @@ class TestWindowScheduler:
         rng = np.random.default_rng(1)
         self.observe_tokens(scheduler, layout, rng)
         # heavily skewed: everything on DIMM 0
-        dimm_of = np.zeros(layout.groups_per_layer, dtype=np.int64)
-        before = scheduler.dimm_loads(0, dimm_of)
-        result = scheduler.rebalance_layer(0, dimm_of)
-        after = scheduler.dimm_loads(0, dimm_of)
+        dimm_of = np.zeros(
+            (layout.model.num_layers, layout.groups_per_layer),
+            dtype=np.int64)
+        result, before, after = self.rebalance(scheduler, dimm_of)
         assert result.moved_groups > 0
-        assert after.max() < before.max()
+        assert (after < before).all()
 
     def test_rebalance_never_increases_max_load(self, layout):
         scheduler = self.make(layout, num_dimms=4)
         rng = np.random.default_rng(2)
         self.observe_tokens(scheduler, layout, rng)
-        dimm_of = rng.integers(0, 4, layout.groups_per_layer)
-        before = scheduler.dimm_loads(0, dimm_of).max()
-        scheduler.rebalance_layer(0, dimm_of)
-        after = scheduler.dimm_loads(0, dimm_of).max()
-        assert after <= before + 1e-9
+        dimm_of = rng.integers(
+            0, 4, (layout.model.num_layers, layout.groups_per_layer))
+        _, before, after = self.rebalance(scheduler, dimm_of)
+        assert (after <= before + 1e-9).all()
 
     def test_balanced_input_moves_nothing(self, layout):
         scheduler = self.make(layout, num_dimms=2)
-        masks = [np.ones(layout.groups_per_layer, dtype=bool)
-                 for _ in range(layout.model.num_layers)]
+        shape = (layout.model.num_layers, layout.groups_per_layer)
         for _ in range(5):
-            scheduler.observe_token(masks)
-        dimm_of = np.arange(layout.groups_per_layer) % 2
-        result = scheduler.rebalance_layer(0, dimm_of)
-        assert result.moved_groups <= 1
+            scheduler.observe_token(np.ones(shape, dtype=bool))
+        dimm_of = np.tile(np.arange(shape[1]) % 2, (shape[0], 1))
+        result = scheduler.rebalance_all(dimm_of)
+        assert result.moved_groups <= shape[0]  # at most one per layer
 
     def test_single_dimm_is_noop(self, layout):
         scheduler = self.make(layout, num_dimms=1)
         rng = np.random.default_rng(3)
         self.observe_tokens(scheduler, layout, rng)
-        dimm_of = np.zeros(layout.groups_per_layer, dtype=np.int64)
-        assert scheduler.rebalance_layer(0, dimm_of).moved_groups == 0
+        dimm_of = np.zeros(
+            (layout.model.num_layers, layout.groups_per_layer),
+            dtype=np.int64)
+        assert scheduler.rebalance_all(dimm_of).moved_groups == 0
+        assert not dimm_of.any()
 
     def test_excluded_groups_do_not_count_or_move(self, layout):
         scheduler = self.make(layout, num_dimms=2)
         rng = np.random.default_rng(4)
         self.observe_tokens(scheduler, layout, rng, density=0.5)
-        dimm_of = np.zeros(layout.groups_per_layer, dtype=np.int64)
-        exclude = np.ones(layout.groups_per_layer, dtype=bool)
-        result = scheduler.rebalance_layer(0, dimm_of, exclude=exclude)
+        shape = (layout.model.num_layers, layout.groups_per_layer)
+        dimm_of = np.zeros(shape, dtype=np.int64)
+        exclude = np.ones(shape, dtype=bool)
+        result = scheduler.rebalance_all(dimm_of, exclude=exclude)
         assert result.moved_groups == 0
 
     def test_rebalance_all_resets_window(self, layout):
         scheduler = self.make(layout, num_dimms=2, window=2)
         rng = np.random.default_rng(5)
         self.observe_tokens(scheduler, layout, rng, n=2)
-        dimm_of = [np.zeros(layout.groups_per_layer, dtype=np.int64)
-                   for _ in range(layout.model.num_layers)]
+        dimm_of = np.zeros(
+            (layout.model.num_layers, layout.groups_per_layer),
+            dtype=np.int64)
         scheduler.rebalance_all(dimm_of)
         assert not scheduler.window_full
 
@@ -612,8 +650,10 @@ class TestWindowScheduler:
         scheduler = self.make(layout, num_dimms=2)
         rng = np.random.default_rng(6)
         self.observe_tokens(scheduler, layout, rng, density=0.6)
-        dimm_of = np.zeros(layout.groups_per_layer, dtype=np.int64)
-        result = scheduler.rebalance_layer(0, dimm_of)
+        dimm_of = np.zeros(
+            (layout.model.num_layers, layout.groups_per_layer),
+            dtype=np.int64)
+        result = scheduler.rebalance_all(dimm_of)
         assert result.moved_bytes == sum(result.pair_bytes.values())
         assert result.max_link_bytes <= result.moved_bytes
 
@@ -624,7 +664,7 @@ class TestWindowScheduler:
             WindowScheduler(layout, 2, window=0)
         scheduler = self.make(layout)
         with pytest.raises(ValueError):
-            scheduler.observe_token([])
+            scheduler.observe_token(np.zeros((1, 3), dtype=bool))
 
     @given(seed=st.integers(0, 500), num_dimms=st.integers(2, 8))
     @settings(max_examples=25, deadline=None)
@@ -635,10 +675,10 @@ class TestWindowScheduler:
         self.observe_tokens(
             scheduler, layout, rng, density=float(rng.uniform(0.05, 0.6))
         )
-        dimm_of = rng.integers(0, num_dimms, layout.groups_per_layer)
-        before = scheduler.dimm_loads(1, dimm_of).max()
-        scheduler.rebalance_layer(1, dimm_of)
-        assert scheduler.dimm_loads(1, dimm_of).max() <= before + 1e-9
+        dimm_of = rng.integers(
+            0, num_dimms, (layout.model.num_layers, layout.groups_per_layer))
+        _, before, after = self.rebalance(scheduler, dimm_of)
+        assert (after <= before + 1e-9).all()
 
     @given(model=st.sampled_from(sorted(REFERENCE_LAYOUTS)),
            num_dimms=st.sampled_from([1, 2, 3, 4, 8, 16]),
@@ -647,9 +687,9 @@ class TestWindowScheduler:
     @settings(max_examples=120, deadline=None)
     def test_matrix_rebalance_matches_list_form(
             self, reference_layouts, model, num_dimms, use_exclude, seed):
-        """The matrix form of ``rebalance_all`` equals its list form,
-        which runs ``rebalance_layer`` per layer (the reference), on
-        tie-heavy windowed activity over skewed DIMM mappings."""
+        """``rebalance_all`` equals its list form, which runs Algorithm 1
+        layer by layer (the reference), on tie-heavy windowed activity
+        over skewed DIMM mappings."""
         layout = reference_layouts[model]
         rng = np.random.default_rng(seed)
         shape = (layout.model.num_layers, layout.groups_per_layer)
@@ -659,15 +699,14 @@ class TestWindowScheduler:
         for _ in range(matrix_form.window):
             masks = rng.random(shape) < density
             matrix_form.observe_token(masks)
-            list_form.observe_token(list(masks))
+            list_form.observe_token(masks)
         weights = rng.random(num_dimms) ** 3 + 1e-3
         dimm_of = rng.choice(num_dimms, size=shape, p=weights / weights.sum())
         rows = [row.copy() for row in dimm_of]
         exclude = (rng.random(shape) < rng.uniform(0.0, 0.5)
                    if use_exclude else None)
         got = matrix_form.rebalance_all(dimm_of, exclude=exclude)
-        want = list_form.rebalance_all(
-            rows, exclude=None if exclude is None else list(exclude))
+        want = reference_rebalance_all(list_form, rows, exclude=exclude)
         assert np.array_equal(dimm_of, np.stack(rows))
         assert got.moved_groups == want.moved_groups
         assert got.moved_bytes == want.moved_bytes

@@ -46,6 +46,43 @@ class TestConfig:
             )
 
 
+# The per-layer prediction as it stood before ``predict_all``, copied
+# verbatim: the reference each row of ``predict_all`` must match.
+def reference_predict(self, layer: int,
+                      prev_actual: np.ndarray | None = None) -> np.ndarray:
+    """Predicted activation mask for ``layer`` on the current token.
+
+    ``prev_actual`` is the realised activation of layer-1 (available
+    because layers execute sequentially); it feeds the layer-wise term.
+    """
+    cfg = self.config
+    if cfg.use_token_prediction:
+        s1 = self.states[layer].astype(np.float64)
+    else:
+        s1 = np.zeros(self.layout.groups_per_layer)
+    s2 = np.zeros_like(s1)
+    if (cfg.use_layer_prediction and layer > 0
+            and prev_actual is not None
+            and self.correlation is not None):
+        parents = self.correlation.parents[layer]
+        if parents is not None:
+            s2 = prev_actual[parents].sum(axis=1).astype(np.float64)
+    score = s1 + cfg.lam * s2
+    if not cfg.use_token_prediction:
+        # layer-only mode: both sampled parents must fire — one parent
+        # alone fires far too often (hot parents are nearly always on)
+        return s2 >= 2.0
+    # ">=" rather than the paper's strict ">": the state table saturates
+    # at 15 == T, so a strict comparison would never fire on a
+    # permanently-active neuron with silent parents.
+    return score >= cfg.threshold
+
+
+def token(predictor, fill: bool) -> np.ndarray:
+    """A (num_layers, groups) activation matrix, all on or all off."""
+    return np.full(predictor.states.shape, fill)
+
+
 class TestStateMachine:
     def test_initial_states_follow_prefill_frequency(
         self, predictor, tiny_trace
@@ -56,64 +93,61 @@ class TestStateMachine:
         assert (states[freq > 0.95] == STATE_MAX).all()
         assert (states[freq < 0.05] == 0).all()
 
-    def test_activation_raises_state_by_s_up(self, predictor, layout):
-        predictor.states[0][:] = 5
-        actual = np.ones(layout.groups_per_layer, dtype=bool)
-        predictor.observe(0, actual)
+    def test_activation_raises_state_by_s_up(self, predictor):
+        predictor.states[0] = 5
+        predictor.observe_all(token(predictor, True))
         assert (predictor.states[0] == 9).all()
 
-    def test_inactivity_decays_by_one(self, predictor, layout):
-        predictor.states[0][:] = 5
-        predictor.observe(0, np.zeros(layout.groups_per_layer, dtype=bool))
+    def test_inactivity_decays_by_one(self, predictor):
+        predictor.states[0] = 5
+        predictor.observe_all(token(predictor, False))
         assert (predictor.states[0] == 4).all()
 
-    def test_state_saturates_at_15(self, predictor, layout):
-        predictor.states[0][:] = 14
-        predictor.observe(0, np.ones(layout.groups_per_layer, dtype=bool))
+    def test_state_saturates_at_15(self, predictor):
+        predictor.states[0] = 14
+        predictor.observe_all(token(predictor, True))
         assert (predictor.states[0] == STATE_MAX).all()
 
-    def test_state_floors_at_zero(self, predictor, layout):
-        predictor.states[0][:] = 0
-        predictor.observe(0, np.zeros(layout.groups_per_layer, dtype=bool))
+    def test_state_floors_at_zero(self, predictor):
+        predictor.states[0] = 0
+        predictor.observe_all(token(predictor, False))
         assert (predictor.states[0] == 0).all()
 
-    def test_paper_example(self, predictor, layout):
+    def test_paper_example(self, predictor):
         """Fig. 7a: neuron at state 7 activates -> 11; at 10 idles -> 9."""
         predictor.states[0][:2] = [7, 10]
-        actual = np.zeros(layout.groups_per_layer, dtype=bool)
-        actual[0] = True
-        predictor.observe(0, actual)
+        actuals = token(predictor, False)
+        actuals[0][0] = True
+        predictor.observe_all(actuals)
         assert predictor.states[0][0] == 11
         assert predictor.states[0][1] == 9
 
     def test_observe_rejects_wrong_shape(self, predictor):
         with pytest.raises(ValueError):
-            predictor.observe(0, np.zeros(3, dtype=bool))
+            predictor.observe_all(np.zeros(3, dtype=bool))
 
 
 class TestPrediction:
     def test_saturated_neuron_predicted_without_parents(self, predictor):
-        predictor.states[1][:] = STATE_MAX
-        pred = predictor.predict(1, prev_actual=None)
-        assert pred.all()
+        predictor.states[1] = STATE_MAX
+        assert predictor.predict_all(token(predictor, False))[1].all()
 
     def test_cold_neuron_not_predicted(self, predictor):
-        predictor.states[1][:] = 0
-        prev = np.zeros(predictor.layout.groups_per_layer, dtype=bool)
-        assert not predictor.predict(1, prev).any()
+        predictor.states[1] = 0
+        assert not predictor.predict_all(token(predictor, False))[1].any()
 
     def test_correlated_parents_boost_prediction(self, predictor):
         """s1 + lam*s2 >= T: state 4 alone fails, but both parents firing
         adds 12, crossing the threshold."""
-        predictor.states[1][:] = 4
-        no_parents = np.zeros(predictor.layout.groups_per_layer, dtype=bool)
-        all_parents = np.ones(predictor.layout.groups_per_layer, dtype=bool)
-        assert not predictor.predict(1, no_parents).any()
-        assert predictor.predict(1, all_parents).all()
+        predictor.states[1] = 4
+        assert not predictor.predict_all(token(predictor, False))[1].any()
+        assert predictor.predict_all(token(predictor, True))[1].all()
 
     def test_layer_zero_uses_token_prediction_only(self, predictor):
-        predictor.states[0][:] = STATE_MAX
-        assert predictor.predict(0, None).all()
+        predictor.states[0] = STATE_MAX
+        assert predictor.predict_all(token(predictor, True))[0].all()
+        predictor.states[0] = 4
+        assert not predictor.predict_all(token(predictor, True))[0].any()
 
     def test_token_only_mode(self, layout, tiny_trace):
         p = ActivationPredictor(
@@ -121,17 +155,16 @@ class TestPrediction:
         )
         p.initialize(tiny_trace)
         assert p.correlation is None
-        p.states[1][:] = STATE_MAX
-        assert p.predict(1, np.ones(layout.groups_per_layer, bool)).all()
+        p.states[1] = STATE_MAX
+        assert p.predict_all(token(p, True))[1].all()
 
     def test_layer_only_mode_requires_both_parents(self, layout, tiny_trace):
         p = ActivationPredictor(
             layout, PredictorConfig(use_token_prediction=False)
         )
         p.initialize(tiny_trace)
-        prev = np.ones(layout.groups_per_layer, dtype=bool)
-        assert p.predict(1, prev).all()
-        assert not p.predict(1, ~prev).any()
+        assert p.predict_all(token(p, True))[1].all()
+        assert not p.predict_all(token(p, False))[1].any()
 
 
 class TestPredictAll:
@@ -141,10 +174,11 @@ class TestPredictAll:
     @pytest.mark.parametrize("trace_name", ["tiny_trace", "small_opt_trace"])
     def test_rows_match_per_layer_predict(self, request, trace_name, mode,
                                           correlation, hole):
-        """Row ``l`` of ``predict_all`` equals ``predict(l, actuals[l-1])``
-        (``None`` for layer 0) over several tokens, with the profiled
-        correlation table, for each prediction mode and a stack with one
-        layer's table missing."""
+        """Row ``l`` of ``predict_all`` equals the per-layer reference
+        ``reference_predict(l, actuals[l-1])`` (``None`` for layer 0)
+        over several tokens, with the profiled correlation table, for
+        each prediction mode and a stack with one layer's table
+        missing."""
         trace = request.getfixturevalue(trace_name)
         p = ActivationPredictor(trace.layout, PredictorConfig(
             use_token_prediction=mode != "layer-only",
@@ -157,7 +191,7 @@ class TestPredictAll:
             rows = p.predict_all(actuals)
             for l in range(trace.num_layers):
                 prev = actuals[l - 1] if l else None
-                assert np.array_equal(rows[l], p.predict(l, prev))
+                assert np.array_equal(rows[l], reference_predict(p, l, prev))
             p.observe_all(actuals, rows)
 
 
@@ -165,12 +199,8 @@ class TestAccuracy:
     def test_accuracy_on_calibrated_trace(self, predictor, tiny_trace):
         """Replay: accuracy should land near the paper's ~98% claim."""
         for t in tiny_trace.decode_tokens():
-            prev = None
-            for l in range(tiny_trace.num_layers):
-                actual = tiny_trace.active(l, t)
-                predicted = predictor.predict(l, prev)
-                predictor.observe(l, actual, predicted)
-                prev = actual
+            actuals = tiny_trace.active_matrix(t)
+            predictor.observe_all(actuals, predictor.predict_all(actuals))
         assert predictor.stats.accuracy > 0.90
         assert predictor.stats.recall > 0.75
         assert predictor.stats.precision > 0.70
@@ -210,12 +240,9 @@ class TestCorrelationTable:
             p.initialize(tiny_trace)
             p.correlation = table
             for t in tiny_trace.decode_tokens():
-                prev = None
-                for l in range(1, tiny_trace.num_layers):
-                    actual = tiny_trace.active(l, t)
-                    predicted = p.predict(l, prev)
-                    p.stats.update(predicted, actual)
-                    prev = actual
+                actuals = tiny_trace.active_matrix(t)
+                # the layers with a table
+                p.stats.update(p.predict_all(actuals)[1:], actuals[1:])
             return p.stats.accuracy
 
         profiled = CorrelationTable.from_profiling(tiny_trace)
@@ -248,9 +275,3 @@ class TestFootprint:
 
     def test_overhead_is_sub_millisecond(self, predictor):
         assert predictor.predictor_overhead_seconds(0) < 1e-3
-
-    def test_hot_mask_threshold(self, predictor):
-        predictor.states[0][:] = 10
-        assert not predictor.hot_mask(0).any()
-        predictor.states[0][:] = 11
-        assert predictor.hot_mask(0).all()

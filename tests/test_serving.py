@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import HermesSystem
+from repro.core import HermesSystem, batch_union_factor
 from repro.hardware import Machine
 from repro.models import get_model
 from repro.serving import (
@@ -522,11 +522,10 @@ class TestPolicySelect:
         executor = MachineExecutor(
             Machine(), get_model("tiny-test"), trace=_trace()
         )
-        session = executor.session
-        layers = range(get_model("tiny-test").num_layers)
+        freqs = executor.session.freqs
         for batch in (1, 2, 5, 8):
             reference = float(np.mean(
-                [session.union_factor(layer, batch) for layer in layers]))
+                [batch_union_factor(freq, batch) for freq in freqs]))
             assert executor.mean_union(batch) == reference
 
     def test_partition_cache_reuses_solution_across_runs(self):
@@ -541,7 +540,5 @@ class TestPolicySelect:
         # distinct objects (window scheduling mutates them per run) with
         # identical solved contents
         assert pa is not pb
-        assert all(
-            np.array_equal(x, y) for x, y in zip(pa.hot_masks, pb.hot_masks)
-        )
-        assert np.array_equal(pa.dimm_of_matrix, pb.dimm_of_matrix)
+        assert np.array_equal(pa.hot_masks, pb.hot_masks)
+        assert np.array_equal(pa.dimm_of, pb.dimm_of)

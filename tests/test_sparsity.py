@@ -158,19 +158,17 @@ class TestGenerateTrace:
         assert tiny_trace.num_layers == tiny_model.num_layers
         assert tiny_trace.n_tokens == 96
         assert tiny_trace.n_decode_tokens == 64
-        for matrix in tiny_trace.layers:
-            assert matrix.shape == (96, 320)
-            assert matrix.dtype == bool
+        assert tiny_trace.activations.shape == (96, 4, 320)
+        assert tiny_trace.activations.dtype == bool
+        assert tiny_trace.active_matrix(5).flags.c_contiguous
 
     def test_deterministic_per_seed(self, tiny_model):
         cfg = TraceConfig(prompt_len=8, decode_len=8, granularity=8)
         a = generate_trace(tiny_model, cfg, seed=3)
         b = generate_trace(tiny_model, cfg, seed=3)
         c = generate_trace(tiny_model, cfg, seed=4)
-        assert all(np.array_equal(x, y) for x, y in zip(a.layers, b.layers))
-        assert any(
-            not np.array_equal(x, y) for x, y in zip(a.layers, c.layers)
-        )
+        assert np.array_equal(a.activations, b.activations)
+        assert not np.array_equal(a.activations, c.activations)
 
     def test_density_close_to_target(self, tiny_trace, tiny_model):
         assert tiny_trace.density() == pytest.approx(
@@ -254,7 +252,7 @@ class TestTraceAccessors:
 
     def test_prefill_frequencies_use_prompt_only(self, tiny_trace):
         f = tiny_trace.prefill_frequencies(1)
-        expected = tiny_trace.layers[1][:32].mean(axis=0)
+        expected = tiny_trace.activations[:32, 1].mean(axis=0)
         assert np.allclose(f, expected)
 
     def test_decode_tokens_range(self, tiny_trace):
@@ -269,7 +267,7 @@ class TestTraceAccessors:
         with pytest.raises(ValueError):
             ActivationTrace(
                 layout=tiny_trace.layout,
-                layers=tiny_trace.layers[:-1],
+                activations=tiny_trace.activations[:, :-1],
                 parents=tiny_trace.parents,
                 prompt_len=32,
                 seed=0,
@@ -277,7 +275,7 @@ class TestTraceAccessors:
         with pytest.raises(ValueError):
             ActivationTrace(
                 layout=tiny_trace.layout,
-                layers=tiny_trace.layers,
+                activations=tiny_trace.activations,
                 parents=tiny_trace.parents,
                 prompt_len=1000,
                 seed=0,
