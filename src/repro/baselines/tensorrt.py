@@ -66,14 +66,6 @@ class TensorRTLLM:
         t_attn = self.gpu.attention_time(kv_bytes / self.num_gpus)
         return t_fc, t_comm, t_attn
 
-    def decode_token_cost(self, context: int, batch: int) -> float:
-        """One decode token across all layers (critical-path seconds)."""
-        token = 0.0
-        for _ in range(self.model.num_layers):
-            t_fc, t_comm, t_attn = self.layer_costs(context, batch)
-            token += t_fc + t_comm + t_attn
-        return token
-
     def run(self, trace: ActivationTrace, batch: int = 1) -> RunResult:
         if batch < 1:
             raise ValueError("batch must be >= 1")

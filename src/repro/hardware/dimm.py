@@ -12,8 +12,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 
-import numpy as np
-
 from ..dram import (
     DDR4Timing,
     DIMMGeometry,
@@ -76,23 +74,6 @@ class NDPDIMM:
         bandwidth = (self.internal_bandwidth if run_bytes is None
                      else self.effective_stream_bandwidth(run_bytes))
         return self.core.gemv_time(weight_bytes, bandwidth, batch)
-
-    def gemv_time_batch(
-        self,
-        weight_bytes: np.ndarray,
-        batch: int = 1,
-        *,
-        run_bytes: float | None = None,
-    ) -> np.ndarray:
-        """Vectorized :meth:`gemv_time` over an array of byte counts.
-
-        The decode fast path calls this once per FC block with the per-DIMM
-        byte loads instead of looping ``gemv_time`` over the pool; every
-        element equals the scalar result bit-for-bit.
-        """
-        bandwidth = (self.internal_bandwidth if run_bytes is None
-                     else self.effective_stream_bandwidth(run_bytes))
-        return self.core.gemv_time_batch(weight_bytes, bandwidth, batch)
 
     def attention_time(
         self, kv_bytes: float, context_len: int, num_heads: int, batch: int = 1

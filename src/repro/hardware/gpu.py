@@ -90,22 +90,18 @@ class GPUSpec:
         batch: int = 1,
         *,
         scattered: bool = False,
-        check: bool = True,
     ) -> np.ndarray:
-        """Vectorized :meth:`matmul_time` over an array of byte counts.
+        """Vectorized :meth:`matmul_time` over a float64 array of byte
+        counts.
 
         Scalar-preserving: each element matches the scalar path bit-for-bit
         (including the exactly-zero fast path, which skips the kernel-launch
-        overhead).  ``check=False`` skips the input validation scan for
-        callers whose loads are non-negative by construction (the decode
-        loop calls this every step).
+        overhead).  The loads are not scanned for negative values: the
+        decode step calls this every token with loads that are
+        non-negative by construction.
         """
         if batch < 1:
             raise ValueError("batch must be >= 1")
-        if check:
-            weight_bytes = np.asarray(weight_bytes, dtype=np.float64)
-            if (weight_bytes < 0).any():
-                raise ValueError("weight_bytes must be non-negative")
         bandwidth = self.effective_bandwidth
         if scattered:
             bandwidth *= self.gather_efficiency

@@ -57,27 +57,20 @@ class NDPCore:
         weight_bytes: np.ndarray,
         stream_bandwidth: float,
         batch: int = 1,
-        *,
-        check: bool = True,
     ) -> np.ndarray:
-        """Vectorized :meth:`gemv_time` over an array of byte counts.
+        """Vectorized :meth:`gemv_time` over a float64 array of byte
+        counts.
 
         One elementwise max over the whole array replaces a Python-level
         loop of scalar calls; each element is bit-identical to what the
         scalar path returns (zero bytes yields exactly 0.0 either way).
-        ``check=False`` skips the input validation scan for callers whose
-        loads are non-negative by construction.
+        The loads are not scanned for negative values: the decode step's
+        are non-negative by construction.
         """
         if stream_bandwidth <= 0:
             raise ValueError("stream_bandwidth must be positive")
-        if check:
-            weight_bytes = np.asarray(weight_bytes, dtype=np.float64)
-            if (weight_bytes < 0).any():
-                raise ValueError("weight_bytes must be non-negative")
         t_stream = weight_bytes / stream_bandwidth
-        t_compute = self.gemv.compute_time_batch(
-            weight_bytes, batch, check=check
-        )
+        t_compute = self.gemv.compute_time_batch(weight_bytes, batch)
         return np.maximum(t_stream, t_compute)
 
     def attention_time(

@@ -58,18 +58,16 @@ class GEMVUnit:
         return macs / self.macs_per_second
 
     def compute_time_batch(
-        self, weight_bytes: np.ndarray, batch: int = 1, *, check: bool = True
+        self, weight_bytes: np.ndarray, batch: int = 1
     ) -> np.ndarray:
-        """Vectorized :meth:`compute_time` over an array of byte counts.
+        """Vectorized :meth:`compute_time` over a float64 array of byte
+        counts.
 
         Element-for-element identical to the scalar path (same operation
-        order), so callers may mix the two freely.  ``check=False`` skips
-        the conversion for inputs already in float64 arrays.
+        order), so callers may mix the two freely.
         """
         if batch < 1:
             raise ValueError("batch must be >= 1")
-        if check:
-            weight_bytes = np.asarray(weight_bytes, dtype=np.float64)
         return weight_bytes / 2 * batch / self.macs_per_second
 
     def scaled(self, multipliers: int) -> "GEMVUnit":

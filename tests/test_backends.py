@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.baselines import DejaVu, FlexGen, TensorRTLLM
+from repro.baselines import DejaVu, FlexGen
 from repro.cluster import ThroughputLeastLoadedRouter, get_router
 from repro.models import get_model
 from repro.serving import (
@@ -304,14 +304,6 @@ class TestOfflineBaselinesStillOffline:
             machine, tiny_model).token_cost(64, 2)
         assert pipeline >= transfer_only > 0
         assert attn > 0
-
-    def test_tensorrt_token_cost_composes(self, tiny_model):
-        system = TensorRTLLM(tiny_model)
-        token = system.decode_token_cost(64, 2)
-        fc, comm, attn = system.layer_costs(64, 2)
-        assert token == pytest.approx(
-            tiny_model.num_layers * (fc + comm + attn)
-        )
 
     def test_executor_is_the_hermes_backend(
         self, machine, tiny_model, tiny_trace
