@@ -264,8 +264,8 @@ class ServingBackend:
 def _clone_partition(partition: OfflinePartition) -> OfflinePartition:
     """A private mutable copy of a solved partition.
 
-    Window scheduling remaps ``dimm_of`` in place, so every session gets
-    its own clone of a cached pristine solution.
+    Window scheduling remaps ``dimm_of`` in place, so the cache keeps a
+    pristine clone and every later session gets a clone of it.
     """
     return OfflinePartition(
         hot_masks=partition.hot_masks.copy(),
