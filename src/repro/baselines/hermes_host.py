@@ -98,12 +98,7 @@ class HermesHost(OffloadingSystem):
         result.add("prefill", prefill)
         result.add("communication", hot_load)
 
-        # (groups, 2): column b holds the bytes of FC block b (attn /
-        # mlp), so one matmul sums both blocks of every layer; exact,
-        # as every product is 0 or a group's bytes
-        block_bytes = np.zeros((layout.groups_per_layer, 2))
-        for b, block in enumerate((layout.attn_slice, layout.mlp_slice)):
-            block_bytes[block, b] = layout.group_bytes[block]
+        block_bytes = layout.block_bytes()
         t_proj = machine.gpu.matmul_time(model.dense_bytes_per_layer, batch)
         t_pred = predictor.predictor_overhead_seconds(0)
         decode = 0.0

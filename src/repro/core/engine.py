@@ -325,16 +325,11 @@ class HermesSession:
 
         # ---- decode fast-path invariants (hoisted out of decode_step) ----
         layout = self.layout
-        #: (groups, 2) float64 matrix whose column b holds the weight
-        #: bytes of FC block b (attn / mlp) and zero elsewhere — one BLAS
-        #: matmul then sums both blocks' GPU-side bytes for every layer at
-        #: once.  Exact: every product is 0 or a group's bytes, and a
-        #: layer's sums stay far below 2**53.
+        #: one BLAS matmul with it sums both FC blocks' GPU-side bytes
+        #: for every layer at once
         num_layers = system.model.num_layers
         n_dimms = machine.num_dimms
-        self._gpu_block_matrix = np.zeros((layout.groups_per_layer, 2))
-        for b, block in enumerate((layout.attn_slice, layout.mlp_slice)):
-            self._gpu_block_matrix[block, b] = layout.group_bytes[block]
+        self._gpu_block_matrix = layout.block_bytes()
         #: flat bin key offsets mapping (layer, block, dimm) to
         #: l*n_dimms + is_mlp*num_layers*n_dimms + dimm for the one-shot
         #: segmented bincount over the whole token

@@ -76,6 +76,19 @@ class NeuronLayout:
     def mlp_slice(self) -> slice:
         return slice(self.attn_groups, self.groups_per_layer)
 
+    def block_bytes(self) -> np.ndarray:
+        """(groups, 2) float64 matrix whose column b holds the weight
+        bytes of FC block b (attention, then MLP) and zero elsewhere.
+
+        One matmul of a (layers, groups) mask with it sums both blocks'
+        bytes for every layer.  Exact: every product is 0 or a group's
+        bytes, and a layer's sums stay far below 2**53.
+        """
+        matrix = np.zeros((self.groups_per_layer, 2))
+        for b, block in enumerate((self.attn_slice, self.mlp_slice)):
+            matrix[block, b] = self.group_bytes[block]
+        return matrix
+
     def bytes_of(self, mask: np.ndarray) -> int:
         """Total weight bytes of the groups selected by a boolean mask."""
         if mask.shape != (self.groups_per_layer,):
