@@ -27,6 +27,7 @@ slower link itself.
 from __future__ import annotations
 
 import abc
+import math
 
 import numpy as np
 
@@ -101,7 +102,7 @@ def streamed_dense_token_cost(
         computes.append(machine.gpu.matmul_time(model.layer_bytes, batch)
                         + per_layer_overhead)
     pipeline = overlap_two_stage(transfers, computes)
-    return pipeline, sum(transfers)
+    return pipeline, math.fsum(transfers)
 
 
 def resident_dense_token_cost(

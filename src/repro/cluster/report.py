@@ -59,7 +59,7 @@ class ClusterReport(ServingReport):
         out: dict[str, float] = {}
         for name, members in self.domains:
             total = self.makespan * len(members)
-            down = sum(
+            down = math.fsum(
                 self.machine_downtime[m]
                 for m in members
                 if m < len(self.machine_downtime)
@@ -153,7 +153,7 @@ class ClusterReport(ServingReport):
         if self.makespan <= 0:
             return math.nan
         available = self.makespan * self.num_machines
-        available -= sum(self.machine_downtime)
+        available -= math.fsum(self.machine_downtime)
         if available <= 0:
             return math.nan
         good_tokens = sum(
@@ -206,5 +206,5 @@ class ClusterReport(ServingReport):
         rates = [t / s for t, s in groups.values() if s > 0]
         if not rates:
             return 1.0
-        total = sum(rates)
-        return total * total / (len(rates) * sum(r * r for r in rates))
+        total = math.fsum(rates)
+        return total * total / (len(rates) * math.fsum(r * r for r in rates))

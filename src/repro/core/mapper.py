@@ -136,15 +136,16 @@ class NeuronMapper:
         they fit ``budget`` bytes; one that does not fit the free GPU
         space evicts the coldest held groups first, but never one at
         least as hot as itself, and groups admitted during the call are
-        never victims.  The two ``argsort`` calls (default kind, on the
-        group-ordered states) fix how state ties are broken; the second
-        runs only once a candidate must evict.  The free space is the
+        never victims.  The two stable ``argsort`` calls on the
+        group-ordered states break state ties: candidates by higher group
+        index, victims by lower; the second runs only once a candidate
+        must evict.  The free space is the
         tighter of the global and per-layer headroom and moves by
         exactly the bytes admitted or evicted.  Returns the bytes
         swapped in.
         """
         flat_bytes = self._flat_bytes
-        order = keys.argsort().tolist()
+        order = keys.argsort(kind="stable").tolist()
         order.reverse()  # hottest first
         free = min(self.gpu_budget_bytes - self.resident_bytes,
                    self.layer_budget[layer] - self._layer_used[layer])
@@ -156,7 +157,7 @@ class NeuronMapper:
                 break
             if free < b:
                 if victims is None:
-                    coldest = held_keys.argsort()
+                    coldest = held_keys.argsort(kind="stable")
                     victims = held[coldest].tolist()
                     victim_states = held_keys[coldest].tolist()
                 state = id_states[i]

@@ -10,6 +10,7 @@ the experiment harness can print paper-shaped rows.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 #: breakdown categories used in Fig. 12
 BREAKDOWN_KEYS = (
@@ -73,7 +74,7 @@ class RunResult:
 
     def breakdown_fractions(self) -> dict[str, float]:
         """Each category as a fraction of total accounted time."""
-        total = sum(self.breakdown.values())
+        total = math.fsum(self.breakdown.values())
         if total <= 0:
             raise ValueError("no breakdown recorded")
         return {k: v / total for k, v in self.breakdown.items()}

@@ -175,14 +175,14 @@ class ServingReport:
         if self.makespan <= 0:
             return math.nan
         total = self.makespan * self.num_machines
-        return 1.0 - sum(self.machine_downtime) / total
+        return 1.0 - math.fsum(self.machine_downtime) / total
 
     @property
     def mean_time_to_recover(self) -> float:
         """Mean crash->serving-again duration (``nan``: no recoveries)."""
         if not self.recoveries:
             return math.nan
-        return sum(self.recoveries) / len(self.recoveries)
+        return math.fsum(self.recoveries) / len(self.recoveries)
 
     @property
     def unfinished(self) -> list[RequestRecord]:
@@ -193,12 +193,12 @@ class ServingReport:
     @property
     def gpu_busy(self) -> float:
         """Total GPU busy seconds summed over machines."""
-        return sum(self.machine_gpu_busy)
+        return math.fsum(self.machine_gpu_busy)
 
     @property
     def dimm_busy(self) -> float:
         """Total NDP-DIMM-pool busy seconds summed over machines."""
-        return sum(self.machine_dimm_busy)
+        return math.fsum(self.machine_dimm_busy)
 
     @property
     def completed(self) -> list[RequestRecord]:

@@ -14,7 +14,9 @@ regenerate them with::
     PYTHONPATH=src python tools/capture_goldens.py
 """
 
+import builtins
 import json
+import math
 import pathlib
 
 import pytest
@@ -207,6 +209,70 @@ def test_routed_fleets_match_goldens(golden, routed_runs, key):
     report = simulator.run(list(workload))
     assert json.loads(json.dumps(routed_outputs(report))) == \
         golden["serving"][key]
+
+
+def compensated_sum(iterable, /, start=0):
+    """A port of Python 3.12's builtin ``sum``: an int start and int
+    items add exactly until the first other item, and from a float on,
+    floats add with Neumaier compensation (3.11 rounds every addition).
+    Items of other types fall back to ``+``."""
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            if type(item) not in (int, bool):
+                result = result + item
+                break
+            result += item
+        else:
+            return result
+    if type(result) is not float:
+        for item in items:
+            result = result + item
+        return result
+    total, c = result, 0.0
+    for item in items:
+        if type(item) is float:
+            t = total + item
+            if abs(total) >= abs(item):
+                c += (total - t) + item
+            else:
+                c += (item - t) + total
+            total = t
+        elif isinstance(item, int) and -2**63 <= item < 2**63:
+            total += float(item)
+        else:
+            if c and math.isfinite(c):
+                total += c
+            result = total + item
+            for item in items:
+                result = result + item
+            return result
+    if c and math.isfinite(c):
+        total += c
+    return total
+
+
+def test_routed_goldens_hold_under_compensated_sum(golden, routed_runs):
+    """The round-robin fleet's goldens hold with ``builtins.sum``
+    swapped for Python 3.12's compensated float sum, as CI's 3.12 and
+    3.13 jobs run it: every float sum that feeds a reported value is
+    ``math.fsum``, correctly rounded on every version.  A builtin sum
+    over the machines' DIMM busy time once moved this fleet's
+    ``dimm_utilization`` by one ulp under it."""
+    from tools.capture_goldens import routed_outputs
+
+    # the port compensates: 3.11's sum gives 0.9999999999999999 here
+    assert compensated_sum([0.1] * 10) == 1.0
+    simulator, workload = routed_runs["routed4/round-robin"]
+    builtin = builtins.sum
+    builtins.sum = compensated_sum
+    try:
+        outputs = routed_outputs(simulator.run(list(workload)))
+    finally:
+        builtins.sum = builtin
+    assert json.loads(json.dumps(outputs)) == \
+        golden["serving"]["routed4/round-robin"]
 
 
 @pytest.mark.parametrize("key", SHARED_QUEUE_KEYS + ROUTED_KEYS)

@@ -42,11 +42,13 @@ PCIE = 2.0**34
 
 
 # The per-layer greedy adjustment as it stood before the engine's
-# per-token swap core, and its result type, copied verbatim (its argsort
-# tie order included), save that it builds its plain-int byte list
-# itself and bumps no swap counter (the mapper has neither any more):
-# the loop reference that ``NeuronMapper.swap_token`` must match
-# exactly, layer by layer.
+# per-token swap core, and its result type, copied verbatim, save that
+# it builds its plain-int byte list itself, bumps no swap counter (the
+# mapper has neither any more) and sorts stably.  Its two stable sorts
+# define the tie order: candidates hottest first, ties by higher group
+# index; victims coldest first, ties by lower group index.  It is the
+# loop reference that ``NeuronMapper.swap_token`` must match exactly,
+# layer by layer.
 @dataclasses.dataclass
 class AdjustmentResult:
     """Outcome of one per-layer adjustment step."""
@@ -132,7 +134,7 @@ def reference_adjust(self, layer: int, states: np.ndarray, *,
 
     # hottest candidates first
     wanted = np.flatnonzero(wanted_row)
-    wanted = wanted[np.argsort(states[wanted])[::-1]]
+    wanted = wanted[np.argsort(states[wanted], kind="stable")[::-1]]
 
     # eviction candidates: coldest residents first.  The candidate set
     # is the residency at entry (groups admitted *during* this call are
@@ -151,7 +153,8 @@ def reference_adjust(self, layer: int, states: np.ndarray, *,
         )
         if free < b and evictable is None:
             evictable = np.flatnonzero(entry_resident)
-            evictable = evictable[np.argsort(states[evictable])]
+            evictable = evictable[np.argsort(states[evictable],
+                                             kind="stable")]
         # evict until the newcomer fits; never evict hotter than it
         while (free < b and evictable is not None
                and evict_pos < evictable.size):
@@ -285,6 +288,27 @@ class TestMapper:
         assert swap_layer0(mapper, states) == 0
         assert np.flatnonzero(mapper.resident).tolist() == [0]
 
+    def test_tie_order(self, layout):
+        """Equal states break by group index: candidates higher first,
+        victims lower first.  Twenty residents are equally cold (past
+        the 16 elements up to which numpy's default int16 sort happens
+        to keep ties in order) and six candidates equally hot; a window
+        of three groups admits the three highest candidates and evicts
+        the three lowest residents."""
+        group = int(layout.group_bytes[64])
+        assert (layout.group_bytes[64:] == group).all()
+        partition = empty_partition(layout)
+        partition.hot_masks[0][64:84] = True
+        mapper = NeuronMapper(layout, 20 * group)
+        mapper.initialize(partition)
+        states = np.zeros(layout.groups_per_layer, dtype=np.int16)
+        states[64:84] = 2
+        states[200:206] = 15
+        assert swap_layer0(mapper, states, max_bytes=3 * group) == 3 * group
+        assert np.flatnonzero(mapper.resident).tolist() == [
+            *range(67, 84), 203, 204, 205]
+        mapper.check_invariants()
+
     def test_rejects_negative_budget(self, layout):
         with pytest.raises(ValueError):
             NeuronMapper(layout, -1)
@@ -341,7 +365,7 @@ def assert_same_swap(mapper, ref, got, want):
 
 class TestSwapTokenReference:
     @given(model=st.sampled_from(sorted(REFERENCE_LAYOUTS)),
-           k=st.integers(1, 6),
+           k=st.integers(1, STATE_MAX),
            initialized=st.booleans(),
            binding=st.sampled_from(["global", "layer"]),
            window=st.sampled_from(["zero", "tight", "random", "wide"]),
@@ -353,11 +377,12 @@ class TestSwapTokenReference:
                                            tokens, seed):
         """``swap_token`` equals the verbatim greedy run layer by layer
         along the projection-window budget chain, on tie-heavy states
-        (drawn from ``0..k``) over a few tokens.  The mapper is
-        initialized from an offline hot set, or never initialized, so
-        each layer's ceiling is the whole GPU budget; the budget binds
-        globally, or is the whole model (an initialized mapper's
-        per-layer ceilings bind)."""
+        (drawn from ``0..k``, up to the state ceiling, so some residents
+        are too hot for any candidate to evict) over a few tokens.  The
+        mapper is initialized from an offline hot set, or never
+        initialized, so each layer's ceiling is the whole GPU budget;
+        the budget binds globally, or is the whole model (an initialized
+        mapper's per-layer ceilings bind)."""
         layout = reference_layouts[model]
         rng = np.random.default_rng(seed)
         num_layers, groups = layout.model.num_layers, layout.groups_per_layer
@@ -447,8 +472,9 @@ print(tie_heavy_digest())
 def tie_heavy_digest() -> str:
     """SHA-256 of the residency after a fixed sequence of ``swap_token``
     calls on OPT-13B with 17-64 residents per layer and states drawn from
-    0..3, so every swap evicts and both of the greedy core's argsorts see
-    ties past numpy's insertion-sort cutoff."""
+    0..3, so every swap evicts and both of the swap's stable sorts order
+    runs of ties longer than the 16 elements up to which numpy's default
+    int16 sort happens to keep them in order."""
     layout = NeuronLayout.build(get_model("OPT-13B"), granularity=128)
     shape = (layout.model.num_layers, layout.groups_per_layer)
     gbytes = layout.group_bytes
@@ -471,9 +497,9 @@ def tie_heavy_digest() -> str:
 
 class TestTieOrderDispatch:
     def test_swap_tie_order_ignores_simd_dispatch(self):
-        """The greedy core's int16 argsorts give the same residency with
-        numpy's widest SIMD targets switched off (AVX2 only, then
-        x86-64-v2) as in this process."""
+        """The swap's stable sorts give the same residency with numpy's
+        widest SIMD targets switched off (AVX2 only, then x86-64-v2) as
+        in this process."""
         from numpy._core._multiarray_umath import __cpu_features__
         runs = [[t for t in targets if __cpu_features__.get(t)]
                 for targets in DISPATCH_OFF]
