@@ -8,7 +8,11 @@ scheduled inside the projection window, when the DIMMs are idle and the
 PCIe link has no competing weight traffic; the engine charges any overflow
 beyond the window to the token's critical path.  The mapper keeps one
 (num_layers, groups) residency matrix, and one
-:meth:`NeuronMapper.swap_token` runs a token's swaps for every layer.
+:meth:`NeuronMapper.swap_token` runs a token's swaps for every layer from
+one snapshot: one stable sort of the token's candidates and one of the
+residents they may evict.  Those sorts define the tie order: candidates
+go hottest first, ties by higher group index, and victims coldest first,
+ties by lower group index.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import numpy as np
 
 from ..sparsity import NeuronLayout
 from .partition import OfflinePartition
+from .predictor import STATE_MAX
 
 
 class NeuronMapper:
@@ -28,18 +33,18 @@ class NeuronMapper:
         self.layout = layout
         self.gpu_budget_bytes = gpu_budget_bytes
         #: (num_layers, groups) GPU residency matrix, and a flat view of
-        #: it by ``layer * groups + group`` index for the greedy core
+        #: it by ``layer * groups + group`` index for the swap
         self.resident = np.zeros(
             (layout.model.num_layers, layout.groups_per_layer), dtype=bool)
         self._resident_flat = self.resident.reshape(-1)
         self.resident_bytes = 0
-        #: plain-int group bytes by flat index for the greedy core
+        #: plain-int group bytes by flat index for the swap's walk
         #: (indexing a Python list beats per-element ndarray item
         #: extraction)
         self._flat_bytes: list[int] = (
             layout.group_bytes.tolist() * layout.model.num_layers)
         #: per-layer resident bytes, maintained incrementally by
-        #: :meth:`initialize` and the greedy core so no path re-sums them
+        #: :meth:`initialize` and :meth:`swap_token` so no path re-sums them
         self._layer_used: list[int] = [0] * layout.model.num_layers
         #: flat offsets of each layer's first group (and of the end), for
         #: splitting a flat group index into per-layer runs
@@ -82,107 +87,91 @@ class NeuronMapper:
         shrinks the window for the layers after it.  Returns the window
         left after the last layer and the bytes swapped in.
 
-        Layers that want nothing or whose budget is spent skip the
-        greedy core (it would stop at its first probe).  The first layer
-        past that takes one snapshot of every layer's wanted and
-        resident groups (flat indices) with their int16 states, the
-        wanted ones also as plain lists.  A layer's swap writes only its
-        own residency row and the states change only after the token, so
-        the snapshot holds each layer's entry state, and each layer hands
-        the core its slices of it.
+        A layer admits its candidates (non-resident groups above the hot
+        threshold) hottest first, ties by higher group index, while they
+        fit its bytes.  One that does not fit the free GPU space, the
+        tighter of the global and per-layer headroom, evicts the layer's
+        residents coldest first, ties by lower group index, but never
+        one at least as hot as itself; groups admitted during the token
+        are never victims.  So only residents colder than the token's
+        hottest candidate can go.  The token takes one snapshot: one
+        stable sort of its candidates and one of those residents, each
+        keyed by (layer, state) over flat ``layer * groups + group``
+        indices, so every layer's run is a contiguous range.  The states
+        change only after the token, and the residency is written once,
+        at its end.
         """
         resident = self.resident
-        wanted = (states > hot_threshold) & ~resident
+        c_flat = np.flatnonzero((states > hot_threshold) & ~resident)
+        groups = resident.shape[1]
+        c_states = states.take(c_flat)
+        # one stable sort per side, keyed by (layer, state) over the
+        # flat-index order.  The candidates' layer keys count down, so
+        # that reversed their runs go up the layers, each hottest first
+        # with ties by higher group index.
+        order = np.argsort(c_states - c_flat // groups * (STATE_MAX + 1),
+                           kind="stable")[::-1]
+        cands = c_flat[order].tolist()
+        cand_states = c_states[order].tolist()
+        # with no candidate, no state is below the initial 0
+        v_flat = np.flatnonzero(
+            resident & (states < c_states.max(initial=0)))
+        v_states = states.take(v_flat)
+        order = np.argsort(v_states + v_flat // groups * (STATE_MAX + 1),
+                           kind="stable")
+        victims = v_flat[order].tolist()
+        victim_states = v_states[order].tolist()
+        c_edges = np.searchsorted(c_flat, self._row_edges).tolist()
+        v_edges = np.searchsorted(v_flat, self._row_edges).tolist()
+        flat_bytes, layer_used = self._flat_bytes, self._layer_used
+        used = self.resident_bytes
+        admitted: list[int] = []
+        evicted: list[int] = []
         window = 0.0
         swapped = 0
-        bounds = None
-        for layer, wants in enumerate(wanted.any(axis=1).tolist()):
+        for layer in range(resident.shape[0]):
             window += window_step
-            if not wants:
-                continue
+            c0, c1 = c_edges[layer], c_edges[layer + 1]
             budget = int(window * bandwidth)
-            if budget <= 0:
+            if c0 == c1 or budget <= 0:
                 continue
-            if bounds is None:
-                w_flat = np.flatnonzero(wanted)
-                w_keys = states.take(w_flat)
-                w_ids, w_states = w_flat.tolist(), w_keys.tolist()
-                r_flat = np.flatnonzero(resident)
-                r_keys = states.take(r_flat)
-                bounds = np.searchsorted(
-                    w_flat, self._row_edges).tolist()
-                r_bounds = np.searchsorted(
-                    r_flat, self._row_edges).tolist()
-            w0, w1 = bounds[layer], bounds[layer + 1]
-            r0, r1 = r_bounds[layer], r_bounds[layer + 1]
-            bytes_in = self._swap(
-                layer, w_ids[w0:w1], w_states[w0:w1], w_keys[w0:w1],
-                r_flat[r0:r1], r_keys[r0:r1], budget)
+            v0 = v = v_edges[layer]
+            v1 = v_edges[layer + 1]
+            free = min(self.gpu_budget_bytes - used,
+                       self.layer_budget[layer] - layer_used[layer])
+            c = c0
+            bytes_in = bytes_out = 0
+            while c < c1:
+                b = flat_bytes[cands[c]]
+                if b > budget:
+                    break
+                if free < b:
+                    state = cand_states[c]
+                    while free < b and v < v1 and victim_states[v] < state:
+                        freed = flat_bytes[victims[v]]
+                        free += freed
+                        bytes_out += freed
+                        v += 1
+                    if free < b:
+                        break
+                free -= b
+                budget -= b
+                bytes_in += b
+                c += 1
+            if c > c0 or v > v0:
+                admitted += cands[c0:c]
+                evicted += victims[v0:v]
+                delta = bytes_in - bytes_out
+                used += delta
+                layer_used[layer] += delta
             if bytes_in:
                 swapped += bytes_in
                 window = max(0.0, window - bytes_in / bandwidth)
+        if admitted or evicted:
+            self._resident_flat[evicted] = False
+            self._resident_flat[admitted] = True
+            self.resident_bytes = used
         return window, swapped
-
-    def _swap(self, layer: int, ids: list[int], id_states: list[int],
-              keys: np.ndarray, held: np.ndarray, held_keys: np.ndarray,
-              budget: int) -> int:
-        """The greedy core of one layer's adjustment.
-
-        ``ids`` are the layer's non-resident groups above the hot
-        threshold and ``held`` its resident groups, both as flat
-        ``layer * groups + group`` indices in group order; ``id_states``
-        and ``keys`` (a list and the array to sort) and ``held_keys``
-        are their states.  Candidates are admitted hottest first while
-        they fit ``budget`` bytes; one that does not fit the free GPU
-        space evicts the coldest held groups first, but never one at
-        least as hot as itself, and groups admitted during the call are
-        never victims.  The two stable ``argsort`` calls on the
-        group-ordered states break state ties: candidates by higher group
-        index, victims by lower; the second runs only once a candidate
-        must evict.  The free space is the
-        tighter of the global and per-layer headroom and moves by
-        exactly the bytes admitted or evicted.  Returns the bytes
-        swapped in.
-        """
-        flat_bytes = self._flat_bytes
-        order = keys.argsort(kind="stable").tolist()
-        order.reverse()  # hottest first
-        free = min(self.gpu_budget_bytes - self.resident_bytes,
-                   self.layer_budget[layer] - self._layer_used[layer])
-        victims: list[int] | None = None
-        n_in = n_out = bytes_in = bytes_out = 0
-        for i in order:
-            b = flat_bytes[ids[i]]
-            if b > budget:
-                break
-            if free < b:
-                if victims is None:
-                    coldest = held_keys.argsort(kind="stable")
-                    victims = held[coldest].tolist()
-                    victim_states = held_keys[coldest].tolist()
-                state = id_states[i]
-                while (free < b and n_out < len(victims)
-                       and victim_states[n_out] < state):
-                    freed = flat_bytes[victims[n_out]]
-                    free += freed
-                    bytes_out += freed
-                    n_out += 1
-                if free < b:
-                    break
-            free -= b
-            budget -= b
-            bytes_in += b
-            n_in += 1
-        if n_in or n_out:
-            resident = self._resident_flat
-            for k in range(n_out):
-                resident[victims[k]] = False
-            for k in range(n_in):
-                resident[ids[order[k]]] = True
-            delta = bytes_in - bytes_out
-            self.resident_bytes += delta
-            self._layer_used[layer] += delta
-        return bytes_in
 
     # ------------------------------------------------------------------
     @property

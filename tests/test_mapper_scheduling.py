@@ -378,7 +378,8 @@ class TestSwapTokenReference:
         """``swap_token`` equals the verbatim greedy run layer by layer
         along the projection-window budget chain, on tie-heavy states
         (drawn from ``0..k``, up to the state ceiling, so some residents
-        are too hot for any candidate to evict) over a few tokens.  The
+        are too hot for any candidate to evict) over a few tokens; a
+        threshold of ``k`` leaves a token with no candidate.  The
         mapper is initialized from an offline hot set, or never
         initialized, so each layer's ceiling is the whole GPU budget;
         the budget binds globally, or is the whole model (an initialized
@@ -403,7 +404,7 @@ class TestSwapTokenReference:
                 "tight": smallest * rng.uniform(0.2, 1.5),
                 "random": float(rng.uniform(0.0, 3.0)) * gbytes.max() / PCIE,
                 "wide": 50.0 * gbytes.max() / PCIE}[window]
-        hot_threshold = int(rng.integers(0, k))
+        hot_threshold = int(rng.integers(0, k + 1))
         for _ in range(tokens):
             states = rng.integers(0, k + 1, (num_layers, groups)).astype(
                 np.int16)
