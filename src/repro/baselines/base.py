@@ -31,27 +31,24 @@ import math
 
 import numpy as np
 
-from ..core.engine import batch_union_factor
+from ..core.engine import GPU_RESERVE_BYTES, batch_union_factor
 from ..core.result import RunResult
 from ..hardware import Machine
 from ..models import ModelSpec
 from ..sim import overlap_two_stage
 from ..sparsity import ActivationTrace
 
-GIB = 2**30
-
 
 # ----------------------------------------------------------------------
 # per-token cost kernels (pure functions; steppable backends call these)
 # ----------------------------------------------------------------------
-def weights_resident_fraction(machine: Machine, model: ModelSpec, *,
-                              reserve_bytes: int = 1 * GIB) -> float:
+def weights_resident_fraction(machine: Machine, model: ModelSpec) -> float:
     """Fraction of the layer weights that fits in GPU memory.
 
     Embeddings and the KV cache claim GPU space first (these systems
     keep the KV cache on the GPU); layer weights fill the rest.
     """
-    usable = machine.gpu.memory_bytes - reserve_bytes
+    usable = machine.gpu.memory_bytes - GPU_RESERVE_BYTES
     usable -= model.embedding_bytes
     layer_pool = model.layer_bytes * model.num_layers
     if usable <= 0:
@@ -127,49 +124,6 @@ def gpu_kv_attention_time(
     return machine.gpu.attention_time(kv_bytes * model.num_layers)
 
 
-def hermes_gpu_hot_budget(
-    machine: Machine, model: ModelSpec, *, reserve_bytes: int = 1 * GIB
-) -> int:
-    """GPU bytes left for Hermes' hot-neuron region (may be <= 0).
-
-    Mirrors :attr:`repro.core.HermesSystem.gpu_hot_budget` — dense
-    projection weights and embeddings pin GPU memory first, then the
-    workspace reserve — as a pure kernel the capacity planner can
-    evaluate without constructing an engine.
-    """
-    static = (
-        model.dense_bytes_per_layer * model.num_layers
-        + model.embedding_bytes
-    )
-    return machine.gpu.memory_bytes - static - reserve_bytes
-
-
-def hermes_memory_feasible(
-    machine: Machine, model: ModelSpec, *, reserve_bytes: int = 1 * GIB
-) -> tuple[bool, str]:
-    """(fits, reason) — can a Hermes machine even host ``model``?
-
-    The exact pair of capacity checks that make
-    :class:`repro.core.HermesSystem` construction (DIMM pool) and
-    session setup (GPU hot budget) raise, spelled as a pure kernel so
-    the planner can discard a candidate fleet analytically instead of
-    catching engine exceptions.
-    """
-    required = model.total_weight_bytes - model.embedding_bytes
-    if not machine.fits_on_dimms(required):
-        return False, (
-            f"needs {required / GIB:.0f} GiB of DIMM capacity; the pool "
-            f"has {machine.dimm_capacity_total / GIB:.0f} GiB"
-        )
-    if hermes_gpu_hot_budget(machine, model,
-                             reserve_bytes=reserve_bytes) <= 0:
-        return False, (
-            f"{machine.gpu.name} cannot hold the dense weights of "
-            f"{model.name}"
-        )
-    return True, ""
-
-
 def streamed_token_transfer_floor(
     machine: Machine, model: ModelSpec, resident_fraction: float
 ) -> float:
@@ -201,14 +155,6 @@ def gather_stream_bandwidth(machine: Machine) -> float:
     return min(machine.pcie.effective_bandwidth, gather_bw)
 
 
-def trace_union_factors(trace: ActivationTrace, batch: int) -> np.ndarray:
-    """Per-layer batch-union inflation of the activated set."""
-    return np.array([
-        batch_union_factor(trace.prefill_frequencies(l), batch)
-        for l in range(trace.num_layers)
-    ])
-
-
 class OffloadingSystem(abc.ABC):
     """Base class: a model deployed on a machine with host-memory backing."""
 
@@ -224,11 +170,9 @@ class OffloadingSystem(abc.ABC):
         """Simulate one prefill + decode pass."""
 
     # ------------------------------------------------------------------
-    def resident_fraction(self, *, reserve_bytes: int = 1 * GIB) -> float:
+    def resident_fraction(self) -> float:
         """Fraction of the weights that fits in GPU memory."""
-        return weights_resident_fraction(
-            self.machine, self.model, reserve_bytes=reserve_bytes
-        )
+        return weights_resident_fraction(self.machine, self.model)
 
     def gpu_prefill_time(
         self, prompt_len: int, batch: int, resident_fraction: float
@@ -245,8 +189,9 @@ class OffloadingSystem(abc.ABC):
     # ------------------------------------------------------------------
     def union_factors(self, trace: ActivationTrace,
                       batch: int) -> np.ndarray:
-        """Per-layer batch-union inflation of the activated set."""
-        return trace_union_factors(trace, batch)
+        """Per-layer batch-union inflation of the activated set, from the
+        trace's prefill frequencies."""
+        return batch_union_factor(trace.prefill_frequencies(), batch)
 
     def make_result(self, batch: int, trace: ActivationTrace) -> RunResult:
         return RunResult(

@@ -11,9 +11,10 @@ the gap between it and full Hermes isolates the value of sparsity.
 
 from __future__ import annotations
 
+from ..core.engine import GPU_RESERVE_BYTES
 from ..core.result import RunResult
 from ..sparsity import ActivationTrace
-from .base import GIB, OffloadingSystem
+from .base import OffloadingSystem
 
 
 class HermesBase(OffloadingSystem):
@@ -30,11 +31,11 @@ class HermesBase(OffloadingSystem):
     name = "Hermes-base"
     stripe_dimms = 4
 
-    def gpu_resident_layers(self, reserve_bytes: int = 1 * GIB) -> int:
+    def gpu_resident_layers(self) -> int:
         """Number of leading layers whose full weights fit on the GPU."""
         model = self.model
         usable = (self.machine.gpu.memory_bytes - model.embedding_bytes
-                  - reserve_bytes)
+                  - GPU_RESERVE_BYTES)
         if usable <= 0:
             return 0
         return min(model.num_layers, int(usable // model.layer_bytes))

@@ -13,9 +13,12 @@ configuration [53], which the paper follows for this baseline).
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..core.engine import HermesConfig, batch_union_factor
+from ..core.engine import (
+    GPU_RESERVE_BYTES,
+    HermesConfig,
+    batch_union_factor,
+    hermes_gpu_hot_budget,
+)
 from ..core.mapper import NeuronMapper
 from ..core.partition import PartitionCosts, solve_partition
 from ..core.predictor import ActivationPredictor, PredictorConfig
@@ -43,16 +46,14 @@ class HermesHost(OffloadingSystem):
     @property
     def gpu_hot_budget(self) -> int:
         """GPU bytes for hot neurons after dense weights, embeddings and a
-        KV/workspace reserve (the KV cache lives on the GPU here)."""
-        model = self.model
-        static = (model.dense_bytes_per_layer * model.num_layers
-                  + model.embedding_bytes)
-        budget = (self.machine.gpu.memory_bytes - static
-                  - 2 * self.config.gpu_reserve_bytes)
+        KV/workspace reserve (the KV cache lives on the GPU here): Hermes'
+        budget less a second :data:`GPU_RESERVE_BYTES`."""
+        budget = (hermes_gpu_hot_budget(self.machine, self.model)
+                  - GPU_RESERVE_BYTES)
         if budget <= 0:
             raise ValueError(
                 f"{self.machine.gpu.name} cannot hold the dense weights of "
-                f"{model.name}")
+                f"{self.model.name}")
         return budget
 
     def run(self, trace: ActivationTrace, batch: int = 1) -> RunResult:
@@ -64,7 +65,7 @@ class HermesHost(OffloadingSystem):
         layout = trace.layout
         result = self.make_result(batch, trace)
 
-        freqs = [trace.prefill_frequencies(l) for l in range(trace.num_layers)]
+        freqs = trace.prefill_frequencies()
         costs = PartitionCosts(
             gpu_seconds_per_byte=1.0 / machine.gpu.effective_bandwidth,
             dimm_seconds_per_byte=1.0 / machine.host_bandwidth,
@@ -84,11 +85,9 @@ class HermesHost(OffloadingSystem):
         mapper.initialize(partition)
         predictor = ActivationPredictor(layout, PredictorConfig(
             use_token_prediction=cfg.token_prediction,
-            use_layer_prediction=cfg.layer_prediction,
-            hot_threshold=cfg.hot_threshold))
+            use_layer_prediction=cfg.layer_prediction))
         predictor.initialize(trace)
-        union = np.array([[batch_union_factor(freqs[l], batch)]
-                          for l in range(model.num_layers)])
+        union = batch_union_factor(freqs, batch)[:, None]
 
         prefill = self.gpu_prefill_time(
             trace.prompt_len, batch, self.resident_fraction()
@@ -100,7 +99,7 @@ class HermesHost(OffloadingSystem):
 
         block_bytes = layout.block_bytes()
         t_proj = machine.gpu.matmul_time(model.dense_bytes_per_layer, batch)
-        t_pred = predictor.predictor_overhead_seconds(0)
+        t_pred = predictor.predictor_overhead_seconds()
         decode = 0.0
         for step, t in enumerate(trace.decode_tokens()):
             context = trace.prompt_len + step + 1

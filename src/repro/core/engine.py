@@ -32,11 +32,13 @@ from ..sim import overlap_two_stage
 from ..sparsity import ActivationTrace
 from .mapper import NeuronMapper
 from .partition import OfflinePartition, PartitionCosts, solve_partition
-from .predictor import ActivationPredictor, PredictorConfig
+from .predictor import STATE_MAX, ActivationPredictor, PredictorConfig
 from .result import RunResult
 from .scheduling import WindowScheduler
 
 GIB = 2**30
+#: GPU memory every system keeps free for activations and workspace
+GPU_RESERVE_BYTES = 1 * GIB
 
 
 @dataclasses.dataclass(frozen=True)
@@ -49,35 +51,77 @@ class HermesConfig:
     layer_prediction: bool = True
     window_scheduling: bool = True
     window: int = 5
+    #: a group whose predictor state exceeds this is hot (§IV-C2)
     hot_threshold: int = 10
-    #: GPU memory reserved for activations/workspace
-    gpu_reserve_bytes: int = 1 * GIB
     #: oracle mode: ground-truth prediction + decode-profiled partition
     oracle: bool = False
 
     def __post_init__(self) -> None:
         if self.window < 1:
             raise ValueError("window must be >= 1")
-        if self.gpu_reserve_bytes < 0:
-            raise ValueError("gpu_reserve_bytes must be non-negative")
+        if not 0 <= self.hot_threshold <= STATE_MAX:
+            raise ValueError(f"hot_threshold must lie in [0, {STATE_MAX}]")
 
 
-def batch_union_factor(freq: np.ndarray, batch: int) -> float:
-    """Inflation of the activated set when a batch's activations union.
+def batch_union_factor(freqs: np.ndarray, batch: int) -> np.ndarray:
+    """Per-layer inflation of the activated set when a batch's
+    activations union.
 
     Each batch element activates its own neuron subset; the weight traffic
     of a batched sparse GEMV covers the union.  For per-group frequency
-    ``p`` the union probability is ``1 - (1-p)^batch``.
+    ``p`` the union probability is ``1 - (1-p)^batch``.  ``freqs`` is the
+    (num_layers, groups) frequency matrix; entry ``l`` of the result is
+    row ``l``'s union mass over its frequency mass, and 1.0 for a row
+    whose frequencies sum to 0.  At batch 1 every factor is exactly 1.0
+    (``1 - (1 - p)`` is not always ``p``).
     """
     if batch < 1:
         raise ValueError("batch must be >= 1")
+    ones = np.ones(freqs.shape[0])
     if batch == 1:
-        return 1.0
-    p = np.clip(freq, 0.0, 1.0)
-    base = p.sum()
-    if base <= 0:
-        return 1.0
-    return float((1.0 - (1.0 - p) ** batch).sum() / base)
+        return ones
+    p = np.clip(freqs, 0.0, 1.0)
+    base = p.sum(axis=1)
+    return np.divide((1.0 - (1.0 - p) ** batch).sum(axis=1), base,
+                     out=ones, where=base > 0)
+
+
+def hermes_gpu_hot_budget(machine: Machine, model: ModelSpec) -> int:
+    """GPU bytes left for Hermes' hot-neuron region (may be <= 0).
+
+    Dense projection weights and embeddings pin GPU memory first, then
+    the workspace reserve.
+    """
+    static = (model.dense_bytes_per_layer * model.num_layers
+              + model.embedding_bytes)
+    return machine.gpu.memory_bytes - static - GPU_RESERVE_BYTES
+
+
+def _capacity_faults(machine: Machine, model: ModelSpec) -> tuple[str, str]:
+    """Why the DIMM pool and why the GPU cannot host ``model`` ("" for
+    each side that can)."""
+    required = model.total_weight_bytes - model.embedding_bytes
+    dimm = "" if machine.fits_on_dimms(required) else (
+        f"needs {required / GIB:.0f} GiB of DIMM capacity; the pool "
+        f"has {machine.dimm_capacity_total / GIB:.0f} GiB")
+    gpu = "" if hermes_gpu_hot_budget(machine, model) > 0 else (
+        f"{machine.gpu.name} cannot hold the dense weights of "
+        f"{model.name}")
+    return dimm, gpu
+
+
+def hermes_memory_feasible(machine: Machine,
+                           model: ModelSpec) -> tuple[bool, str]:
+    """(fits, reason) — can a Hermes machine even host ``model``?
+
+    The pair of capacity checks :class:`HermesSystem` raises on (the DIMM
+    pool when it is built, the GPU hot budget when a session opens), as a
+    pure kernel the capacity planner evaluates without building an
+    engine.
+    """
+    dimm, gpu = _capacity_faults(machine, model)
+    reason = dimm or gpu
+    return not reason, reason
 
 
 @dataclasses.dataclass(frozen=True)
@@ -117,30 +161,18 @@ class HermesSystem:
         self.machine = machine
         self.model = model
         self.config = config or HermesConfig()
-        required = model.total_weight_bytes - model.embedding_bytes
-        if not machine.fits_on_dimms(required):
-            raise ValueError(
-                f"{model.name} needs {required / GIB:.0f} GiB of DIMM "
-                "capacity; the pool has "
-                f"{machine.dimm_capacity_total / GIB:.0f} GiB")
+        dimm_fault, _ = _capacity_faults(machine, model)
+        if dimm_fault:
+            raise ValueError(f"{model.name} {dimm_fault}")
 
     # ------------------------------------------------------------------
     @property
-    def gpu_static_bytes(self) -> int:
-        """GPU memory pinned by dense weights: projections + embeddings."""
-        return (self.model.dense_bytes_per_layer * self.model.num_layers
-                + self.model.embedding_bytes)
-
-    @property
     def gpu_hot_budget(self) -> int:
         """GPU bytes available for the hot-neuron region."""
-        budget = (self.machine.gpu.memory_bytes - self.gpu_static_bytes
-                  - self.config.gpu_reserve_bytes)
-        if budget <= 0:
-            raise ValueError(
-                f"{self.machine.gpu.name} cannot hold the dense weights of "
-                f"{self.model.name}")
-        return budget
+        _, gpu_fault = _capacity_faults(self.machine, self.model)
+        if gpu_fault:
+            raise ValueError(gpu_fault)
+        return hermes_gpu_hot_budget(self.machine, self.model)
 
     def partition_costs(self, batch: int = 1) -> PartitionCosts:
         """Per-byte execution rates (Eq. 4-5), batch-aware.
@@ -170,19 +202,17 @@ class HermesSystem:
         )
 
     # ------------------------------------------------------------------
-    def _profiled_frequencies(self, trace: ActivationTrace
-                              ) -> list[np.ndarray]:
-        """Frequencies driving the offline partition.
+    def _profiled_frequencies(self, trace: ActivationTrace) -> np.ndarray:
+        """The (num_layers, groups) frequencies driving the offline
+        partition.
 
         Hermes profiles offline (C4/Pile); the prefill window plays that
         role here.  Oracle mode peeks at the decode window instead — the
         theoretically-optimal partition of §III-B.
         """
         if self.config.oracle:
-            window = slice(trace.prompt_len, trace.n_tokens)
-            return [trace.frequencies(l, tokens=window)
-                    for l in range(trace.num_layers)]
-        return [trace.prefill_frequencies(l) for l in range(trace.num_layers)]
+            return trace.frequencies(slice(trace.prompt_len, trace.n_tokens))
+        return trace.prefill_frequencies()
 
     def _prefill_time(self, prompt_len: int, batch: int) -> float:
         """Prompting stage: GPU with zig-zag weight streaming (§IV-A2).
@@ -286,12 +316,8 @@ class HermesSession:
         if partition is not None:
             self.partition = partition
         else:
-            if batch > 1:
-                partition_freqs = [
-                    1.0 - (1.0 - f) ** batch for f in self.freqs
-                ]
-            else:
-                partition_freqs = self.freqs
+            partition_freqs = (1.0 - (1.0 - self.freqs) ** batch
+                               if batch > 1 else self.freqs)
             self.partition = solve_partition(
                 partition_freqs,
                 self.layout,
@@ -304,7 +330,6 @@ class HermesSession:
         self.predictor = ActivationPredictor(self.layout, PredictorConfig(
             use_token_prediction=cfg.token_prediction,
             use_layer_prediction=cfg.layer_prediction,
-            hot_threshold=cfg.hot_threshold,
         ))
         self.predictor.initialize(trace)
         self.scheduler = WindowScheduler(
@@ -316,12 +341,6 @@ class HermesSession:
         self._attn_heads_per_dimm = -(
             -system.model.num_heads // machine.num_dimms
         )
-        # Batch-union factors, filled lazily one batch column at a time
-        # into a dense (num_layers, max_batch_seen) array.  Bounded by the
-        # largest batch ever requested — unlike a per-(layer, batch) dict,
-        # which grows without limit on long serving runs whose batch varies
-        # per step.
-        self._union_factors = np.ones((system.model.num_layers, 1))
 
         # ---- decode fast-path invariants (hoisted out of decode_step) ----
         layout = self.layout
@@ -342,13 +361,10 @@ class HermesSession:
         #: scattered-cold-neuron stream bandwidth (invariant per session)
         self._gemv_bandwidth = machine.dimm.effective_stream_bandwidth(
             self._run_bytes)
-        #: constant per-layer costs, memoised per effective batch size
-        self._proj_time_cache: dict[int, float] = {}
-        self._merge_time_cache: dict[int, float] = {}
-        self._pred_overhead = self.predictor.predictor_overhead_seconds(0)
-        #: per-batch (column[:, None], doubled column) union-factor views,
-        #: cached so the decode loop never re-shapes
-        self._union_views_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._pred_overhead = self.predictor.predictor_overhead_seconds()
+        #: the decode step's constants per effective batch size (see
+        #: :meth:`_batch_constants`); one entry per batch size ever seen
+        self._batch_memo: dict[int, tuple] = {}
         #: per-layer bin-key offsets of the window scheduler's load
         #: bincount
         self._rb_offsets = (np.arange(system.model.num_layers)[:, None]
@@ -382,23 +398,33 @@ class HermesSession:
 
     # ------------------------------------------------------------------
     def union_factors(self, batch: int) -> np.ndarray:
-        """Per-layer batch-union factors at ``batch`` (cached, read-only),
-        e.g. for the serving executor's mean-union batching cap."""
-        return self._union_column(batch)
+        """Per-layer batch-union factors at ``batch`` (memoised,
+        read-only), e.g. for the serving executor's mean-union batching
+        cap."""
+        return self._batch_constants(batch)[0]
 
-    def _union_views(self, batch: int) -> tuple[np.ndarray, np.ndarray]:
-        """(column[:, None], doubled column) at ``batch``.
+    def _batch_constants(self, batch: int) -> tuple[
+            np.ndarray, np.ndarray, np.ndarray, float, float]:
+        """The decode step's constants at ``batch``, memoised per batch.
 
-        The reshaped views feed the decode loop's FC byte math every
-        step; their values are immutable per batch, so they are built
-        once per batch size ever seen.
+        ``(union, union[:, None], union doubled, t_proj, t_merge)``: the
+        per-layer union factors of :func:`batch_union_factor` over the
+        profiled frequencies, as a column for the GPU bytes of both FC
+        blocks and doubled for their DIMM bytes, then the projection and
+        merge times of one layer.
         """
-        views = self._union_views_cache.get(batch)
-        if views is None:
-            col = self._union_column(batch)
-            views = (col[:, None], np.concatenate((col, col)))
-            self._union_views_cache[batch] = views
-        return views
+        consts = self._batch_memo.get(batch)
+        if consts is None:
+            union = batch_union_factor(self.freqs, batch)
+            union.flags.writeable = False
+            model = self.system.model
+            machine = self.system.machine
+            consts = (union, union[:, None], np.concatenate((union, union)),
+                      machine.gpu.matmul_time(model.dense_bytes_per_layer,
+                                              batch),
+                      machine.dimm.core.merge_time(model.hidden_size, batch))
+            self._batch_memo[batch] = consts
+        return consts
 
     def _bin_keys(self) -> tuple[np.ndarray, np.ndarray]:
         """The two bin-key arrays of ``partition.dimm_of``: the raveled
@@ -407,21 +433,6 @@ class HermesSession:
         dimm_of = self.partition.dimm_of
         return ((dimm_of + self._key_offsets).ravel(),
                 dimm_of + self._rb_offsets)
-
-    def _union_column(self, batch: int) -> np.ndarray:
-        """Per-layer union factors at ``batch``, from the lazy 2-D cache."""
-        if batch < 1:
-            raise ValueError("batch must be >= 1")
-        have = self._union_factors.shape[1]
-        if batch > have:
-            num_layers = self._union_factors.shape[0]
-            grown = np.empty((num_layers, batch))
-            grown[:, :have] = self._union_factors
-            for b in range(have + 1, batch + 1):
-                for l in range(num_layers):
-                    grown[l, b - 1] = batch_union_factor(self.freqs[l], b)
-            self._union_factors = grown
-        return self._union_factors[:, batch - 1]
 
     def prefill_cost(
         self,
@@ -525,19 +536,8 @@ class HermesSession:
         mapper = self.mapper
         partition = self.partition
         scheduler = self.scheduler
-        union_col2d, union_twice = self._union_views(batch)
-        t_proj = self._proj_time_cache.get(batch)
-        if t_proj is None:
-            t_proj = gpu.matmul_time(
-                self.system.model.dense_bytes_per_layer, batch
-            )
-            self._proj_time_cache[batch] = t_proj
-        t_merge = self._merge_time_cache.get(batch)
-        if t_merge is None:
-            t_merge = dimm.core.merge_time(
-                self.system.model.hidden_size, batch
-            )
-            self._merge_time_cache[batch] = t_merge
+        _, union_col2d, union_twice, t_proj, t_merge = \
+            self._batch_constants(batch)
         t_pred = self._pred_overhead
 
         t = prompt_len + self.steps_done % n_decode

@@ -106,7 +106,7 @@ def gpu_mass_share(costs: PartitionCosts) -> float:
 
 
 def _greedy_hot_masks(
-    frequencies: list[np.ndarray], layout: NeuronLayout, costs: PartitionCosts
+    frequencies: np.ndarray, layout: NeuronLayout, costs: PartitionCosts
 ) -> np.ndarray:
     """Rate-balanced water-filling, hottest groups first.
 
@@ -116,15 +116,13 @@ def _greedy_hot_masks(
     :func:`gpu_mass_share` — filling past the balance point would make
     the GPU the bottleneck while NDP cores idle.
     """
-    num_layers = len(frequencies)
-    g = layout.groups_per_layer
-    scores = np.concatenate(frequencies)
+    num_layers, g = frequencies.shape
+    scores = frequencies.ravel()
     order = np.argsort(scores)[::-1]
     flat_bytes = np.tile(layout.group_bytes, num_layers)
     flat_mass = scores * flat_bytes
-    share = gpu_mass_share(costs)
-    target = [share * float((frequencies[l] * layout.group_bytes).sum())
-              for l in range(num_layers)]
+    target = (gpu_mass_share(costs)
+              * (frequencies * layout.group_bytes).sum(axis=1)).tolist()
     taken = [0.0] * num_layers
     selected = np.zeros(scores.size, dtype=bool)
     budget = costs.gpu_budget_bytes
@@ -141,14 +139,13 @@ def _greedy_hot_masks(
 
 
 def _random_hot_masks(
-    frequencies: list[np.ndarray],
+    frequencies: np.ndarray,
     layout: NeuronLayout,
     costs: PartitionCosts,
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Random GPU fill (the Hermes-random ablation)."""
-    num_layers = len(frequencies)
-    g = layout.groups_per_layer
+    num_layers, g = frequencies.shape
     order = rng.permutation(num_layers * g)
     flat_bytes = np.tile(layout.group_bytes, num_layers)
     selected = np.zeros(num_layers * g, dtype=bool)
@@ -162,7 +159,7 @@ def _random_hot_masks(
 
 
 def _lp_hot_masks(
-    frequencies: list[np.ndarray], layout: NeuronLayout, costs: PartitionCosts
+    frequencies: np.ndarray, layout: NeuronLayout, costs: PartitionCosts
 ) -> np.ndarray:
     """LP relaxation of Eq. 1-7 (HiGHS) + deterministic rounding.
 
@@ -175,8 +172,7 @@ def _lp_hot_masks(
     """
     from scipy.optimize import linprog
 
-    num_layers = len(frequencies)
-    g = layout.groups_per_layer
+    num_layers, g = frequencies.shape
     n_x = num_layers * g
     n_vars = n_x + num_layers
 
@@ -184,11 +180,10 @@ def _lp_hot_masks(
     cost[n_x:] = 1.0  # minimise sum of per-layer makespans
 
     rows_a, rows_b = [], []
-    gpu_rate = costs.gpu_seconds_per_byte
-    dimm_rate = costs.dimm_seconds_per_byte / costs.num_dimms
-    for l, freq in enumerate(frequencies):
-        load_gpu = freq * layout.group_bytes * gpu_rate
-        load_dimm = freq * layout.group_bytes * dimm_rate
+    load = frequencies * layout.group_bytes
+    loads_gpu = load * costs.gpu_seconds_per_byte
+    loads_dimm = load * (costs.dimm_seconds_per_byte / costs.num_dimms)
+    for l, (load_gpu, load_dimm) in enumerate(zip(loads_gpu, loads_dimm)):
         # GPU path: sum_i load_gpu_i x_i - m_l <= -2 Tsync
         row = np.zeros(n_vars)
         row[l * g:(l + 1) * g] = load_gpu
@@ -236,11 +231,12 @@ def _lp_hot_masks(
 # ----------------------------------------------------------------------
 # DIMM storage assignment
 # ----------------------------------------------------------------------
-def assign_dimms(frequencies: list[np.ndarray], hot_masks: np.ndarray,
+def assign_dimms(frequencies: np.ndarray, hot_masks: np.ndarray,
                  layout: NeuronLayout, costs: PartitionCosts, *,
                  balanced: bool = True) -> np.ndarray:
     """Assign every group of every layer to a DIMM: the (num_layers,
-    groups) matrix of owning DIMMs.
+    groups) matrix of owning DIMMs, from the (num_layers, groups)
+    frequency matrix and hot masks.
 
     ``balanced=True`` packs by LPT on expected *cold* load per layer (hot
     groups contribute storage but negligible NDP load, since they execute
@@ -249,12 +245,9 @@ def assign_dimms(frequencies: list[np.ndarray], hot_masks: np.ndarray,
     """
     num_dimms = costs.num_dimms
     capacity = np.full(num_dimms, float(costs.dimm_capacity_bytes))
-    assignments = np.empty((len(frequencies), layout.groups_per_layer),
-                           dtype=np.int64)
-    for l, freq in enumerate(frequencies):
-        load = freq * layout.group_bytes
-        load = np.where(hot_masks[l], 0.0, load)
-        dimm_of = assignments[l]
+    assignments = np.empty(frequencies.shape, dtype=np.int64)
+    loads = np.where(hot_masks, 0.0, frequencies * layout.group_bytes)
+    for l, (load, dimm_of) in enumerate(zip(loads, assignments)):
         dimm_load = np.zeros(num_dimms)
         dimm_bytes = np.zeros(num_dimms)
         if balanced:
@@ -292,23 +285,24 @@ def assign_dimms(frequencies: list[np.ndarray], hot_masks: np.ndarray,
 # ----------------------------------------------------------------------
 # public entry point
 # ----------------------------------------------------------------------
-def solve_partition(frequencies: list[np.ndarray], layout: NeuronLayout,
+def solve_partition(frequencies: np.ndarray, layout: NeuronLayout,
                     costs: PartitionCosts, *, strategy: str = "greedy",
                     seed: int = 0) -> OfflinePartition:
     """Solve the offline neuron mapping from profiled frequencies.
 
-    ``frequencies[l]`` is the profiled activation frequency of each group
-    in layer ``l`` (the paper profiles 128 samples of C4/Pile; the engine
-    passes prefill-window frequencies).  The random strategy also places
-    groups on DIMMs round-robin; the others pack them by LPT.
+    ``frequencies`` is the (num_layers, groups) matrix of profiled
+    activation frequencies, row ``l`` for layer ``l`` (the paper profiles
+    128 samples of C4/Pile; the engine passes prefill-window
+    frequencies).  Every entry must lie in [0, 1]; a NaN is rejected.
+    The random strategy also places groups on DIMMs round-robin; the
+    others pack them by LPT.
     """
-    if len(frequencies) != layout.model.num_layers:
-        raise ValueError("one frequency vector per layer required")
-    for freq in frequencies:
-        if freq.shape != (layout.groups_per_layer,):
-            raise ValueError("frequency vector has wrong shape")
-        if (freq < 0).any() or (freq > 1).any():
-            raise ValueError("frequencies must lie in [0, 1]")
+    shape = (layout.model.num_layers, layout.groups_per_layer)
+    if frequencies.shape != shape:
+        raise ValueError(f"frequencies must be one {shape} matrix, "
+                         f"got {frequencies.shape}")
+    if (~((frequencies >= 0) & (frequencies <= 1))).any():
+        raise ValueError("frequencies must lie in [0, 1]")
     if strategy == "greedy":
         hot = _greedy_hot_masks(frequencies, layout, costs)
     elif strategy == "ilp":

@@ -6,16 +6,16 @@ Replaces the expensive per-layer MLP predictors of Deja Vu/PowerInfer
 * **Neuron state table** — a 4-bit saturating counter per neuron, the
   branch-predictor trick applied to activation locality.  Initialised from
   prefill activation frequencies (16 linear stages); on every decode step an
-  activated neuron's state rises by ``s_up`` (paper: 4) and an inactive
-  neuron's falls by ``s_down`` (paper: 1).
+  activated neuron's state rises by ``S_UP`` (paper: 4) and an inactive
+  neuron's falls by ``S_DOWN`` (paper: 1).
 * **Neuron correlation table** — the top-2 most correlated predecessor
   neurons in the previous layer, sampled offline from profiling data.
 
 A neuron is predicted active when ``s1 + lambda * s2 > T`` with ``s1`` its
 state, ``s2`` the number of its correlated predecessors that fired in the
 previous layer this token, ``lambda = 6`` and ``T = 15`` (paper values).
-Neurons with state above ``hot_threshold = 10`` are classified *hot* and
-become candidates for GPU residency (§IV-C2).
+Neurons with state above the engine's ``hot_threshold = 10`` are classified
+*hot* and become candidates for GPU residency (§IV-C2).
 
 For LLaMA-7B the state table is 232 KB (4 bits x 32 layers x 14.8 K
 neurons), matching the paper's footprint claim; the table sizes are exposed
@@ -32,27 +32,22 @@ from ..sparsity import ActivationTrace, NeuronLayout
 
 STATE_MAX = 15
 STATE_BITS = 4
+#: state step of an activated group and of an inactive one (paper values)
+S_UP = 4
+S_DOWN = 1
+#: a group fires when ``s1 + LAMBDA * s2 >= THRESHOLD`` (paper values)
+LAMBDA = 6.0
+THRESHOLD = 15.0
 
 
 @dataclasses.dataclass(frozen=True)
 class PredictorConfig:
-    """Hyper-parameters of the combined predictor (paper defaults)."""
+    """Which halves of the combined predictor run (both by default)."""
 
-    s_up: int = 4
-    s_down: int = 1
-    lam: float = 6.0
-    threshold: float = 15.0
-    hot_threshold: int = 10
     use_token_prediction: bool = True
     use_layer_prediction: bool = True
 
     def __post_init__(self) -> None:
-        if self.s_up < 1 or self.s_down < 1:
-            raise ValueError("state increments must be >= 1")
-        if self.lam < 0:
-            raise ValueError("lambda must be non-negative")
-        if not 0 <= self.hot_threshold <= STATE_MAX:
-            raise ValueError("hot_threshold must lie in [0, 15]")
         if not (self.use_token_prediction or self.use_layer_prediction):
             raise ValueError("at least one prediction mode must be enabled")
 
@@ -79,13 +74,10 @@ class CorrelationTable:
         parents = [None if p is None else p.copy() for p in trace.parents]
         return cls(parents)
 
-    def table_bytes(self, index_bytes: int = 2) -> int:
-        """Storage footprint of the correlation table."""
-        total = 0
-        for table in self.parents:
-            if table is not None:
-                total += table.size * index_bytes
-        return total
+    def table_bytes(self) -> int:
+        """Storage footprint of the correlation table (2-byte indices)."""
+        return 2 * sum(table.size for table in self.parents
+                       if table is not None)
 
 
 @dataclasses.dataclass
@@ -162,11 +154,11 @@ class ActivationPredictor:
         #: permanently-active neuron with silent parents.  Layer-only
         #: mode fires when both sampled parents fire — one parent alone
         #: fires far too often (hot parents are nearly always on).
-        cfg = self.config
+        token_prediction = self.config.use_token_prediction
         self._min_firing_state = np.array([
             next((s1 for s1 in range(STATE_MAX + 1)
-                  if (s2 >= 2.0 if not cfg.use_token_prediction
-                      else s1 + cfg.lam * s2 >= cfg.threshold)),
+                  if (s2 >= 2.0 if not token_prediction
+                      else s1 + LAMBDA * s2 >= THRESHOLD)),
                  STATE_MAX + 1)
             for s2 in (0.0, 1.0, 2.0)], dtype=np.uint8)
         #: :meth:`predict_all`'s per-group least firing states, memoised
@@ -181,7 +173,7 @@ class ActivationPredictor:
         shape = self.states.shape
         self._state_floor = np.zeros(shape, dtype=np.int16)
         self._state_ceiling = np.full(shape, STATE_MAX, dtype=np.int16)
-        self._state_down = np.full(shape, self.config.s_down, dtype=np.int16)
+        self._state_down = np.full(shape, S_DOWN, dtype=np.int16)
 
     # ------------------------------------------------------------------
     def initialize(self, trace: ActivationTrace) -> None:
@@ -190,11 +182,9 @@ class ActivationPredictor:
         structure (the paper's corpus-profiled table, see
         :meth:`CorrelationTable.from_profiling`).
         """
-        for l in range(self.num_layers):
-            freq = trace.prefill_frequencies(l)
-            self.states[l] = np.minimum(
-                (freq * (STATE_MAX + 1)).astype(np.int16), STATE_MAX
-            )
+        self.states[:] = np.minimum(
+            (trace.prefill_frequencies() * (STATE_MAX + 1)).astype(np.int16),
+            STATE_MAX)
         self._parents_stack = None
         self._firing_memo = {}
         self._firing_memo_cap = trace.n_tokens
@@ -233,14 +223,14 @@ class ActivationPredictor:
         ground-truth activation matrix; row ``l-1`` supplies the realised
         previous-layer activations feeding layer ``l``'s layer-wise term
         (layers execute sequentially, so those are known by the time
-        layer ``l`` runs).  A group fires when ``s1 + lam * s2 >= T``,
-        with ``s1`` its state and ``s2`` how many of its two correlated
-        parents fired (0 for layer 0 and for a layer without a table);
-        token-only mode drops ``s2`` and layer-only mode needs ``s2 ==
-        2``.
+        layer ``l`` runs).  A group fires when ``s1 + LAMBDA * s2 >=
+        THRESHOLD``, with ``s1`` its state and ``s2`` how many of its two
+        correlated parents fired (0 for layer 0 and for a layer without a
+        table); token-only mode drops ``s2`` and layer-only mode needs
+        ``s2 == 2``.
 
-        The rule is one threshold compare per group.  ``s1 + lam * s2 >=
-        T`` computed in ``float64`` is non-decreasing in the state
+        The rule is one threshold compare per group.  ``s1 + LAMBDA * s2
+        >= THRESHOLD`` computed in ``float64`` is non-decreasing in the state
         ``s1``, so for each parent count ``s2`` in 0..2 there is a least
         state that fires, and a group fires exactly when its state
         reaches the least state of its count.  The counts (two flat
@@ -275,8 +265,8 @@ class ActivationPredictor:
         are known, for every layer at once; also folds the outcome into
         the accuracy counters when ``predicted`` is given.
 
-        An activated group's state rises by ``s_up`` and an inactive
-        one's falls by ``s_down``, saturating at 0 and ``STATE_MAX``.
+        An activated group's state rises by ``S_UP`` and an inactive
+        one's falls by ``S_DOWN``, saturating at 0 and ``STATE_MAX``.
         Online adjustment reads the pre-token states, so callers swap
         before they observe.
         """
@@ -286,10 +276,9 @@ class ActivationPredictor:
             self.stats.update(predicted, actuals)
         matrix = self.states
         # in-place step + saturating clamp (max-then-min spelling of
-        # clip): s + (s_up + s_down) * actual - s_down is s + s_up or
-        # s - s_down
-        cfg = self.config
-        matrix += np.multiply(actuals, cfg.s_up + cfg.s_down, dtype=np.int16)
+        # clip): s + (S_UP + S_DOWN) * actual - S_DOWN is s + S_UP or
+        # s - S_DOWN
+        matrix += np.multiply(actuals, S_UP + S_DOWN, dtype=np.int16)
         matrix -= self._state_down
         np.maximum(matrix, self._state_floor, out=matrix)
         np.minimum(matrix, self._state_ceiling, out=matrix)
@@ -303,7 +292,7 @@ class ActivationPredictor:
         """
         return self.layout.model.total_neurons * STATE_BITS // 8
 
-    def predictor_overhead_seconds(self, layer: int) -> float:
+    def predictor_overhead_seconds(self) -> float:
         """Host-CPU time to evaluate the predictor for one layer.
 
         A handful of vector ops over the state table held in LLC; the paper

@@ -50,7 +50,7 @@ def run(quick: bool = False) -> ExperimentResult:
     # fixed-placement load imbalance across 8 DIMMs on LLaMA-13B, §III-C
     t13 = trace_for("LLaMA-13B", quick=quick)
     layout = t13.layout
-    freqs = [t13.prefill_frequencies(l) for l in range(t13.num_layers)]
+    freqs = t13.prefill_frequencies()
     costs = PartitionCosts(
         gpu_seconds_per_byte=1.0 / machine.gpu.effective_bandwidth,
         dimm_seconds_per_byte=1.0 / machine.dimm.internal_bandwidth,
@@ -59,8 +59,7 @@ def run(quick: bool = False) -> ExperimentResult:
         gpu_budget_bytes=0,  # every neuron on the DIMMs for this statistic
         dimm_capacity_bytes=machine.dimm.capacity_bytes,
     )
-    hot_masks = np.zeros((t13.num_layers, layout.groups_per_layer),
-                         dtype=bool)
+    hot_masks = np.zeros(freqs.shape, dtype=bool)
     placement = assign_dimms(freqs, hot_masks, layout, costs, balanced=False)
     imbalances = [
         dimm_load_imbalance(t13, placement[l], l, window=16)

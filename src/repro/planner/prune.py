@@ -1,14 +1,15 @@
 """Analytic pruning: discard candidate fleets without simulating them.
 
 Two pure screens, both built from the shared cost kernels in
-:mod:`repro.baselines.base` (the same spellings the serving backends
-charge per token, so the planner and the simulator cannot disagree
-about what a machine costs):
+:mod:`repro.baselines.base` and :mod:`repro.core.engine` (the same
+spellings the serving backends charge per token and the engine checks,
+so the planner and the simulator cannot disagree about what a machine
+costs):
 
 * **Memory feasibility** — a Hermes machine must hold the model's
   sparse weights on its DIMM pool and the dense weights plus workspace
-  on its GPU (:func:`~repro.baselines.base.hermes_memory_feasible`,
-  exactly the checks that make engine construction raise).  The
+  on its GPU (:func:`~repro.core.engine.hermes_memory_feasible`,
+  exactly the checks that make the engine raise).  The
   streamed backends (dense, dejavu) degrade instead of failing — their
   GPU-resident weight fraction
   (:func:`~repro.baselines.base.weights_resident_fraction`) is recorded
@@ -32,10 +33,10 @@ import math
 import typing
 
 from ..baselines.base import (
-    hermes_memory_feasible,
     streamed_token_transfer_floor,
     weights_resident_fraction,
 )
+from ..core.engine import hermes_memory_feasible
 from ..models import get_model
 from ..serving import probe_tokens_per_second
 from .space import FleetCandidate

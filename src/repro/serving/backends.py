@@ -428,8 +428,8 @@ class MachineExecutor(ServingBackend):
 
         Batched sparse GEMV moves the *union* of the batch's
         activations, so the union-capped policy meaningfully bounds the
-        step latency.  One reduction over the session's cached
-        per-layer union column.
+        step latency.  One reduction over the session's memoised
+        per-layer union factors.
         """
         return float(self.session.union_factors(batch).mean())
 

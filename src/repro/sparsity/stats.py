@@ -102,8 +102,7 @@ def hot_cold_computation_share(
     if tokens is None:
         tokens = slice(0, max(1, trace.prompt_len))
     shares = []
-    for l in range(trace.num_layers):
-        freq = trace.frequencies(l, tokens=tokens)
+    for freq in trace.frequencies(tokens):
         k = max(1, int(round(hot_fraction * freq.size)))
         top = np.sort(freq)[::-1][:k]
         total = freq.sum()
@@ -128,9 +127,8 @@ def hot_set_churn(trace: ActivationTrace, hot_fraction: float = 0.2) -> float:
     # whether it varies on average.
     tail = max(8, (trace.n_tokens - trace.prompt_len) // 4)
     decode = slice(trace.n_tokens - tail, trace.n_tokens)
-    for l in range(trace.num_layers):
-        pre = trace.prefill_frequencies(l)
-        post = trace.frequencies(l, tokens=decode)
+    for pre, post in zip(trace.prefill_frequencies(),
+                         trace.frequencies(decode)):
         k = max(1, int(round(hot_fraction * pre.size)))
         hot_pre = set(np.argsort(pre)[::-1][:k].tolist())
         hot_post = set(np.argsort(post)[::-1][:k].tolist())

@@ -81,22 +81,24 @@ class ActivationTrace:
         """Overall fraction of active (group, token) pairs."""
         return np.count_nonzero(self.activations) / self.activations.size
 
-    def frequencies(
-        self, layer: int, *, tokens: slice | None = None
-    ) -> np.ndarray:
-        """Empirical activation frequency per group over a token range."""
-        matrix = self.activations[:, layer] if tokens is None \
-            else self.activations[tokens, layer]
+    def frequencies(self, tokens: slice | None = None) -> np.ndarray:
+        """Empirical activation frequency of every group over a token
+        range (all tokens by default): one float64 (num_layers, groups)
+        matrix whose row ``l`` is layer ``l``.  Each entry is an exact
+        count of active tokens divided by the token count."""
+        matrix = self.activations if tokens is None \
+            else self.activations[tokens]
         if matrix.shape[0] == 0:
             raise ValueError("token range selects no tokens")
         return matrix.mean(axis=0)
 
-    def prefill_frequencies(self, layer: int) -> np.ndarray:
-        """Activation frequency during the prompting stage, which Hermes
-        uses to initialise the neuron state table (§IV-C1)."""
+    def prefill_frequencies(self) -> np.ndarray:
+        """The (num_layers, groups) activation frequencies of the
+        prompting stage, which Hermes uses to initialise the neuron state
+        table (§IV-C1) and to solve its offline partition."""
         if self.prompt_len == 0:
             raise ValueError("trace has no prefill tokens")
-        return self.frequencies(layer, tokens=slice(0, self.prompt_len))
+        return self.frequencies(slice(0, self.prompt_len))
 
     def decode_tokens(self) -> range:
         """Token indices belonging to the generation stage."""

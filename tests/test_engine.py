@@ -16,25 +16,64 @@ def hermes_result(machine, tiny_model, tiny_trace):
     return HermesSystem(machine, tiny_model).run(tiny_trace, batch=1)
 
 
+# The scalar per-layer union factor as it stood before the matrix form,
+# copied verbatim: the reference each entry of ``batch_union_factor``
+# must equal.
+def reference_union_factor(freq: np.ndarray, batch: int) -> float:
+    """Inflation of the activated set when a batch's activations union.
+
+    Each batch element activates its own neuron subset; the weight traffic
+    of a batched sparse GEMV covers the union.  For per-group frequency
+    ``p`` the union probability is ``1 - (1-p)^batch``.
+    """
+    if batch < 1:
+        raise ValueError("batch must be >= 1")
+    if batch == 1:
+        return 1.0
+    p = np.clip(freq, 0.0, 1.0)
+    base = p.sum()
+    if base <= 0:
+        return 1.0
+    return float((1.0 - (1.0 - p) ** batch).sum() / base)
+
+
 class TestUnionFactor:
     def test_batch_one_is_identity(self):
-        assert batch_union_factor(np.array([0.5, 0.1]), 1) == 1.0
+        factors = batch_union_factor(np.array([[0.5, 0.1], [0.2, 0.0]]), 1)
+        assert np.array_equal(factors, [1.0, 1.0])
 
     def test_grows_with_batch(self):
-        freq = np.array([0.3, 0.1, 0.05])
-        factors = [batch_union_factor(freq, b) for b in (1, 2, 4, 8)]
+        freq = np.array([[0.3, 0.1, 0.05]])
+        factors = [batch_union_factor(freq, b)[0] for b in (1, 2, 4, 8)]
         assert all(a < b for a, b in zip(factors, factors[1:]))
 
     def test_saturated_neurons_do_not_inflate(self):
-        assert batch_union_factor(np.ones(5), 16) == pytest.approx(1.0)
+        factors = batch_union_factor(np.ones((1, 5)), 16)
+        assert factors[0] == pytest.approx(1.0)
 
     def test_bounded_by_inverse_density(self):
-        freq = np.full(10, 0.1)
-        assert batch_union_factor(freq, 1000) <= 10.0 + 1e-9
+        freq = np.full((1, 10), 0.1)
+        assert batch_union_factor(freq, 1000)[0] <= 10.0 + 1e-9
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            batch_union_factor(np.array([0.1]), 0)
+            batch_union_factor(np.array([[0.1]]), 0)
+
+    @pytest.mark.parametrize("trace_name", ["tiny_trace", "small_opt_trace"])
+    def test_rows_equal_per_layer_reference(self, request, trace_name):
+        """Entry ``l`` equals ``reference_union_factor`` of row ``l``,
+        bit for bit, on prefill and decode frequencies with one all-zero
+        row (whose factor is 1.0 at every batch)."""
+        trace = request.getfixturevalue(trace_name)
+        decode = slice(trace.prompt_len, trace.n_tokens)
+        for freqs in (trace.prefill_frequencies(), trace.frequencies(decode)):
+            freqs[1] = 0.0
+            for batch in (1, 2, 3, 8, 16):
+                factors = batch_union_factor(freqs, batch)
+                assert factors.shape == (trace.num_layers,)
+                for l, freq in enumerate(freqs):
+                    assert factors[l] == reference_union_factor(freq, batch)
+                assert factors[1] == 1.0
 
 
 class TestHermesRun:
@@ -140,8 +179,13 @@ class TestConfigurationSpace:
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             HermesConfig(window=0)
-        with pytest.raises(ValueError):
-            HermesConfig(gpu_reserve_bytes=-1)
+        # the hot threshold compares against the 4-bit state table, so it
+        # must fail at construction rather than when a session opens
+        with pytest.raises(ValueError, match="hot_threshold"):
+            HermesConfig(hot_threshold=16)
+        with pytest.raises(ValueError, match="hot_threshold"):
+            HermesConfig(hot_threshold=-1)
+        assert HermesConfig(hot_threshold=15).hot_threshold == 15
 
 
 class TestRealisticScale:

@@ -15,10 +15,10 @@ def layout(tiny_model):
 @pytest.fixture
 def frequencies(layout):
     rng = np.random.default_rng(2)
-    return [
+    return np.stack([
         power_law_frequencies(layout.groups_per_layer, 0.25, rng=rng)
         for _ in range(layout.model.num_layers)
-    ]
+    ])
 
 
 def costs_for(layout, *, gpu_fraction=0.3, num_dimms=4) -> PartitionCosts:
@@ -159,9 +159,7 @@ class TestAssignDimms:
         self, layout, frequencies
     ):
         costs = costs_for(layout)
-        hot = [
-            np.zeros(layout.groups_per_layer, dtype=bool) for _ in frequencies
-        ]
+        hot = np.zeros(frequencies.shape, dtype=bool)
         balanced = assign_dimms(frequencies, hot, layout, costs, balanced=True)
         naive = assign_dimms(frequencies, hot, layout, costs, balanced=False)
 
@@ -182,9 +180,7 @@ class TestAssignDimms:
             gpu_seconds_per_byte=1e-12, dimm_seconds_per_byte=1e-11,
             sync_seconds=0.0, num_dimms=2, gpu_budget_bytes=0,
             dimm_capacity_bytes=total // 8)  # far too small
-        hot = [
-            np.zeros(layout.groups_per_layer, dtype=bool) for _ in frequencies
-        ]
+        hot = np.zeros(frequencies.shape, dtype=bool)
         with pytest.raises(ValueError, match="too small"):
             assign_dimms(frequencies, hot, layout, costs)
 
@@ -203,13 +199,17 @@ class TestInputValidation:
             solve_partition(frequencies[:-1], layout, costs_for(layout))
 
     def test_wrong_shape(self, layout, frequencies):
-        bad = list(frequencies)
-        bad[0] = bad[0][:-1]
+        with pytest.raises(ValueError):
+            solve_partition(frequencies[:, :-1], layout, costs_for(layout))
+
+    def test_out_of_range_frequency(self, layout, frequencies):
+        bad = frequencies.copy()
+        bad[0, 0] = 1.5
         with pytest.raises(ValueError):
             solve_partition(bad, layout, costs_for(layout))
 
-    def test_out_of_range_frequency(self, layout, frequencies):
-        bad = [f.copy() for f in frequencies]
-        bad[0][0] = 1.5
-        with pytest.raises(ValueError):
+    def test_nan_frequency(self, layout, frequencies):
+        bad = frequencies.copy()
+        bad[1, 2] = np.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
             solve_partition(bad, layout, costs_for(layout))

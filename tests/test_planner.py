@@ -9,12 +9,15 @@ import math
 import pytest
 
 from repro.baselines.base import (
-    hermes_gpu_hot_budget,
-    hermes_memory_feasible,
     streamed_token_transfer_floor,
     weights_resident_fraction,
 )
 from repro.core import HermesSystem
+from repro.core.engine import (
+    GPU_RESERVE_BYTES,
+    hermes_gpu_hot_budget,
+    hermes_memory_feasible,
+)
 from repro.experiments.cluster_eval import resolve_scenario
 from repro.hardware import GPU_REGISTRY, Machine, get_gpu
 from repro.models import get_model, list_models
@@ -172,12 +175,14 @@ class TestMemoryKernels:
     def test_gpu_hot_budget_sign(self):
         machine = Machine()
         model = get_model("tiny-test")
-        assert hermes_gpu_hot_budget(machine, model) > 0
-        # the reserve comes straight off the hot budget; a reserve the
-        # size of the whole GPU leaves nothing
-        assert hermes_gpu_hot_budget(
-            machine, model,
-            reserve_bytes=machine.gpu.memory_bytes) <= 0
+        budget = hermes_gpu_hot_budget(machine, model)
+        assert budget > 0
+        # dense projections and embeddings pin GPU memory first, and the
+        # workspace reserve comes straight off the hot budget
+        static = (model.dense_bytes_per_layer * model.num_layers
+                  + model.embedding_bytes)
+        assert budget == (machine.gpu.memory_bytes - static
+                          - GPU_RESERVE_BYTES)
 
     def test_streamed_floor_positive_and_monotone(self):
         machine = Machine()

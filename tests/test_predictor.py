@@ -6,10 +6,12 @@ import pytest
 from repro.core import (
     ActivationPredictor,
     CorrelationTable,
+    HermesConfig,
     PredictionStats,
     PredictorConfig,
     STATE_MAX,
 )
+from repro.core.predictor import LAMBDA, S_DOWN, S_UP, THRESHOLD
 from repro.models import get_model
 from repro.sparsity import NeuronLayout
 
@@ -28,18 +30,11 @@ def predictor(layout, tiny_trace):
 
 class TestConfig:
     def test_paper_defaults(self):
-        c = PredictorConfig()
-        assert c.s_up == 4 and c.s_down == 1
-        assert c.lam == 6.0 and c.threshold == 15.0
-        assert c.hot_threshold == 10
+        assert S_UP == 4 and S_DOWN == 1
+        assert LAMBDA == 6.0 and THRESHOLD == 15.0
+        assert HermesConfig().hot_threshold == 10
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            PredictorConfig(s_up=0)
-        with pytest.raises(ValueError):
-            PredictorConfig(lam=-1)
-        with pytest.raises(ValueError):
-            PredictorConfig(hot_threshold=16)
         with pytest.raises(ValueError):
             PredictorConfig(
                 use_token_prediction=False, use_layer_prediction=False
@@ -67,7 +62,7 @@ def reference_predict(self, layer: int,
         parents = self.correlation.parents[layer]
         if parents is not None:
             s2 = prev_actual[parents].sum(axis=1).astype(np.float64)
-    score = s1 + cfg.lam * s2
+    score = s1 + LAMBDA * s2
     if not cfg.use_token_prediction:
         # layer-only mode: both sampled parents must fire — one parent
         # alone fires far too often (hot parents are nearly always on)
@@ -75,7 +70,7 @@ def reference_predict(self, layer: int,
     # ">=" rather than the paper's strict ">": the state table saturates
     # at 15 == T, so a strict comparison would never fire on a
     # permanently-active neuron with silent parents.
-    return score >= cfg.threshold
+    return score >= THRESHOLD
 
 
 def token(predictor, fill: bool) -> np.ndarray:
@@ -87,11 +82,15 @@ class TestStateMachine:
     def test_initial_states_follow_prefill_frequency(
         self, predictor, tiny_trace
     ):
-        freq = tiny_trace.prefill_frequencies(0)
-        states = predictor.states[0]
+        freq = tiny_trace.prefill_frequencies()
+        states = predictor.states
         # always-on neurons start saturated, never-on start at zero
         assert (states[freq > 0.95] == STATE_MAX).all()
         assert (states[freq < 0.05] == 0).all()
+        # 16 linear stages, saturating at STATE_MAX
+        for l in range(tiny_trace.num_layers):
+            want = np.minimum((freq[l] * 16).astype(np.int16), STATE_MAX)
+            assert np.array_equal(states[l], want)
 
     def test_activation_raises_state_by_s_up(self, predictor):
         predictor.states[0] = 5
@@ -274,4 +273,4 @@ class TestFootprint:
         assert ActivationPredictor(layout).state_table_bytes() < 2**20
 
     def test_overhead_is_sub_millisecond(self, predictor):
-        assert predictor.predictor_overhead_seconds(0) < 1e-3
+        assert predictor.predictor_overhead_seconds() < 1e-3

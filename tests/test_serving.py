@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.core import HermesSystem, batch_union_factor
+from repro.core import HermesSystem
 from repro.hardware import Machine
 from repro.models import get_model
 from repro.serving import (
@@ -25,6 +25,8 @@ from repro.serving import (
     workload_from_arrivals,
 )
 from repro.sparsity import TraceConfig, generate_trace
+
+from .test_engine import reference_union_factor
 
 
 # ----------------------------------------------------------------------
@@ -525,7 +527,7 @@ class TestPolicySelect:
         freqs = executor.session.freqs
         for batch in (1, 2, 5, 8):
             reference = float(np.mean(
-                [batch_union_factor(freq, batch) for freq in freqs]))
+                [reference_union_factor(freq, batch) for freq in freqs]))
             assert executor.mean_union(batch) == reference
 
     def test_partition_cache_reuses_solution_across_runs(self):

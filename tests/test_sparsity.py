@@ -246,14 +246,19 @@ class TestGenerateTrace:
 
 class TestTraceAccessors:
     def test_frequencies_shape_and_range(self, tiny_trace):
-        f = tiny_trace.frequencies(0)
-        assert f.shape == (320,)
+        f = tiny_trace.frequencies()
+        assert f.shape == (tiny_trace.num_layers, 320)
+        assert f.dtype == np.float64
         assert (f >= 0).all() and (f <= 1).all()
 
     def test_prefill_frequencies_use_prompt_only(self, tiny_trace):
-        f = tiny_trace.prefill_frequencies(1)
-        expected = tiny_trace.activations[:32, 1].mean(axis=0)
-        assert np.allclose(f, expected)
+        f = tiny_trace.prefill_frequencies()
+        expected = tiny_trace.activations[:32].mean(axis=0)
+        assert np.array_equal(f, expected)
+        # each row is the per-layer slice's frequency, bit for bit
+        for l, row in enumerate(f):
+            layer = tiny_trace.activations[:32, l].mean(axis=0)
+            assert np.array_equal(row, layer)
 
     def test_decode_tokens_range(self, tiny_trace):
         tokens = list(tiny_trace.decode_tokens())
@@ -261,7 +266,7 @@ class TestTraceAccessors:
 
     def test_empty_token_slice_rejected(self, tiny_trace):
         with pytest.raises(ValueError):
-            tiny_trace.frequencies(0, tokens=slice(5, 5))
+            tiny_trace.frequencies(slice(5, 5))
 
     def test_trace_validation(self, tiny_trace):
         with pytest.raises(ValueError):
