@@ -62,11 +62,14 @@ class TestUnionFactor:
     @pytest.mark.parametrize("trace_name", ["tiny_trace", "small_opt_trace"])
     def test_rows_equal_per_layer_reference(self, request, trace_name):
         """Entry ``l`` equals ``reference_union_factor`` of row ``l``,
-        bit for bit, on prefill and decode frequencies with one all-zero
-        row (whose factor is 1.0 at every batch)."""
+        bit for bit, on prefill, decode and whole-trace frequencies with
+        one all-zero row (whose factor is 1.0 at every batch).  The tiny
+        trace's 96 tokens make its whole-trace frequencies non-dyadic,
+        where ``1 - (1 - p)`` can differ from ``p``."""
         trace = request.getfixturevalue(trace_name)
         decode = slice(trace.prompt_len, trace.n_tokens)
-        for freqs in (trace.prefill_frequencies(), trace.frequencies(decode)):
+        for freqs in (trace.prefill_frequencies(), trace.frequencies(decode),
+                      trace.frequencies()):
             freqs[1] = 0.0
             for batch in (1, 2, 3, 8, 16):
                 factors = batch_union_factor(freqs, batch)
